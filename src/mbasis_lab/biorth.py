@@ -13,19 +13,21 @@ mathematical indexing; raw array rows are 0-based.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ArgumentError, ConstructionError
+from .errors import ArgumentError
 from .subspace import (
     ToleranceConfig,
-    TruncatedVector,
     distance_to_span,
     orthonormal_rows,
+    prefix_bases,
     span_equal,
     span_gap,
     span_matrix,
+    tail_norms,
 )
 
 __all__ = [
@@ -110,12 +112,6 @@ class BiorthSystem:
         """n-th functional, 1-based."""
         return self.fs[n - 1]
 
-    def x_vectors(self) -> list[TruncatedVector]:
-        return [TruncatedVector(r) for r in self.xs]
-
-    def f_vectors(self) -> list[TruncatedVector]:
-        return [TruncatedVector(r) for r in self.fs]
-
     def prefix(self, m: int) -> "BiorthSystem":
         """Subsystem of the first m pairs."""
         if not 0 <= m <= self.size:
@@ -129,9 +125,12 @@ class BiorthSystem:
                 f"biorthogonality defect {defect:.3e} above tolerance "
                 f"{self.tol.biorth_tol:.3e}"
             )
-        norms_x = np.linalg.norm(self.xs, axis=1) if self.size else np.array([])
-        norms_f = np.linalg.norm(self.fs, axis=1) if self.size else np.array([])
-        if self.size and (np.any(norms_x == 0.0) or np.any(norms_f == 0.0)):
+        with np.errstate(over="ignore"):  # squares of entries past 2**511 overflow
+            norms = np.linalg.norm(np.concatenate([self.xs, self.fs]), axis=1)
+        if not np.all(np.isfinite(norms)):
+            raise ArgumentError(f"{np.count_nonzero(~np.isfinite(norms))} row norms are "
+                                "not finite in float64; reduce the truncation")
+        if np.any(norms == 0.0):
             raise ArgumentError("zero vectors are not allowed in a biorthogonal system")
         return self
 
@@ -238,77 +237,34 @@ def norming_constant_estimate(sys: BiorthSystem, samples: int = 128, seed: int =
 # spanning indices
 
 
-class _PrefixSpan:
-    """Incrementally grown orthonormal basis of row prefixes."""
-
-    def __init__(self, rows: np.ndarray, rank_tol: float):
-        self.rows = rows
-        self.rank_tol = rank_tol
-        self.basis: list[np.ndarray] = []
-        self.used = 0
-
-    def grow(self):
-        """Append the next row's new direction (if any) to the basis."""
-        r = self.rows[self.used].astype(float)
-        scale = np.linalg.norm(r)
-        for b in self.basis:
-            r = r - (b @ r) * b
-        # one reorthogonalization pass keeps the basis clean
-        for b in self.basis:
-            r = r - (b @ r) * b
-        nrm = np.linalg.norm(r)
-        if scale > 0 and nrm > self.rank_tol * scale:
-            self.basis.append(r / nrm)
-        self.used += 1
-
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        for b in self.basis:
-            v = v - (b @ v) * b
-        return v
-
-
 def spanning_indices(zsys: BiorthSystem, xsys: BiorthSystem, tol: float | None = None) -> list[int]:
     """The spanning indices q(m) of ``zsys`` relative to ``xsys``.
 
-    q(m) is the least q such that every z_n and z_n* with n <= m lies
+    q(m) >= m is the least q such that every z_n and z_n* with n <= m lies
     within ``tol`` of span{x_1..x_q} resp. span{f_1..f_q} (distances taken
-    on normalized vectors).  Raises when no q <= |xsys| works, naming the
-    offending m.  The result is non-decreasing and q(m) >= m is verified.
+    on normalized vectors); raises naming the first m no q <= |xsys| serves.
+    Per side, :func:`tail_norms` of the normalized z rows against one
+    :func:`prefix_bases` factorization of the x rows (Gram-Schmidt rank
+    semantics at ``xsys.tol.rank_tol``) tabulates dist(z_n, span{x_1..x_q})
+    for all (n, q), and q(m) is a running maximum.  Cost O(d n^2).
     """
     tol = xsys.tol.span_tol if tol is None else tol
     if zsys.ambient_dim != xsys.ambient_dim:
         raise ArgumentError("systems live in different ambient dimensions")
-    x_span = _PrefixSpan(xsys.xs, xsys.tol.rank_tol)
-    f_span = _PrefixSpan(xsys.fs, xsys.tol.rank_tol)
-    pending: list[np.ndarray] = []
-    q = 0
-    out = []
-    for m in range(1, zsys.size + 1):
-        zn = zsys.x(m)
-        fn = zsys.f(m)
-        for v, span in ((zn, x_span), (fn, f_span)):
-            nrm = np.linalg.norm(v)
-            if nrm == 0:
-                raise ArgumentError(f"zero vector at position {m}")
-            pending.append(span.residual(v / nrm))
-        span_of = [x_span, f_span] * (len(pending) // 2)
-        while any(np.linalg.norm(r) > tol for r in pending):
-            if q >= xsys.size:
-                raise ArgumentError(
-                    f"no q <= {xsys.size} spans the first {m} pairs within tol {tol}"
-                )
-            x_span.grow()
-            f_span.grow()
-            q += 1
-            pending = [
-                (x_span if i % 2 == 0 else f_span).residual(r)
-                for i, r in enumerate(pending)
-            ]
-        q_m = max(q, m)
-        if q_m < m:
-            raise ConstructionError(f"q({m}) = {q_m} fell below m; degenerate input")
-        out.append(q_m)
-    return out
+    need = np.zeros(zsys.size)
+    zero = np.zeros(zsys.size, dtype=bool)
+    for zs, xs in ((zsys.xs, xsys.xs), (zsys.fs, xsys.fs)):
+        Q, _, rank = prefix_bases(xs, xsys.tol.rank_tol)
+        norms = np.linalg.norm(zs, axis=1)
+        zero |= norms == 0
+        within = tail_norms(zs / np.where(norms > 0, norms, 1.0)[:, None], Q)[:, rank] <= tol
+        need = np.maximum(need, np.where(within.any(axis=1), within.argmax(axis=1), np.inf))
+    bad = np.flatnonzero(zero | (need == np.inf))
+    if bad.size:
+        m = bad[0] + 1
+        raise ArgumentError(f"zero vector at position {m}" if zero[m - 1] else
+                            f"no q <= {xsys.size} spans the first {m} pairs within tol {tol}")
+    return np.maximum(np.maximum.accumulate(need), np.arange(1, zsys.size + 1)).astype(int).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -330,45 +286,84 @@ class PerturbationClass:
     pile_prefixes: tuple
 
 
-def _prefix_agreements(zsys: BiorthSystem, xsys: BiorthSystem, tol: float) -> list[int]:
-    out = []
-    for m in range(1, min(zsys.size, xsys.size) + 1):
-        if span_equal(zsys.xs[:m], xsys.xs[:m], tol) and span_equal(
-            zsys.fs[:m], xsys.fs[:m], tol
-        ):
-            out.append(m)
-    return out
+def _svd_full_rank_length(R: np.ndarray, rank: np.ndarray, rank_tol: float) -> int:
+    """Longest k whose first k rows pass :func:`orthonormal_rows`' relative
+    SVD rank test, by bisection over R[:k, :k] up to the first row
+    Gram-Schmidt dropped: deleting rows interlaces singular values, so the
+    prefix condition number never decreases with k."""
+    def fails(k: int) -> bool:
+        s = np.linalg.svd(R[:k, :k], compute_uv=False)
+        return not s[-1] > rank_tol * s[0]
+
+    top = int(np.sum(rank[1:] == np.arange(1, rank.size)))
+    if top == 0 or not fails(top):
+        return top
+    return bisect.bisect_left(range(1, top), True, key=fails)
+
+
+def _prefix_agreement(Z: np.ndarray, X: np.ndarray, tol: float) -> np.ndarray:
+    """Boolean array: entry k - 1 is ``span_equal(Z[:k], X[:k], tol)``."""
+    rank_tol = 1e-10  # span_equal's default; the classifier's verdicts are defined at it
+    (Qx, Rx, rank_x), (Qz, Rz, rank_z) = prefix_bases(X, rank_tol), prefix_bases(Z, rank_tol)
+    K = min(_svd_full_rank_length(Rx, rank_x, rank_tol),
+            _svd_full_rank_length(Rz, rank_z, rank_tol))
+    Qx, Qz = Qx[:, :K], Qz[:, :K]
+    # column j of block k: dist(z direction j, first k x directions), j < k
+    cols = np.triu(tail_norms(Qz.T, Qx)[:, 1:])
+    equal = np.sqrt(np.sum(np.square(cols), axis=0)) <= tol
+    for k in np.flatnonzero(~equal & (cols.max(axis=0, initial=0.0) <= tol)) + 1:
+        outside = Qz[:, :k] - Qx[:, :k] @ (Qx[:, :k].T @ Qz[:, :k])
+        equal[k - 1] = np.linalg.norm(outside, 2) <= tol
+    beyond = [span_equal(Z[:k], X[:k], tol, rank_tol) for k in range(K + 1, len(X) + 1)]
+    return np.concatenate([equal, np.array(beyond, dtype=bool)])
+
+
+def _agreements(zsys: BiorthSystem, xsys: BiorthSystem, start: int, tol: float,
+                width: int = 16) -> np.ndarray:
+    """Offsets k - 1 at which rows start..start+k-1 (1-based) agree on both
+    sides, over windows of ``width`` rows quadrupled until one agrees."""
+    while True:
+        rows = slice(start - 1, min(zsys.size, start - 1 + width))
+        hits = np.flatnonzero(_prefix_agreement(zsys.xs[rows], xsys.xs[rows], tol)
+                              & _prefix_agreement(zsys.fs[rows], xsys.fs[rows], tol))
+        if hits.size or rows.stop == zsys.size:
+            return hits
+        width *= 4
 
 
 def classify_perturbation(zsys: BiorthSystem, xsys: BiorthSystem,
                           tol: float | None = None) -> PerturbationClass:
     """Classify ``zsys`` as a block or pile perturbation of ``xsys``.
 
-    Block boundaries are found greedily left to right, closing each
-    interval at the earliest index where both span equalities hold; this
-    yields the maximal refinement when one exists.  Every block verdict
-    also satisfies the pile predicate (asserted).
+    Row ranges agree when their vector spans and their functional spans
+    both have projector gap (:func:`span_gap`, SVD rank test at 1e-10)
+    within ``tol``.  Pile prefixes are all agreeing prefixes; block
+    intervals close greedily at the earliest agreeing end (the maximal
+    refinement when one exists), the first at the first pile prefix.
+
+    For full-rank prefixes the gap is the 2-norm of the block D[k:, :k] of
+    D = Q_x^T Q_z (principal angles, Bjorck & Golub 1973), with both bases
+    from :func:`prefix_bases`.  One :func:`tail_norms` table of its column
+    tails decides most k (Frobenius norm within ``tol``: equal; a column
+    above it: unequal); the rest take the exact 2-norm.  Past the bisected
+    full-rank length, :func:`span_equal` decides.  Start 1 factors all n
+    rows, later starts windows of 16 rows, quadrupled until one closes:
+    O(d w^2) per window of w rows, plus O(log w) SVDs of w x w.
     """
     tol = xsys.tol.span_tol if tol is None else tol
     if zsys.size != xsys.size:
         raise ArgumentError("systems must have equal length")
     n = zsys.size
+    hits = _agreements(zsys, xsys, 1, tol, width=n)
+    prefixes = tuple(int(k) + 1 for k in hits)
     intervals = []
     start = 1
-    for end in range(1, n + 1):
-        zs = zsys.xs[start - 1:end]
-        xs = xsys.xs[start - 1:end]
-        zfs = zsys.fs[start - 1:end]
-        xfs = xsys.fs[start - 1:end]
-        if span_equal(zs, xs, tol) and span_equal(zfs, xfs, tol):
-            intervals.append((start, end))
-            start = end + 1
-    block = start == n + 1 and intervals
-    prefixes = tuple(_prefix_agreements(zsys, xsys, tol))
-    if block:
-        fam = IntervalFamily(tuple(intervals))
-        assert prefixes, "block verdict must imply the pile predicate"
-        return PerturbationClass("block", fam, prefixes)
+    while hits.size:
+        intervals.append((start, start + int(hits[0])))
+        start += int(hits[0]) + 1
+        hits = _agreements(zsys, xsys, start, tol)
+    if intervals and start == n + 1:
+        return PerturbationClass("block", IntervalFamily(tuple(intervals)), prefixes)
     if prefixes:
         rights = tuple((1, m) for m in prefixes)
         return PerturbationClass("pile", IntervalFamily(rights), prefixes)

@@ -32,6 +32,8 @@ from .subspace import (
     ToleranceConfig,
     TruncatedVector,
     directed_span_gap,
+    prefix_bases,
+    tail_norms,
 )
 
 __all__ = [
@@ -547,37 +549,28 @@ def _verify_pathological(X, F, Ehat, pi_t, eps, tol: ToleranceConfig):
     if defect > tol.biorth_tol:
         raise ConstructionError(f"biorthogonality defect {defect:.3e} above tolerance")
     # correction budgets
-    for n in range(M):
-        diff = Ehat[n].copy()
-        diff[n] -= 1.0
-        if np.linalg.norm(diff) > eps[n] + 1e-15:
-            raise ConstructionError(f"correction at step {n + 1} exceeds its budget")
+    over = np.flatnonzero(np.linalg.norm(Ehat - np.eye(M, Ehat.shape[1]), axis=1) > eps + 1e-15)
+    if over.size:
+        raise ConstructionError(f"correction at step {over[0] + 1} exceeds its budget")
     # prefix vector spans: x_m must sit in the e_hat prefix span, which has
-    # full rank by the unit diagonal; one reorthogonalized MGS pass suffices
-    basis: list[np.ndarray] = []
-    for m in range(M):
-        row = Ehat[m].astype(float)
-        for b in basis:
-            row -= (b @ row) * b
-        for b in basis:
-            row -= (b @ row) * b
-        nrm = np.linalg.norm(row)
-        if nrm <= tol.rank_tol:
-            raise ConstructionError(f"e_hat prefix rank deficient at {m + 1}")
-        basis.append(row / nrm)
-        resid = X[m].astype(float)
-        scale = np.linalg.norm(resid)
-        for b in basis:
-            resid -= (b @ resid) * b
-        if np.linalg.norm(resid) > tol.span_tol * max(scale, 1.0):
-            raise ConstructionError(f"vector prefix span equality fails at {m + 1}")
-    # prefix dual spans: exact support containment plus full rank
-    covered: set = set()
-    for m in range(M):
-        covered.add(int(pi_t[m]) - 1)
-        support = set(np.nonzero(F[m])[0])
-        if not support <= covered:
-            raise ConstructionError(f"functional {m + 1} leaves its coordinate span")
+    # full rank by the unit diagonal
+    Q, _, rank = prefix_bases(Ehat, tol.rank_tol)
+    full = int(np.sum(rank[1:] == np.arange(1, M + 1)))
+    resid = tail_norms(X[:full], Q)[np.arange(full), np.arange(1, full + 1)]
+    scale = np.maximum(np.linalg.norm(X[:full], axis=1), 1.0)
+    off = np.flatnonzero(resid > tol.span_tol * scale)
+    if off.size:
+        raise ConstructionError(f"vector prefix span equality fails at {off[0] + 1}")
+    if full < M:
+        raise ConstructionError(f"e_hat prefix rank deficient at {full + 1}")
+    # prefix dual spans: exact support containment plus full rank; f_m may
+    # only use coordinates pi(k) - 1 with k <= m
+    entered = np.full(F.shape[1], M)
+    np.minimum.at(entered, pi_t[:M] - 1, np.arange(M))
+    rows, cols = np.nonzero(F)
+    leaving = rows[entered[cols] > rows]
+    if leaving.size:
+        raise ConstructionError(f"functional {leaving.min() + 1} leaves its coordinate span")
 
 
 # ---------------------------------------------------------------------------
@@ -839,19 +832,11 @@ class UnbReport:
 
 
 def _gram_schmidt_rows(X: np.ndarray, rank_tol: float) -> np.ndarray:
-    basis: list[np.ndarray] = []
-    for row in X:
-        r = row.astype(float)
-        scale = np.linalg.norm(r)
-        for b in basis:
-            r -= (b @ r) * b
-        for b in basis:
-            r -= (b @ r) * b
-        nrm = np.linalg.norm(r)
-        if scale == 0 or nrm <= rank_tol * scale:
-            raise ConstructionError("orthonormalization hit a dependent vector")
-        basis.append(r / nrm)
-    return np.vstack(basis)
+    """Orthonormal rows with the prefix spans of ``X``; refuses dependent rows."""
+    Q, _, rank = prefix_bases(X, rank_tol)
+    if rank[-1] < X.shape[0]:
+        raise ConstructionError("orthonormalization hit a dependent vector")
+    return Q.T
 
 
 def _prefix_dual_spanning(X: np.ndarray) -> np.ndarray:
@@ -868,15 +853,9 @@ def _prefix_dual_spanning(X: np.ndarray) -> np.ndarray:
     exact and no tolerance enters.
     """
     M = X.shape[0]
-    gram = X @ X.T
-    q_vals = np.zeros(M, dtype=np.int64)
-    reach = 0
-    for m in range(1, M + 1):
-        col = np.nonzero(gram[:, m - 1])[0]
-        if col.size:
-            reach = max(reach, int(col[-1]) + 1)
-        q_vals[m - 1] = max(reach, m)
-    return q_vals
+    nonzero = (X @ X.T) != 0
+    reach = np.where(nonzero.any(axis=0), M - np.argmax(nonzero[::-1], axis=0), 0)
+    return np.maximum(np.maximum.accumulate(reach), np.arange(1, M + 1))
 
 
 def orthonormalized_duals(system: BiorthSystem, Z: np.ndarray, p: int) -> np.ndarray:
@@ -986,8 +965,7 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
     N0 = min(sizes)
     ident = identity_permutation(2 * N0)
     eps0 = default_eps_sequence(N0)
-    sys0, ehat0 = build_pathological_system(ident, eps0, N0, N0, tol)
-    Z0 = _gram_schmidt_rows(np.vstack([e.coords for e in ehat0]), tol.rank_tol)
+    sys0, _ = build_pathological_system(ident, eps0, N0, N0, tol)
     q0 = _prefix_dual_spanning(sys0.xs)
     control_ok = bool(np.all(q0 == np.arange(1, N0 + 1)))
     return UnbReport(tuple(runs), control_ok)

@@ -77,13 +77,6 @@ class BlockPartition:
         """Partial sum of the eps_j over the truncation (recorded invariant)."""
         return float(sum(self.epsilons))
 
-    def block_of(self, n: int) -> int:
-        """1-based index j with n in A(j)."""
-        for j, blk in enumerate(self.blocks, start=1):
-            if n in blk:
-                return j
-        raise ArgumentError(f"index {n} not covered by the partition")
-
 
 @dataclass(frozen=True)
 class PartitionReport:

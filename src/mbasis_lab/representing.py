@@ -28,7 +28,7 @@ import numpy as np
 from .biorth import BiorthSystem, norming_constant_estimate
 from .errors import ArgumentError
 from .perturbations import BlockPartition
-from .subspace import TruncatedVector, distance_to_span, orthonormal_rows, project
+from .subspace import TruncatedVector, distance_to_span, orthonormal_rows, prefix_bases, project
 
 __all__ = [
     "RepresentingIndices",
@@ -129,24 +129,12 @@ def _least_window_end(sys: BiorthSystem, head_end: int, delta: float) -> int:
     Qtail = orthonormal_rows(sys.xs[head_end:], tol)
     A = QH @ Qtail.T
     target = A @ A.T
-    mid_basis: list[np.ndarray] = []
-    M = np.zeros_like(target)
-    for p in range(head_end + 1, N + 1):
-        row = sys.xs[p - 1].astype(float)
-        scale = np.linalg.norm(row)
-        for b in mid_basis:
-            row = row - (b @ row) * b
-        for b in mid_basis:
-            row = row - (b @ row) * b
-        nrm = np.linalg.norm(row)
-        if scale > 0 and nrm > tol * scale:
-            u = row / nrm
-            mid_basis.append(u)
-            w = QH @ u
-            M = M + np.outer(w, w)
-        if p == N:
-            return N
-        s2 = float(np.linalg.eigvalsh(target - M)[-1])
+    # window x_{head_end+1}..x_p: the first rank[p - head_end] columns of Q
+    Q, _, rank = prefix_bases(sys.xs[head_end:], tol)
+    W = QH @ Q
+    for p in range(head_end + 1, N):
+        Wp = W[:, :rank[p - head_end]]
+        s2 = float(np.linalg.eigvalsh(target - Wp @ Wp.T)[-1])
         if math.sqrt(max(s2, 0.0)) <= delta:
             return p
     return N

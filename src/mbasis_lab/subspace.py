@@ -27,6 +27,8 @@ __all__ = [
     "as_vector",
     "span_matrix",
     "orthonormal_rows",
+    "prefix_bases",
+    "tail_norms",
     "distance_to_span",
     "project",
     "span_gap",
@@ -167,6 +169,46 @@ def orthonormal_rows(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
         return np.zeros((0, M.shape[1]))
     rank = int(np.sum(s > rank_tol * s[0]))
     return vt[:rank]
+
+
+def prefix_bases(M: np.ndarray, rank_tol: float = 1e-10):
+    """Orthonormal bases of every row prefix of ``M`` from one Householder QR.
+
+    Factors the normalized rows as M_hat^T = Q R (``numpy.linalg.qr``) with
+    diag(R) > 0, so column j of Q is the direction modified Gram-Schmidt
+    adds for row j.  Rank semantics are Gram-Schmidt's relative residual
+    test: a row within ``rank_tol`` of the span before it (|R_jj|), or a
+    zero row, adds no direction, and the QR is redone without it.
+
+    Returns ``(Q, R, rank)``: Q (d x r) orthonormal columns, R the r x r
+    factor of the kept rows, and ``Q[:, :rank[k]]`` spans the first k rows
+    (k = 0..n).  Cost O(d r^2) per factorization.
+    """
+    M = np.asarray(M, dtype=float)
+    norms = np.linalg.norm(M, axis=1)
+    kept = np.flatnonzero(norms > 0)
+    while True:
+        Q, R = np.linalg.qr((M[kept] / norms[kept, None]).T)
+        bad = np.flatnonzero(np.abs(np.diagonal(R)) <= rank_tol)
+        if not bad.size:
+            break
+        kept = np.delete(kept, bad[0])
+    # rows past a basis of the whole space are dependent
+    kept, R = kept[:Q.shape[1]], R[:, :Q.shape[1]]
+    signs = np.where(np.diagonal(R) < 0, -1.0, 1.0)
+    return Q * signs, R * signs[:, None], np.searchsorted(kept, np.arange(len(M) + 1))
+
+
+def tail_norms(V: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """T[i, j] = distance from V[i] to span(Q[:, :j]), j = 0..r, for Q with
+    orthonormal columns: the norm of the coordinate tail (V Q)[i, j:] plus
+    the part of V[i] outside span(Q), summed in squares from the end so
+    small distances stay accurate.  Cost O(n d r)."""
+    C = V @ Q
+    out = V - C @ Q.T
+    sq = np.concatenate([np.square(C), np.zeros((C.shape[0], 1))], axis=1)
+    tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
+    return np.sqrt(tails + np.einsum("ij,ij->i", out, out)[:, None])
 
 
 def _head_basis(S, x_dim: int, rank_tol: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Cross-validation against independent oracles on randomized inputs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from mbasis_lab.biorth import (
     classify_perturbation,
     spanning_indices,
 )
+from mbasis_lab.cli import main
+from mbasis_lab.errors import ArgumentError
 from mbasis_lab.pathology import (
     build_pathological_system,
     build_permutation,
@@ -139,3 +143,25 @@ def test_larger_truncation_or_documented_failure():
     assert biorthogonality_defect(system) <= 1e-8
     top = operator_T(e_hats, system.ambient_dim, eps_seq=eps)
     assert top.norm <= 2.0 + 1e-9 and top.norm_inv <= 2.0 + 1e-9
+
+
+def test_overflowing_row_norms_refuse():
+    # at truncation 520 every entry is finite, but 11 functional rows carry
+    # entries past 2**511, whose squares overflow the row norms; validation
+    # must refuse (warnings are errors in this suite, so none may leak)
+    N = 520
+    phi = build_phi(lambda n: float(n), 4 * N)
+    spec = build_permutation(phi, 4 * N)
+    pi_t = spec.compactified(N, keep_below=N)
+    with pytest.raises(ArgumentError, match="^11 row norms are not finite"):
+        build_pathological_system(spec, default_eps_sequence(N), N,
+                                  int(max(N, pi_t.max())))
+
+
+def test_overflowing_truncation_cli_refuses(tmp_path):
+    code = main(["pathology", "--truncation", "600", "--out", str(tmp_path)])
+    assert code != 0
+    failure = json.loads((tmp_path / "failure.json").read_text())
+    assert failure["module"] == "mbasis_lab.errors.ArgumentError"
+    assert failure["invariant"].startswith("91 row norms are not finite")
+    assert not (tmp_path / "run.json").exists()
