@@ -73,7 +73,6 @@ class ExperimentConfig:
     eps: tuple = ()
     sizes: tuple = (64, 128, 256)
     cs: tuple = (1, 2, 4)
-    lambda_schedule: str = "linear"
     m_bound: float = 2.0
     rank_tol: float = 1e-10
     biorth_tol: float = 1e-8
@@ -118,7 +117,6 @@ _PARSERS = {
     "eps": _parse_float_list,
     "sizes": _parse_int_list,
     "cs": _parse_int_list,
-    "lambda_schedule": str,
     "m_bound": float,
     "rank_tol": float,
     "biorth_tol": float,
@@ -143,19 +141,16 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"variant must be plain or norming, got '{cfg.variant}'")
     if cfg.kind not in ("canonical", "pathological"):
         raise ConfigError(f"kind must be canonical or pathological, got '{cfg.kind}'")
-    if cfg.lambda_schedule != "linear":
-        raise ConfigError(f"unknown lambda schedule '{cfg.lambda_schedule}'")
     if any(s < 4 for s in cfg.sizes):
         raise ConfigError("sizes entries must be at least 4")
     if any(c < 1 for c in cfg.cs):
         raise ConfigError("cs entries must be positive")
     if cfg.m_bound < 1:
         raise ConfigError("m_bound must be at least 1")
-    for name in ("rank_tol", "biorth_tol", "span_tol", "net_resolution"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    if cfg.net_resolution >= 1:
-        raise ConfigError("net_resolution must be below 1")
+    try:
+        cfg.tolerances()
+    except ArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -208,12 +203,9 @@ def _cmd_build_system(cfg: ExperimentConfig, out: str) -> dict:
         phi = build_phi(lambda n: float(n), 4 * N)
         spec = build_permutation(phi, 4 * N)
         eps = np.asarray(cfg.eps, dtype=float) if cfg.eps else default_eps_sequence(N)
-        pi_t = spec.compactified(N, keep_below=N)
-        ambient = int(max(N, pi_t.max()))
-        system, e_hats = build_pathological_system(spec, eps, N, ambient, tol)
-        mio.write_matrix_csv(np.vstack([e.coords for e in e_hats]),
-                             os.path.join(out, "E.csv"))
-        extras = {"ambient": ambient}
+        system, E = build_pathological_system(spec, eps, N, tol=tol)
+        mio.write_matrix_csv(E, os.path.join(out, "E.csv"))
+        extras = {"ambient": system.ambient_dim}
     mio.save_system(system, os.path.join(out, "system"))
     emit_report(
         [("size", system.size), ("defect", biorthogonality_defect(system)),
@@ -272,18 +264,15 @@ def _cmd_pathology(cfg: ExperimentConfig, out: str) -> dict:
     rows = list(zip(stats.grid_m, stats.omega, stats.two_phi))
     emit_report(rows, ("m", "omega", "two_phi"), out, "omega_growth")
     eps = np.asarray(cfg.eps, dtype=float) if cfg.eps else default_eps_sequence(N)
-    pi_t = spec.compactified(N, keep_below=N)
-    ambient = int(max(N, pi_t.max()))
-    system, e_hats = build_pathological_system(spec, eps, N, ambient, tol)
-    top = operator_T(e_hats, ambient, eps_seq=eps)
+    system, E = build_pathological_system(spec, eps, N, tol=tol)
+    top = operator_T(E, system.ambient_dim, eps_seq=eps)
     mio.save_system(system, os.path.join(out, "system"))
-    mio.write_matrix_csv(np.vstack([e.coords for e in e_hats]),
-                         os.path.join(out, "E.csv"))
+    mio.write_matrix_csv(E, os.path.join(out, "E.csv"))
     emit_report(
         [("defect", biorthogonality_defect(system)), ("norm_T", top.norm),
          ("norm_T_inv", top.norm_inv)],
         ("metric", "value"), out, "pathology_report")
-    return {"ambient": ambient, "norm_T": top.norm, "norm_T_inv": top.norm_inv}
+    return {"ambient": system.ambient_dim, "norm_T": top.norm, "norm_T_inv": top.norm_inv}
 
 
 def _cmd_unb(cfg: ExperimentConfig, out: str) -> dict:
@@ -351,8 +340,7 @@ def run(cfg: ExperimentConfig) -> int:
             "span_tol": cfg.span_tol,
             "net_resolution": cfg.net_resolution,
         },
-        "grid": {"sizes": list(cfg.sizes), "cs": list(cfg.cs),
-                 "lambda_schedule": cfg.lambda_schedule},
+        "grid": {"sizes": list(cfg.sizes), "cs": list(cfg.cs)},
         "version": __version__,
         "numpy": np.__version__,
         "wall_time_s": round(time.time() - started, 3),

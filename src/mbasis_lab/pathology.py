@@ -28,13 +28,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError
-from .subspace import (
-    ToleranceConfig,
-    TruncatedVector,
-    directed_span_gap,
-    prefix_bases,
-    tail_norms,
-)
+from .subspace import ToleranceConfig, directed_span_gap, prefix_bases, tail_norms
 
 __all__ = [
     "PhiTable",
@@ -426,20 +420,22 @@ def default_eps_sequence(M: int) -> np.ndarray:
 
 
 def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
-                              ambient: int,
+                              ambient: int | None = None,
                               tol: ToleranceConfig | None = None):
     """Inductive near-canonical system over the permuted dual coordinates.
 
-    Returns (system, e_hats) with, for every prefix m: the vectors span
-    exactly the e_hat prefix span, the functionals span exactly the
-    permuted canonical coordinates pi(1..m), the corrections satisfy
-    ||e_hat_n - e_n|| <= eps_n, and the system is biorthogonal.  All four
-    facts are machine-verified before returning.
+    Returns (system, E), E the M x ambient matrix of rows e_hat_n, with,
+    for every prefix m: the vectors span exactly the e_hat prefix span,
+    the functionals span exactly the permuted canonical coordinates
+    pi(1..m), the corrections satisfy ||e_hat_n - e_n|| <= eps_n, and the
+    system is biorthogonal.  All four facts are machine-verified before
+    returning.
 
     Permutation values beyond M are relabeled order-preservingly into
-    (M, M + count]; the ambient dimension must cover the relabeled range.
-    Corrections use the largest power of two below each eps_n, which makes
-    the cascade coefficients exact in floating point.
+    (M, M + count]; ``ambient`` defaults to the top of that range, and an
+    explicit value below it is refused.  Corrections use the largest power
+    of two below each eps_n, which makes the cascade coefficients exact in
+    floating point.
     """
     tol = tol or ToleranceConfig()
     if M < 1:
@@ -452,7 +448,9 @@ def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
     _check_eps_budget(eps)
     pi_t = spec.compactified(M, keep_below=M)
     required = int(max(M, pi_t.max()))
-    if ambient < required:
+    if ambient is None:
+        ambient = required
+    elif ambient < required:
         raise ArgumentError(
             f"ambient {ambient} too small: the permuted coordinates need "
             f"{required}; pass a larger ambient"
@@ -537,9 +535,7 @@ def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
         F[n - 1] = frow / pairing
 
     _verify_pathological(X, F, Ehat, pi_t, eps[:M], tol)
-    system = BiorthSystem(X, F, ambient_dim=ambient, tol=tol).validate()
-    e_hats = [TruncatedVector(row) for row in Ehat]
-    return system, e_hats
+    return BiorthSystem(X, F, ambient_dim=ambient, tol=tol).validate(), Ehat
 
 
 def _verify_pathological(X, F, Ehat, pi_t, eps, tol: ToleranceConfig):
@@ -586,13 +582,13 @@ class TOperator:
 
 def operator_T(e_hats, ambient: int, eps_seq=None,
                rank_tol: float = 1e-10) -> TOperator:
-    """The map sending each e_hat_n to e_n, identity on the complement.
+    """The map sending each row e_hat_n of ``e_hats`` to e_n, identity on
+    the complement.
 
     When the square-sum budget of ``eps_seq`` is within 1/8, both operator
     norms are asserted to be at most 2.
     """
-    E = np.vstack([np.asarray(v.coords if isinstance(v, TruncatedVector) else v,
-                              dtype=float) for v in e_hats])
+    E = np.asarray(e_hats, dtype=float)
     M, dim = E.shape
     if dim != ambient:
         raise ArgumentError(f"e_hats live in dimension {dim}, expected {ambient}")
@@ -635,8 +631,7 @@ def t_asymptotics_check(T: np.ndarray, zs, eps_seq, strict: bool = True) -> Deca
     measured norms next to twice the bound minimized over k. With
     ``strict`` a violation raises.
     """
-    Z = np.vstack([np.asarray(z.coords if isinstance(z, TruncatedVector) else z,
-                              dtype=float) for z in zs])
+    Z = np.asarray(zs, dtype=float)
     dim = Z.shape[1]
     eps = np.zeros(dim)
     eps_in = np.asarray(eps_seq, dtype=float)
@@ -914,15 +909,12 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
         phi = build_phi(f_vals, L)
         spec = build_permutation(phi, L)
         eps = default_eps_sequence(N)
-        pi_t = spec.compactified(N, keep_below=N)
-        ambient = int(max(N, pi_t.max()))
-        system, e_hats = build_pathological_system(spec, eps, N, ambient, tol)
-        top = operator_T(e_hats, ambient, eps_seq=eps)
+        system, E = build_pathological_system(spec, eps, N, tol=tol)
+        top = operator_T(E, system.ambient_dim, eps_seq=eps)
         # orthonormalize the e_hat rows: they carry the same prefix spans as
         # the vectors (a pile perturbation) but are numerically tame, while
         # the raw vectors mix scales across hundreds of binary orders
-        Ehat = np.vstack([e.coords for e in e_hats])
-        Z = _gram_schmidt_rows(Ehat, tol.rank_tol)
+        Z = _gram_schmidt_rows(E, tol.rank_tol)
         decay = t_asymptotics_check(top.matrix, Z, eps, strict=True)
         threshold = 1.0 / (4.0 * M_bound)
         above = np.nonzero(decay.measured >= threshold)[0]
@@ -965,7 +957,7 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
     N0 = min(sizes)
     ident = identity_permutation(2 * N0)
     eps0 = default_eps_sequence(N0)
-    sys0, _ = build_pathological_system(ident, eps0, N0, N0, tol)
+    sys0, _ = build_pathological_system(ident, eps0, N0, tol=tol)
     q0 = _prefix_dual_spanning(sys0.xs)
     control_ok = bool(np.all(q0 == np.arange(1, N0 + 1)))
     return UnbReport(tuple(runs), control_ok)

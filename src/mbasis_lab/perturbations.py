@@ -164,14 +164,12 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
                     f"replacement functional {n + 1} leaves the span of block {j}"
                 )
         try:
-            zs = dual_solve(D[rows], block_x, tol.rank_tol, tol.biorth_tol)
+            Z[rows] = dual_solve(D[rows], block_x, tol.rank_tol, tol.biorth_tol)
         except SingularGramError as exc:
             raise ConstructionError(
                 f"block {j} cross-Gram is singular; use a smaller block or a "
                 f"larger eps_{j}"
             ) from exc
-        for i, n in enumerate(rows):
-            Z[n] = zs[i].coords
     return BiorthSystem(Z, D, tol=tol).validate()
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .biorth import BiorthSystem, norming_constant_estimate
 from .errors import ArgumentError
 from .perturbations import BlockPartition
-from .subspace import TruncatedVector, distance_to_span, orthonormal_rows, prefix_bases, project
+from .subspace import as_vector, distance_to_span, orthonormal_rows, prefix_bases, project
 
 __all__ = [
     "RepresentingIndices",
@@ -251,8 +251,8 @@ def build_norming_indices(sys: BiorthSystem, depth: int, c: float) -> Representi
 
 @dataclass(frozen=True)
 class ReconstructResult:
-    approx: TruncatedVector
-    v: TruncatedVector
+    approx: np.ndarray
+    v: np.ndarray
     error: float
 
 
@@ -265,7 +265,7 @@ def reconstruct(x, sys: BiorthSystem, r: RepresentingIndices, m: int) -> Reconst
     """
     if m + 1 > r.depth:
         raise ArgumentError(f"need r({m + 1}); depth is {r.depth}")
-    xv = np.asarray(x.coords if isinstance(x, TruncatedVector) else x, dtype=float)
+    xv = as_vector(x, sys.ambient_dim)
     head_end = r.r_at(m)
     win_end = r.r_at(m + 1)
     if head_end:
@@ -275,9 +275,8 @@ def reconstruct(x, sys: BiorthSystem, r: RepresentingIndices, m: int) -> Reconst
         partial = np.zeros_like(xv)
     window = sys.xs[head_end:win_end]
     v, _ = project(xv - partial, window, sys.tol.rank_tol)
-    approx = partial + v.coords
-    error = float(np.linalg.norm(xv - approx))
-    return ReconstructResult(TruncatedVector(approx), v, error)
+    approx = partial + v
+    return ReconstructResult(approx, v, float(np.linalg.norm(xv - approx)))
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,7 @@ def subseries_reconstruct(x, sys: BiorthSystem, r: RepresentingIndices,
         raise ArgumentError(f"mks must be strictly increasing positive integers: {mks}")
     if mks[-1] + 1 > r.depth:
         raise ArgumentError(f"need r({mks[-1] + 1}); depth is {r.depth}")
-    xv = np.asarray(x.coords if isinstance(x, TruncatedVector) else x, dtype=float)
+    xv = as_vector(x, sys.ambient_dim)
     coeffs = sys.fs @ xv
     checkpoints, residuals, masses, cmasses = [], [], [], []
     for mk in mks:
@@ -471,7 +470,7 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     eps = [float(e) for e in eps]
     if len(eps) < trace.partition.count:
         raise ArgumentError(f"need {trace.partition.count} epsilons, got {len(eps)}")
-    xv = np.asarray(x.coords if isinstance(x, TruncatedVector) else x, dtype=float)
+    xv = as_vector(x, zsys.ambient_dim)
     nrm = np.linalg.norm(xv)
     if nrm == 0:
         raise ArgumentError("x must be nonzero")

@@ -1,13 +1,18 @@
 """Dense finite-dimensional subspace primitives.
 
 Vectors are points of a finite truncation of l2, represented as 1-d float
-arrays (or :class:`TruncatedVector` wrappers).  Subspaces are given by row
-matrices of spanning vectors and handled through SVD orthonormalization,
-which keeps distances and span comparisons stable on the ill-conditioned
-systems produced elsewhere in this package.
+arrays.  Subspaces are given by row matrices of spanning vectors and
+handled through SVD orthonormalization, which keeps distances and span
+comparisons stable on the ill-conditioned systems produced elsewhere in
+this package.
+
+Results are plain arrays: a point is a 1-d array, a family of points a
+row matrix.  The :class:`TruncatedVector` and :class:`SubspaceBasis`
+wrappers are accepted as input only; :func:`as_vector` and
+:func:`span_matrix` decide what counts as a vector or a span.
 
 Functionals on l2 are identified with vectors acting by the inner product,
-so dual systems are returned as plain vectors as well.
+so dual systems are returned as row matrices as well.
 """
 
 from __future__ import annotations
@@ -230,7 +235,7 @@ def distance_to_span(x, S, rank_tol: float = 1e-10) -> float:
     return float(np.linalg.norm(resid))
 
 
-def project(x, S, rank_tol: float = 1e-10) -> tuple[TruncatedVector, float]:
+def project(x, S, rank_tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Orthogonal projection of ``x`` onto span(S) and the residual norm."""
     xv = as_vector(x)
     Q = _head_basis(S, xv.size, rank_tol)
@@ -238,8 +243,7 @@ def project(x, S, rank_tol: float = 1e-10) -> tuple[TruncatedVector, float]:
         proj = np.zeros_like(xv)
     else:
         proj = Q.T @ (Q @ xv)
-    resid = float(np.linalg.norm(xv - proj))
-    return TruncatedVector(proj), resid
+    return proj, float(np.linalg.norm(xv - proj))
 
 
 def span_gap(S1, S2, rank_tol: float = 1e-10) -> float:
@@ -283,14 +287,15 @@ def directed_span_gap(S_sub, S_sup, rank_tol: float = 1e-10) -> float:
 
 
 def unit_net(S, resolution: float, rank_tol: float = 1e-10,
-             max_points: int = NET_POINT_CAP) -> list[TruncatedVector]:
+             max_points: int = NET_POINT_CAP) -> np.ndarray:
     """A finite ``resolution``-net of the unit sphere of span(S).
 
-    Every unit vector of the span is within ``resolution`` (Euclidean) of
-    some returned point.  Built on an angle grid in orthonormalized
-    coordinates, so the size grows like (1/resolution)**(dim-1); the call
-    fails with :class:`NetCapError` rather than exhaust memory when the
-    requested net would exceed ``max_points``.
+    Returns the net points as rows; every unit vector of the span is
+    within ``resolution`` (Euclidean) of one of them.  Built on an angle
+    grid in orthonormalized coordinates, so the size grows like
+    (1/resolution)**(dim-1); the call fails with :class:`NetCapError`
+    rather than exhaust memory when the requested net would exceed
+    ``max_points``.
     """
     if not (0.0 < resolution < 1.0):
         raise ArgumentError(f"net resolution must lie in (0, 1), got {resolution}")
@@ -299,8 +304,7 @@ def unit_net(S, resolution: float, rank_tol: float = 1e-10,
     if d == 0:
         raise ArgumentError("cannot build a net on the zero subspace")
     if d == 1:
-        u = Q[0]
-        return [TruncatedVector(u), TruncatedVector(-u)]
+        return np.vstack([Q, -Q])
 
     # Per-angle step so the worst geodesic offset stays below asin(res/2),
     # hence chord distance below the resolution.
@@ -325,15 +329,14 @@ def unit_net(S, resolution: float, rank_tol: float = 1e-10,
     pts = np.asarray(points)
     # renormalize against accumulated rounding, then map into the ambient
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    ambient = pts @ Q
-    return [TruncatedVector(row) for row in ambient]
+    return pts @ Q
 
 
 def dual_solve(vectors, within, rank_tol: float = 1e-10,
-               biorth_tol: float = 1e-8) -> list[TruncatedVector]:
+               biorth_tol: float = 1e-8) -> np.ndarray:
     """Biorthogonal functionals of ``vectors`` inside span(``within``).
 
-    Returns f_1..f_k in span(within), represented as l2 vectors, with
+    Returns the k x d matrix of rows f_1..f_k in span(within), with
     <f_i, v_j> equal to the Kronecker delta up to ``biorth_tol``.  Requires
     dim(within) == len(vectors) and an invertible cross-Gram matrix;
     otherwise the vectors are not minimal relative to the given span and a
@@ -341,7 +344,7 @@ def dual_solve(vectors, within, rank_tol: float = 1e-10,
     """
     V = span_matrix(vectors)
     if V.shape[0] == 0:
-        return []
+        return np.zeros((0, V.shape[1]))
     W = orthonormal_rows(span_matrix(within, ambient_dim=V.shape[1]), rank_tol)
     k = V.shape[0]
     if W.shape[0] != k:
@@ -360,12 +363,12 @@ def dual_solve(vectors, within, rank_tol: float = 1e-10,
     A = np.linalg.solve(G, np.eye(k))
     F = A.T @ W
     defect = float(np.max(np.abs(F @ V.T - np.eye(k))))
-    if defect > biorth_tol:
+    if not defect <= biorth_tol:  # a non-finite F gives a NaN defect
         raise SingularGramError(
             f"dual solve verified defect {defect:.3e} above biorth_tol {biorth_tol:.3e}; "
             "the pairing is too ill-conditioned"
         )
-    return [TruncatedVector(row) for row in F]
+    return F
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class TestBoundedness:
     def test_at_least_one(self):
         rng = np.random.default_rng(0)
         V = rng.standard_normal((4, 6))
-        F = np.vstack([f.coords for f in dual_solve(V, V)])
+        F = dual_solve(V, V)
         sys = BiorthSystem(V, F)
         assert boundedness_constant(sys) >= 1.0 - 1e-12
 
@@ -83,7 +83,7 @@ class TestUniformMinimality:
     def test_duality_inequality(self):
         rng = np.random.default_rng(7)
         V = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
-        F = np.vstack([f.coords for f in dual_solve(V, V)])
+        F = dual_solve(V, V)
         sys = BiorthSystem(V, F)
         mu = uniform_minimality_constant(sys)
         C = boundedness_constant(sys)
@@ -109,7 +109,7 @@ class TestNormingEstimate:
     def test_monotone_envelope(self):
         rng = np.random.default_rng(2)
         V = np.eye(4) + 0.2 * rng.standard_normal((4, 4))
-        F = np.vstack([f.coords for f in dual_solve(V, V)])
+        F = dual_solve(V, V)
         sys = BiorthSystem(V, F)
         env = norming_estimate_envelope(sys, samples=64, seed=5)
         assert np.all(np.diff(env) <= 1e-15)
@@ -157,7 +157,7 @@ class TestSpanningIndices:
         A = np.tril(rng.standard_normal((5, 5))) + 2 * np.eye(5)
         x = BiorthSystem.canonical(5)
         Z = A @ x.xs
-        F = np.vstack([f.coords for f in dual_solve(Z, np.eye(5))])
+        F = dual_solve(Z, np.eye(5))
         z = BiorthSystem(Z, F)
         q = spanning_indices(z, x)
         assert all(b >= a for a, b in zip(q, q[1:]))
@@ -177,7 +177,7 @@ class TestClassify:
         mix = np.array([[1.0, 1.0], [1.0, -1.0]])
         Z = x.xs.copy()
         Z[0:2] = mix @ x.xs[0:2]
-        F = np.vstack([f.coords for f in dual_solve(Z, np.eye(4))])
+        F = dual_solve(Z, np.eye(4))
         z = BiorthSystem(Z, F)
         res = classify_perturbation(z, x)
         assert res.kind == "block"
@@ -187,7 +187,7 @@ class TestClassify:
     def test_orthonormalized_prefix_spans(self):
         # non-orthogonal system whose GS keeps every prefix span
         X = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-        Fm = np.vstack([f.coords for f in dual_solve(X, np.eye(3))])
+        Fm = dual_solve(X, np.eye(3))
         x = BiorthSystem(X, Fm)
         Q = []
         for row in X:
@@ -218,7 +218,7 @@ class TestBlockDuality:
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         Z = x.xs.copy()
         Z[2:4] = A @ x.xs[2:4]
-        F = np.vstack([f.coords for f in dual_solve(Z, np.eye(4))])
+        F = dual_solve(Z, np.eye(4))
         z = BiorthSystem(Z, F)
         assert block_duality_check(z, x, IntervalFamily(((1, 2), (3, 4))))
 
@@ -226,7 +226,7 @@ class TestBlockDuality:
         x = BiorthSystem.canonical(4)
         Z = x.xs.copy()
         Z[0] = x.xs[0] + x.xs[3]
-        F = np.vstack([f.coords for f in dual_solve(Z, np.eye(4))])
+        F = dual_solve(Z, np.eye(4))
         z = BiorthSystem(Z, F)
         assert not block_duality_check(z, x, IntervalFamily(((1, 2), (3, 4))))
 
@@ -244,7 +244,7 @@ class TestIntersectionDefect:
     def test_independent_system(self):
         rng = np.random.default_rng(4)
         V = np.eye(5) + 0.1 * rng.standard_normal((5, 5))
-        F = np.vstack([f.coords for f in dual_solve(V, V)])
+        F = dual_solve(V, V)
         sys = BiorthSystem(V, F)
         assert intersection_defect(sys, {1, 2, 4}, {2, 3, 4}) == pytest.approx(0.0, abs=1e-6)
 
@@ -257,7 +257,7 @@ class TestReorderInvariance:
     def test_defect_and_boundedness(self):
         rng = np.random.default_rng(6)
         V = np.eye(5) + 0.2 * rng.standard_normal((5, 5))
-        F = np.vstack([f.coords for f in dual_solve(V, V)])
+        F = dual_solve(V, V)
         sys = BiorthSystem(V, F)
         perm = rng.permutation(5)
         reordered = BiorthSystem(V[perm], F[perm])
@@ -274,7 +274,7 @@ def test_boundedness_lower_bound_property(n, seed):
     V = np.eye(n) + 0.4 * rng.standard_normal((n, n))
     if np.linalg.matrix_rank(V) < n:
         return
-    F = np.vstack([f.coords for f in dual_solve(V, np.eye(n))])
+    F = dual_solve(V, np.eye(n))
     sys = BiorthSystem(V, F)
     assert boundedness_constant(sys) >= 1.0 - 1e-10
     mu = uniform_minimality_constant(sys)

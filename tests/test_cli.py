@@ -47,6 +47,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bad value for 'seed'"):
             parse_config("command = unb\nseed = x")
 
+    def test_lambda_schedule_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "unb.cfg"
+        cfg.write_text("command = unb\nlambda_schedule = linear\n")
+        assert main(["unb", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'lambda_schedule'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,match", [
+        ("rank_tol = 0", "rank_tol must be strictly positive"),
+        ("span_tol = -1e-8", "span_tol must be strictly positive"),
+        ("net_resolution = 1.0", "net_resolution must be below 1"),
+    ])
+    def test_tolerances_checked_once(self, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(f"command = unb\n{line}")
+
 
 class TestRoundTrips:
     def test_system_roundtrip(self, tmp_path):

@@ -102,12 +102,10 @@ def test_spanning_oracle_sizes(N):
     phi = build_phi(lambda n: float(n), 4 * N)
     spec = build_permutation(phi, 4 * N)
     eps = default_eps_sequence(N)
-    pi_t = spec.compactified(N, keep_below=N)
-    system, e_hats = build_pathological_system(spec, eps, N,
-                                               int(max(N, pi_t.max())))
+    system, e_hats = build_pathological_system(spec, eps, N)
     q = _prefix_dual_spanning(system.xs)
     Fn = system.fs / np.linalg.norm(system.fs, axis=1, keepdims=True)
-    Z = _gram_schmidt_rows(np.vstack([v.coords for v in e_hats]), 1e-10)
+    Z = _gram_schmidt_rows(e_hats, 1e-10)
     Qf = orthonormal_rows(Fn, 1e-10)
     duals = np.linalg.inv(Z @ Qf.T).T @ Qf
     reach = 0
@@ -133,10 +131,8 @@ def test_larger_truncation_or_documented_failure():
     phi = build_phi(lambda n: float(n), 4 * N)
     spec = build_permutation(phi, 4 * N)
     eps = default_eps_sequence(N)
-    pi_t = spec.compactified(N, keep_below=N)
     try:
-        system, e_hats = build_pathological_system(spec, eps, N,
-                                                   int(max(N, pi_t.max())))
+        system, e_hats = build_pathological_system(spec, eps, N)
     except Exception as exc:
         assert "exponent" in str(exc) or "enlarge" in str(exc)
         return
@@ -152,10 +148,8 @@ def test_overflowing_row_norms_refuse():
     N = 520
     phi = build_phi(lambda n: float(n), 4 * N)
     spec = build_permutation(phi, 4 * N)
-    pi_t = spec.compactified(N, keep_below=N)
     with pytest.raises(ArgumentError, match="^11 row norms are not finite"):
-        build_pathological_system(spec, default_eps_sequence(N), N,
-                                  int(max(N, pi_t.max())))
+        build_pathological_system(spec, default_eps_sequence(N), N)
 
 
 def test_overflowing_truncation_cli_refuses(tmp_path):

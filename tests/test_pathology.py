@@ -39,9 +39,7 @@ def make_spec(N, table_factor=4):
 def build_small(N, eps=None, spec=None):
     spec = spec or make_spec(N)
     eps = default_eps_sequence(N) if eps is None else np.asarray(eps, dtype=float)
-    pi_t = spec.compactified(N, keep_below=N)
-    ambient = int(max(N, pi_t.max()))
-    system, e_hats = build_pathological_system(spec, eps, N, ambient)
+    system, e_hats = build_pathological_system(spec, eps, N)
     return spec, system, e_hats, eps
 
 
@@ -168,13 +166,11 @@ class TestPathologicalSystem:
             spec, np.zeros(8), 8, 8)
         assert np.array_equal(system.xs, np.eye(8))
         assert np.array_equal(system.fs, np.eye(8))
-        assert all(np.array_equal(e.coords, np.eye(8)[i])
-                   for i, e in enumerate(e_hats))
+        assert np.array_equal(e_hats, np.eye(8))
 
     def test_prefix_spans_and_defect(self):
-        spec, system, e_hats, eps = build_small(50)
+        spec, system, E, eps = build_small(50)
         assert biorthogonality_defect(system) <= 1e-8
-        E = np.vstack([v.coords for v in e_hats])
         # one direction is verified vector by vector at relative scale; the
         # converse holds because the expansion of x_m over the e_hat prefix
         # is triangular with unit diagonal and the e_hat prefix has full
@@ -198,7 +194,7 @@ class TestPathologicalSystem:
         spec, system, e_hats, eps = build_small(50)
         amb = system.ambient_dim
         for i, v in enumerate(e_hats):
-            assert np.linalg.norm(v.coords - np.eye(amb)[i]) <= eps[i]
+            assert np.linalg.norm(v - np.eye(amb)[i]) <= eps[i]
 
     def test_dual_supports(self):
         spec, system, e_hats, eps = build_small(40)
@@ -220,6 +216,21 @@ class TestPathologicalSystem:
         eps[2] = 0.0  # step 3 must pull coordinate 7
         with pytest.raises(ConstructionError, match="enlarge"):
             build_pathological_system(spec, eps, 16, 64)
+
+    @pytest.mark.parametrize("N,identity", [(16, False), (40, False), (64, False),
+                                            (16, True)])
+    def test_derived_ambient_matches_explicit(self, N, identity):
+        spec = identity_permutation(2 * N) if identity else make_spec(N)
+        eps = default_eps_sequence(N)
+        pi_t = spec.compactified(N, keep_below=N)
+        explicit, E_explicit = build_pathological_system(
+            spec, eps, N, int(max(N, pi_t.max())))
+        derived, E = build_pathological_system(spec, eps, N)
+        assert derived.ambient_dim == explicit.ambient_dim
+        assert isinstance(E, np.ndarray) and E.shape == (N, derived.ambient_dim)
+        assert np.array_equal(derived.xs, explicit.xs)
+        assert np.array_equal(derived.fs, explicit.fs)
+        assert np.array_equal(E, E_explicit)
 
     def test_ambient_too_small(self):
         spec = make_spec(16)
@@ -271,7 +282,7 @@ class TestDecay:
     def test_pipeline_decay(self):
         spec, system, e_hats, eps = build_small(60)
         top = operator_T(e_hats, system.ambient_dim, eps_seq=eps)
-        Z = _gram_schmidt_rows(np.vstack([v.coords for v in e_hats]), 1e-10)
+        Z = _gram_schmidt_rows(e_hats, 1e-10)
         table = t_asymptotics_check(top.matrix, Z, eps, strict=True)
         assert table.measured[-1] < 0.05
         # window-5 median smoothing irons out the isolated spikes at the
@@ -317,7 +328,7 @@ class TestRoughSystems:
         # norms explode further out, which is the phenomenon under study
         spec, system, e_hats, eps = build_small(40)
         top = operator_T(e_hats, system.ambient_dim, eps_seq=eps)
-        Z = _gram_schmidt_rows(np.vstack([v.coords for v in e_hats]), 1e-10)
+        Z = _gram_schmidt_rows(e_hats, 1e-10)
         p = 5
         q = _prefix_dual_spanning(system.xs)
         r = int(q[p - 1])
@@ -353,7 +364,7 @@ class TestRoughSystems:
     def test_separation_bound(self):
         spec, system, e_hats, eps = build_small(30)
         top = operator_T(e_hats, system.ambient_dim, eps_seq=eps)
-        Z = _gram_schmidt_rows(np.vstack([v.coords for v in e_hats]), 1e-10)
+        Z = _gram_schmidt_rows(e_hats, 1e-10)
         p = 5
         q = _prefix_dual_spanning(system.xs)
         r = int(q[p - 1])
@@ -426,7 +437,7 @@ class TestSpanningExactOracle:
         Fn = system.fs / np.linalg.norm(system.fs, axis=1, keepdims=True)
         from mbasis_lab.subspace import orthonormal_rows
 
-        Z = _gram_schmidt_rows(np.vstack([v.coords for v in e_hats]), 1e-10)
+        Z = _gram_schmidt_rows(e_hats, 1e-10)
         Qf = orthonormal_rows(Fn, 1e-10)
         G = Z @ Qf.T
         duals = np.linalg.inv(G).T @ Qf

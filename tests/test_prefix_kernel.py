@@ -108,10 +108,9 @@ def pathological_build(N):
     """(system, e_hat rows, compactified permutation, eps) at truncation N."""
     phi = build_phi(lambda n: float(n), 4 * N)
     spec = build_permutation(phi, 4 * N)
-    pi_t = spec.compactified(N, keep_below=N)
     eps = default_eps_sequence(N)
-    system, e_hats = build_pathological_system(spec, eps, N, int(max(N, pi_t.max())))
-    return system, np.vstack([e.coords for e in e_hats]), pi_t, eps
+    system, E = build_pathological_system(spec, eps, N)
+    return system, E, spec.compactified(N, keep_below=N), eps
 
 
 def pathological_pair(N, reverse):

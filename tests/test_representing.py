@@ -134,7 +134,7 @@ class TestNormingIndices:
             # admits a functional witness at level c
             QF = orthonormal_rows(sys.fs[:rho])
             for v in unit_net(sys.xs[:p], 0.2):
-                assert np.linalg.norm(QF @ v.coords) >= c
+                assert np.linalg.norm(QF @ v) >= c
 
     def test_c_out_of_range(self):
         sys = widening_system()
@@ -378,3 +378,23 @@ class TestStrongnessDiagnostic:
         report = strongness_diagnostic(x, z, sub, trace, eps,
                                        prefixes=[sub.size])
         assert report.residual <= 10 * sub.tol.net_resolution
+
+
+@pytest.mark.parametrize("call", ["reconstruct", "subseries_reconstruct",
+                                  "strongness_diagnostic"])
+@pytest.mark.parametrize("x,match", [
+    (np.where(np.arange(16) == 3, np.nan, 1.0), "finite"),
+    (np.ones(15), "dimension mismatch"),
+], ids=["nan", "short"])
+def test_invalid_input_vector_refused(call, x, match):
+    sys = BiorthSystem.canonical(16)
+    r = build_representing_indices(sys, 6)
+    trace = strong_partition(r, 2)
+    run = {
+        "reconstruct": lambda: reconstruct(x, sys, r, 2),
+        "subseries_reconstruct": lambda: subseries_reconstruct(x, sys, r, [1, 2]),
+        "strongness_diagnostic": lambda: strongness_diagnostic(
+            x, sys, sys, trace, trace.partition.epsilons),
+    }[call]
+    with pytest.raises(ArgumentError, match=match):
+        run()

@@ -62,19 +62,19 @@ class TestDistance:
 class TestProject:
     def test_hand_computation(self):
         proj, resid = project(np.array([3.0, 4.0]), [e(1, 2)])
-        assert np.allclose(proj.coords, [3.0, 0.0])
+        assert np.allclose(proj, [3.0, 0.0])
         assert resid == pytest.approx(4.0)
 
     def test_full_space_identity(self):
         x = np.array([0.3, -1.2, 2.0])
         proj, resid = project(x, np.eye(3))
-        assert np.allclose(proj.coords, x)
+        assert np.allclose(proj, x)
         assert resid == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_subspace(self):
         x = np.array([3.0, 4.0])
         proj, resid = project(x, SubspaceBasis(ambient_dim=2))
-        assert np.allclose(proj.coords, 0.0)
+        assert np.allclose(proj, 0.0)
         assert resid == pytest.approx(5.0)
 
 
@@ -108,7 +108,7 @@ class TestUnitNet:
     def test_one_dim(self):
         pts = unit_net([np.array([3.0, 4.0])], 0.3)
         assert len(pts) == 2
-        assert np.allclose(pts[0].coords, -pts[1].coords)
+        assert np.allclose(pts[0], -pts[1])
 
     def test_circle_bound(self):
         pts = unit_net(np.eye(2), 0.5)
@@ -129,13 +129,13 @@ class TestUnitNet:
     def test_unit_norms(self):
         pts = unit_net(np.eye(3), 0.4)
         for p in pts:
-            assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("dim,res", [(2, 0.3), (3, 0.5)])
     def test_covering_probes(self, dim, res):
         rng = np.random.default_rng(11)
         basis = rng.standard_normal((dim, 6))
-        pts = np.vstack([p.coords for p in unit_net(basis, res)])
+        pts = unit_net(basis, res)
         from mbasis_lab.subspace import orthonormal_rows
 
         Q = orthonormal_rows(basis)
@@ -148,13 +148,13 @@ class TestUnitNet:
 class TestDualSolve:
     def test_orthonormal_self_duality(self):
         fs = dual_solve([e(1, 2), e(2, 2)], np.eye(2))
-        assert np.allclose(fs[0].coords, e(1, 2))
-        assert np.allclose(fs[1].coords, e(2, 2))
+        assert np.allclose(fs[0], e(1, 2))
+        assert np.allclose(fs[1], e(2, 2))
 
     def test_two_by_two_inverse(self):
         fs = dual_solve([e(1, 2), e(1, 2) + e(2, 2)], np.eye(2))
-        assert np.allclose(fs[0].coords, e(1, 2) - e(2, 2))
-        assert np.allclose(fs[1].coords, e(2, 2))
+        assert np.allclose(fs[0], e(1, 2) - e(2, 2))
+        assert np.allclose(fs[1], e(2, 2))
 
     def test_orthogonal_cross_gram(self):
         with pytest.raises(SingularGramError):
@@ -167,9 +167,18 @@ class TestDualSolve:
     def test_cross_gram_identity(self):
         rng = np.random.default_rng(5)
         V = rng.standard_normal((4, 7))
-        fs = dual_solve(V, V)
-        F = np.vstack([f.coords for f in fs])
+        F = dual_solve(V, V)
         assert np.max(np.abs(F @ V.T - np.eye(4))) <= 1e-8
+
+    def test_no_vectors_gives_empty_rows(self):
+        F = dual_solve(SubspaceBasis(ambient_dim=3), np.eye(3))
+        assert isinstance(F, np.ndarray) and F.shape == (0, 3)
+
+    def test_non_finite_solution_refused(self, monkeypatch):
+        # a NaN pairing defect must fail the biorthogonality check
+        monkeypatch.setattr(np.linalg, "solve", lambda G, B: np.full_like(B, np.nan))
+        with pytest.raises(SingularGramError, match="defect nan"):
+            dual_solve(np.eye(2), np.eye(2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,7 +188,7 @@ def test_pythagoras(n, k, seed):
     x = rng.standard_normal(n)
     S = rng.standard_normal((min(k, n), n))
     proj, resid = project(x, S)
-    lhs = resid ** 2 + np.linalg.norm(proj.coords) ** 2
+    lhs = resid ** 2 + np.linalg.norm(proj) ** 2
     assert lhs == pytest.approx(np.linalg.norm(x) ** 2, rel=1e-10)
 
 
