@@ -224,12 +224,16 @@ def norming_estimate_envelope(sys: BiorthSystem, samples: int, seed: int) -> np.
     return np.minimum.accumulate(values)
 
 
-def norming_constant_estimate(sys: BiorthSystem, samples: int = 128, seed: int = 0) -> float:
+def norming_constant_estimate(sys: BiorthSystem, samples: int | None = None,
+                              seed: int = 0) -> float:
     """Monte-Carlo lower estimate of the norming constant of the system.
 
     Deterministic given the seed; non-increasing in ``samples`` in
-    expectation (it is a minimum over a growing sample set).
+    expectation (it is a minimum over a growing sample set).  The default,
+    max(64, 2n) samples for n pairs, is the estimate the norming refinement
+    admits its level c against.
     """
+    samples = max(64, 2 * sys.size) if samples is None else samples
     return float(norming_estimate_envelope(sys, samples, seed)[-1])
 
 

@@ -272,8 +272,6 @@ def build_permutation(phi: PhiTable, N: int, exact: bool = False) -> Permutation
     used: set = set()
     free_cursor = 1
     free_trace = []
-    strictly_increasing = True
-    prev_exact_phi = 0
     for n in range(1, N + 1):
         if in_gamma[n]:
             while free_cursor in used:
@@ -285,23 +283,19 @@ def build_permutation(phi: PhiTable, N: int, exact: bool = False) -> Permutation
         else:
             v = Phi[n - 1]
             if v != BEYOND_TABLE:
-                if v <= prev_exact_phi:
-                    strictly_increasing = False
-                prev_exact_phi = int(v)
                 pi[n - 1] = v
                 used.add(int(v))
 
     spec = PermutationSpec(N, phi.f[:N], phi.values[:N], jumps, Phi, gamma, pi,
                            np.array(free_trace, dtype=np.int64))
-    report = verify_injective(spec, N, _jumps_increasing=strictly_increasing)
+    report = verify_injective(spec, N)
     if not report:
         raise ConstructionError("constructed permutation failed injectivity checks")
     object.__setattr__(spec, "injective_verified", True)
     return spec
 
 
-def verify_injective(spec: PermutationSpec, upto: int,
-                     _jumps_increasing: bool | None = None) -> bool:
+def verify_injective(spec: PermutationSpec, upto: int) -> bool:
     """Injectivity of pi on 1..upto, decomposed so sentinels stay sound.
 
     Exact values must be pairwise distinct; beyond-table values are Phi
@@ -317,8 +311,6 @@ def verify_injective(spec: PermutationSpec, upto: int,
         return False
     jumps = np.asarray(spec.jump_points)
     if np.any(np.diff(jumps) <= 0):
-        return False
-    if _jumps_increasing is False:
         return False
     return True
 
@@ -589,6 +581,8 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     norms are asserted to be at most 2.
     """
     E = np.asarray(e_hats, dtype=float)
+    if E.ndim != 2:
+        raise ArgumentError(f"e_hats must be a row matrix of shape (M, {ambient}), got {E.shape}")
     M, dim = E.shape
     if dim != ambient:
         raise ArgumentError(f"e_hats live in dimension {dim}, expected {ambient}")
@@ -632,6 +626,8 @@ def t_asymptotics_check(T: np.ndarray, zs, eps_seq, strict: bool = True) -> Deca
     ``strict`` a violation raises.
     """
     Z = np.asarray(zs, dtype=float)
+    if Z.ndim != 2:
+        raise ArgumentError(f"zs must be a row matrix of shape (count, dim), got {Z.shape}")
     dim = Z.shape[1]
     eps = np.zeros(dim)
     eps_in = np.asarray(eps_seq, dtype=float)

@@ -28,7 +28,7 @@ import numpy as np
 from .biorth import BiorthSystem, norming_constant_estimate
 from .errors import ArgumentError
 from .perturbations import BlockPartition
-from .subspace import as_vector, distance_to_span, orthonormal_rows, prefix_bases, project
+from .subspace import as_vector, distance_to_span, prefix_bases, project
 
 __all__ = [
     "RepresentingIndices",
@@ -89,6 +89,26 @@ class RepresentingIndices:
         return self.values[m - 1]
 
 
+def _window_table(sys: BiorthSystem, head_end: int):
+    """W = QH^T Q and the tail's prefix ranks, from two :func:`prefix_bases`
+    factorizations: QH spans the head x_1..x_head_end and the first
+    rank[p - head_end] columns of Q span the window x_{head_end+1}..x_p."""
+    tol = sys.tol.rank_tol
+    QH = prefix_bases(sys.xs[:head_end], tol)[0]
+    Q, _, rank = prefix_bases(sys.xs[head_end:], tol)
+    return QH.T @ Q, rank
+
+
+def _window_defect(W: np.ndarray, k: int) -> float:
+    """sqrt(lambda_max(W W^T - W_k W_k^T)) for W_k the first k columns of W.
+
+    The difference is W[:, k:] W[:, k:]^T, so this is the spectral norm of
+    the remaining columns, taken without cancellation; 0 when none remain.
+    """
+    rest = W[:, k:]
+    return float(np.linalg.norm(rest, 2)) if rest.size else 0.0
+
+
 def window_approximation_defect(sys: BiorthSystem, head_end: int, p: int) -> float:
     """Worst over the head unit sphere of dist(z, window) - dist(z, tail).
 
@@ -103,16 +123,8 @@ def window_approximation_defect(sys: BiorthSystem, head_end: int, p: int) -> flo
         raise ArgumentError(f"need head_end < p <= {N}, got ({head_end}, {p})")
     if p == N:
         return 0.0
-    tol = sys.tol.rank_tol
-    QH = orthonormal_rows(sys.xs[:head_end], tol)
-    if QH.shape[0] == 0:
-        return 0.0
-    Qtail = orthonormal_rows(sys.xs[head_end:], tol)
-    Qmid = orthonormal_rows(sys.xs[head_end:p], tol)
-    A = QH @ Qtail.T
-    B = QH @ Qmid.T
-    eigs = np.linalg.eigvalsh(A @ A.T - B @ B.T)
-    return math.sqrt(max(float(eigs[-1]), 0.0))
+    W, rank = _window_table(sys, head_end)
+    return _window_defect(W, rank[p - head_end])
 
 
 def _least_window_end(sys: BiorthSystem, head_end: int, delta: float) -> int:
@@ -122,20 +134,9 @@ def _least_window_end(sys: BiorthSystem, head_end: int, delta: float) -> int:
     distance difference vanishes identically regardless of delta.
     """
     N = sys.size
-    tol = sys.tol.rank_tol
-    QH = orthonormal_rows(sys.xs[:head_end], tol)
-    if QH.shape[0] == 0:
-        return head_end + 1
-    Qtail = orthonormal_rows(sys.xs[head_end:], tol)
-    A = QH @ Qtail.T
-    target = A @ A.T
-    # window x_{head_end+1}..x_p: the first rank[p - head_end] columns of Q
-    Q, _, rank = prefix_bases(sys.xs[head_end:], tol)
-    W = QH @ Q
+    W, rank = _window_table(sys, head_end)
     for p in range(head_end + 1, N):
-        Wp = W[:, :rank[p - head_end]]
-        s2 = float(np.linalg.eigvalsh(target - Wp @ Wp.T)[-1])
-        if math.sqrt(max(s2, 0.0)) <= delta:
+        if _window_defect(W, rank[p - head_end]) <= delta:
             return p
     return N
 
@@ -143,6 +144,52 @@ def _least_window_end(sys: BiorthSystem, head_end: int, delta: float) -> int:
 def _pair_norm_sums(sys: BiorthSystem) -> np.ndarray:
     prods = np.linalg.norm(sys.xs, axis=1) * np.linalg.norm(sys.fs, axis=1)
     return np.concatenate([[0.0], np.cumsum(prods)])
+
+
+def _cross_minimum(QH: np.ndarray, QF: np.ndarray) -> float:
+    """Smallest singular value of QF^T QH for orthonormal columns: the worst
+    best unit-functional action over the unit sphere of span(QH)."""
+    if QH.shape[1] == 0:
+        return 1.0
+    if QF.shape[1] < QH.shape[1]:
+        return 0.0
+    return float(np.linalg.svd(QF.T @ QH, compute_uv=False)[-1])
+
+
+def _index_search(sys: BiorthSystem, depth: int, c: float | None) -> RepresentingIndices:
+    """r(1..depth) from r(0) = 0: r(1) = 1, and each later interim p is the
+    least window end within delta_m = 1 / (m * sum_{n <= r(m)} ||f_n|| ||x_n||).
+
+    With ``c`` set, each r is widened from p until the norming property holds
+    at level c; the head and functional bases of every step are column
+    prefixes of one :func:`prefix_bases` factorization per side.
+    """
+    N = sys.size
+    sums = _pair_norm_sums(sys)
+    if c is not None:
+        Qx, _, rank_x = prefix_bases(sys.xs, sys.tol.rank_tol)
+        Qf, _, rank_f = prefix_bases(sys.fs, sys.tol.rank_tol)
+    steps = []  # (r, delta, interim p) per step
+    r_prev = 0
+    for m in range(depth):
+        if r_prev >= N:
+            raise ArgumentError(
+                f"truncation exhausted: r({m}) = {r_prev} is the truncation end; "
+                f"reachable depth is {m}"
+            )
+        delta = 1.0 / (m * sums[r_prev]) if m else math.inf
+        p = _least_window_end(sys, r_prev, delta) if m else 1
+        rho = p
+        while c is not None and _cross_minimum(Qx[:, :rank_x[p]], Qf[:, :rank_f[rho]]) < c:
+            rho += 1
+            if rho > N:
+                raise ArgumentError(
+                    f"norming property unattainable within the truncation at step {m + 1} "
+                    f"(interim p = {p}, c = {c})"
+                )
+        steps.append((rho, delta, p))
+        r_prev = rho
+    return RepresentingIndices(*zip(*steps), norming_c=c)
 
 
 def build_representing_indices(sys: BiorthSystem, depth: int) -> RepresentingIndices:
@@ -154,26 +201,9 @@ def build_representing_indices(sys: BiorthSystem, depth: int) -> RepresentingInd
     """
     if depth < 1:
         raise ArgumentError("depth must be at least 1")
-    N = sys.size
-    if N < 1:
+    if sys.size < 1:
         raise ArgumentError("empty system")
-    sums = _pair_norm_sums(sys)
-    values = [1]
-    deltas = [math.inf]
-    interim = [1]
-    for m in range(1, depth):
-        r_prev = values[-1]
-        if r_prev >= N:
-            raise ArgumentError(
-                f"truncation exhausted: r({m}) = {r_prev} is the truncation end; "
-                f"reachable depth is {m}"
-            )
-        delta = 1.0 / (m * sums[r_prev])
-        p = _least_window_end(sys, r_prev, delta)
-        values.append(p)
-        deltas.append(delta)
-        interim.append(p)
-    return RepresentingIndices(tuple(values), tuple(deltas), tuple(interim))
+    return _index_search(sys, depth, None)
 
 
 def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
@@ -185,14 +215,7 @@ def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
     every unit v of the head, hence for every point of any net of it.
     """
     tol = sys.tol.rank_tol
-    QH = orthonormal_rows(sys.xs[:p], tol)
-    QF = orthonormal_rows(sys.fs[:rho], tol)
-    if QH.shape[0] == 0:
-        return 1.0
-    if QF.shape[0] < QH.shape[0]:
-        return 0.0
-    s = np.linalg.svd(QF @ QH.T, compute_uv=False)
-    return float(s[-1])
+    return _cross_minimum(prefix_bases(sys.xs[:p], tol)[0], prefix_bases(sys.fs[:rho], tol)[0])
 
 
 def build_norming_indices(sys: BiorthSystem, depth: int, c: float) -> RepresentingIndices:
@@ -201,48 +224,19 @@ def build_norming_indices(sys: BiorthSystem, depth: int, c: float) -> Representi
     After finding the interim window end p(m+1), the index r(m+1) >= p(m+1)
     is widened until every unit v of span{x_1..x_{p(m+1)}} admits a unit
     functional in span{f_1..f_{r(m+1)}} with action at least ``c``.
-    Requires c at most half the measured norming constant of the system.
+    Requires c at most half the measured norming constant of the system
+    (:func:`norming_constant_estimate` at its default sample count).
     """
     if depth < 1:
         raise ArgumentError("depth must be at least 1")
     if c <= 0:
         raise ArgumentError("c must be positive")
-    est = norming_constant_estimate(sys, samples=max(64, 2 * sys.size), seed=0)
+    est = norming_constant_estimate(sys)
     if c > est / 2.0 + 1e-12:
         raise ArgumentError(
             f"c = {c} exceeds half the measured norming constant {est:.6f}"
         )
-    N = sys.size
-    sums = _pair_norm_sums(sys)
-    values: list[int] = []
-    deltas: list[float] = []
-    interim: list[int] = []
-    r_prev = 0
-    for m in range(depth):
-        if r_prev >= N:
-            raise ArgumentError(
-                f"truncation exhausted: r({m}) = {r_prev} is the truncation end; "
-                f"reachable depth is {m}"
-            )
-        if r_prev == 0:
-            delta = math.inf
-            p = 1
-        else:
-            delta = 1.0 / (m * sums[r_prev])
-            p = _least_window_end(sys, r_prev, delta)
-        rho = p
-        while norming_property_minimum(sys, p, rho) < c:
-            rho += 1
-            if rho > N:
-                raise ArgumentError(
-                    f"norming property unattainable within the truncation at step {m + 1} "
-                    f"(interim p = {p}, c = {c})"
-                )
-        values.append(rho)
-        deltas.append(delta)
-        interim.append(p)
-        r_prev = rho
-    return RepresentingIndices(tuple(values), tuple(deltas), tuple(interim), norming_c=c)
+    return _index_search(sys, depth, c)
 
 
 # ---------------------------------------------------------------------------

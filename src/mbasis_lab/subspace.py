@@ -145,7 +145,7 @@ def span_matrix(S, ambient_dim: int | None = None) -> np.ndarray:
     else:
         M = np.asarray(S, dtype=float)
         if M.ndim == 1:
-            M = M[None, :]
+            M = M[None, :] if M.size else M.reshape(0, 0)
         if M.size and not np.all(np.isfinite(M)):
             raise ArgumentError("spanning vectors must be finite")
         if M.ndim != 2:
@@ -344,7 +344,7 @@ def dual_solve(vectors, within, rank_tol: float = 1e-10,
     """
     V = span_matrix(vectors)
     if V.shape[0] == 0:
-        return np.zeros((0, V.shape[1]))
+        return np.zeros((0, V.shape[1] or span_matrix(within).shape[1]))
     W = orthonormal_rows(span_matrix(within, ambient_dim=V.shape[1]), rank_tol)
     k = V.shape[0]
     if W.shape[0] != k:

@@ -1,9 +1,10 @@
 """Superseded implementations kept as test oracles.
 
 These are the incremental Gram-Schmidt ``spanning_indices``, the
-projector-gap ``classify_perturbation``, and the Gram-Schmidt loops of the
+projector-gap ``classify_perturbation``, the Gram-Schmidt loops of the
 representing-index window search and of the pathological-system
-verification, which the orthonormal-prefix kernel replaced.  They are slow (O(n^3)-ish Python loops and a full
+verification, and the SVD-per-prefix representing and norming index
+builders, which the orthonormal-prefix kernel replaced.  They are slow (O(n^3)-ish Python loops and a full
 projector SVD per prefix) but transparently follow the definitions, so
 the kernel-based diagnostics are required to agree with them exactly.
 """
@@ -14,8 +15,14 @@ import math
 
 import numpy as np
 
-from mbasis_lab.biorth import BiorthSystem, IntervalFamily, PerturbationClass
+from mbasis_lab.biorth import (
+    BiorthSystem,
+    IntervalFamily,
+    PerturbationClass,
+    norming_constant_estimate,
+)
 from mbasis_lab.errors import ArgumentError, ConstructionError
+from mbasis_lab.representing import RepresentingIndices
 from mbasis_lab.subspace import ToleranceConfig, orthonormal_rows, span_equal
 
 
@@ -172,6 +179,117 @@ def _least_window_end(sys: BiorthSystem, head_end: int, delta: float) -> int:
         if math.sqrt(max(s2, 0.0)) <= delta:
             return p
     return N
+
+
+def window_approximation_defect(sys: BiorthSystem, head_end: int, p: int) -> float:
+    """Worst over the head unit sphere of dist(z, window) - dist(z, tail),
+    bounded through the restricted projector difference (0 for an empty
+    head and at p = N)."""
+    N = sys.size
+    if not head_end < p <= N:
+        raise ArgumentError(f"need head_end < p <= {N}, got ({head_end}, {p})")
+    if p == N:
+        return 0.0
+    tol = sys.tol.rank_tol
+    QH = orthonormal_rows(sys.xs[:head_end], tol)
+    if QH.shape[0] == 0:
+        return 0.0
+    Qtail = orthonormal_rows(sys.xs[head_end:], tol)
+    Qmid = orthonormal_rows(sys.xs[head_end:p], tol)
+    A = QH @ Qtail.T
+    B = QH @ Qmid.T
+    eigs = np.linalg.eigvalsh(A @ A.T - B @ B.T)
+    return math.sqrt(max(float(eigs[-1]), 0.0))
+
+
+def _pair_norm_sums(sys: BiorthSystem) -> np.ndarray:
+    prods = np.linalg.norm(sys.xs, axis=1) * np.linalg.norm(sys.fs, axis=1)
+    return np.concatenate([[0.0], np.cumsum(prods)])
+
+
+def build_representing_indices(sys: BiorthSystem, depth: int) -> RepresentingIndices:
+    """Representing indices r(1..depth) with r(1) = 1 (plain search)."""
+    if depth < 1:
+        raise ArgumentError("depth must be at least 1")
+    N = sys.size
+    if N < 1:
+        raise ArgumentError("empty system")
+    sums = _pair_norm_sums(sys)
+    values = [1]
+    deltas = [math.inf]
+    interim = [1]
+    for m in range(1, depth):
+        r_prev = values[-1]
+        if r_prev >= N:
+            raise ArgumentError(
+                f"truncation exhausted: r({m}) = {r_prev} is the truncation end; "
+                f"reachable depth is {m}"
+            )
+        delta = 1.0 / (m * sums[r_prev])
+        p = _least_window_end(sys, r_prev, delta)
+        values.append(p)
+        deltas.append(delta)
+        interim.append(p)
+    return RepresentingIndices(tuple(values), tuple(deltas), tuple(interim))
+
+
+def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
+    """Smallest singular value of the cross matrix between the SVD bases of
+    f_1..f_rho and x_1..x_p."""
+    tol = sys.tol.rank_tol
+    QH = orthonormal_rows(sys.xs[:p], tol)
+    QF = orthonormal_rows(sys.fs[:rho], tol)
+    if QH.shape[0] == 0:
+        return 1.0
+    if QF.shape[0] < QH.shape[0]:
+        return 0.0
+    s = np.linalg.svd(QF @ QH.T, compute_uv=False)
+    return float(s[-1])
+
+
+def build_norming_indices(sys: BiorthSystem, depth: int, c: float) -> RepresentingIndices:
+    """Representing indices widened, one SVD pair per candidate rho, until
+    the norming property holds at level ``c``."""
+    if depth < 1:
+        raise ArgumentError("depth must be at least 1")
+    if c <= 0:
+        raise ArgumentError("c must be positive")
+    est = norming_constant_estimate(sys, samples=max(64, 2 * sys.size), seed=0)
+    if c > est / 2.0 + 1e-12:
+        raise ArgumentError(
+            f"c = {c} exceeds half the measured norming constant {est:.6f}"
+        )
+    N = sys.size
+    sums = _pair_norm_sums(sys)
+    values: list[int] = []
+    deltas: list[float] = []
+    interim: list[int] = []
+    r_prev = 0
+    for m in range(depth):
+        if r_prev >= N:
+            raise ArgumentError(
+                f"truncation exhausted: r({m}) = {r_prev} is the truncation end; "
+                f"reachable depth is {m}"
+            )
+        if r_prev == 0:
+            delta = math.inf
+            p = 1
+        else:
+            delta = 1.0 / (m * sums[r_prev])
+            p = _least_window_end(sys, r_prev, delta)
+        rho = p
+        while norming_property_minimum(sys, p, rho) < c:
+            rho += 1
+            if rho > N:
+                raise ArgumentError(
+                    f"norming property unattainable within the truncation at step {m + 1} "
+                    f"(interim p = {p}, c = {c})"
+                )
+        values.append(rho)
+        deltas.append(delta)
+        interim.append(p)
+        r_prev = rho
+    return RepresentingIndices(tuple(values), tuple(deltas), tuple(interim), norming_c=c)
 
 
 def _verify_pathological(X, F, Ehat, pi_t, eps, tol: ToleranceConfig):

@@ -9,6 +9,7 @@ from mbasis_lab import io as mio
 from mbasis_lab.biorth import BiorthSystem
 from mbasis_lab.perturbations import BlockPartition
 from mbasis_lab.representing import RepresentingIndices
+from test_prefix_kernel import tilted_system
 
 
 class TestParseConfig:
@@ -125,6 +126,16 @@ class TestPipelines:
         assert run(cfg) == 0
         rows = open(tmp_path / "indices.txt").read().splitlines()
         assert rows[0].split() == ["1", "1", "1", "inf"]
+
+    def test_represent_norming_default_c_is_admissible(self, tmp_path):
+        # a 128-sample estimate reads above the builder's own on this system,
+        # so the default c must come from the builder's estimate
+        sys_dir = tmp_path / "input"
+        mio.save_system(tilted_system(), str(sys_dir))
+        cfg = ExperimentConfig(command="represent", input_system=str(sys_dir),
+                               variant="norming", depth=4, out=str(tmp_path / "out"))
+        assert run(cfg) == 0
+        assert mio.load_indices(str(tmp_path / "out" / "indices.txt")).values == (1, 2, 3, 4)
 
     def test_build_system(self, tmp_path):
         cfg = ExperimentConfig(command="build-system", truncation=6,

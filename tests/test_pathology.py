@@ -266,6 +266,10 @@ class TestOperatorT:
         with pytest.raises(ArgumentError, match="dependent"):
             operator_T([np.array([1.0, 0.0]), np.array([2.0, 0.0])], 2)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ArgumentError, match=r"row matrix of shape \(M, 3\), got \(3,\)"):
+            operator_T(np.ones(3), 3)
+
 
 class TestDecay:
     def test_identity_zeroes(self):
@@ -295,6 +299,10 @@ class TestDecay:
     def test_strict_violation_raises(self):
         with pytest.raises(ConstructionError):
             t_asymptotics_check(3.0 * np.eye(2), np.eye(2), np.zeros(2), strict=True)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ArgumentError, match=r"row matrix of shape \(count, dim\), got \(3,\)"):
+            t_asymptotics_check(np.eye(3), np.ones(3), np.zeros(3))
 
 
 class TestRoughSystems:

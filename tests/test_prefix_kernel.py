@@ -1,10 +1,10 @@
 """The orthonormal-prefix kernel and the diagnostics built on it.
 
-The superseded Gram-Schmidt and projector-gap implementations in
-``oracles`` define the expected outputs: on every input below the
-kernel-based ``spanning_indices``, ``classify_perturbation`` and
-representing-index search must return the same values, or raise the same
-exception type.
+The superseded Gram-Schmidt, projector-gap and SVD-per-prefix
+implementations in ``oracles`` define the expected outputs: on every input
+below the kernel-based ``spanning_indices``, ``classify_perturbation`` and
+representing and norming index searches must return the same values, or
+raise the same exception type.
 """
 
 import numpy as np
@@ -12,7 +12,12 @@ import pytest
 
 import oracles
 from mbasis_lab import representing
-from mbasis_lab.biorth import BiorthSystem, classify_perturbation, spanning_indices
+from mbasis_lab.biorth import (
+    BiorthSystem,
+    classify_perturbation,
+    norming_constant_estimate,
+    spanning_indices,
+)
 from mbasis_lab.pathology import (
     _verify_pathological,
     build_pathological_system,
@@ -24,9 +29,12 @@ from mbasis_lab.perturbations import BlockPartition, construct_flattened
 from mbasis_lab.representing import (
     build_norming_indices,
     build_representing_indices,
+    norming_property_minimum,
     strong_partition,
+    window_approximation_defect,
 )
 from mbasis_lab.subspace import ToleranceConfig, distance_to_span, prefix_bases, tail_norms
+from test_representing import widening_system
 
 #: forward couplings of acceptance criterion 6; the last target is the size n
 STAGED_PAIRS = ((2, 7), (3, 15), (8, 30), (16, 60), (31, 100))
@@ -169,6 +177,51 @@ def test_representing_indices_match_oracle(case, monkeypatch):
     monkeypatch.setattr(representing, "_least_window_end", oracles._least_window_end)
     assert plain == outcome(build_representing_indices, x, depth)
     assert norming == outcome(build_norming_indices, x, 3, 0.4)
+
+
+def tilted_system(n=100, seed=1):
+    """Functionals tilted into an extra coordinate: the sampled norming
+    estimate falls as the sample grows (0.960 at 128 samples, 0.953 at 200)."""
+    X = np.eye(n + 1)[:n]
+    F = X.copy()
+    F[:, n] = np.random.default_rng(seed).uniform(0.2, 0.6, n)
+    return BiorthSystem.from_pairs(X, F)
+
+
+INDEX_CASES = {
+    **{f"{case}-{side}": (lambda make=make, i=i: make()[i])
+       for case, make in CASES.items() for i, side in enumerate(("z", "x"))
+       if not (case == "self" and side == "z")},
+    "staged-384": lambda: staged_system(384),
+    "staged-512": lambda: staged_system(512),
+    "widening": widening_system,
+    "tilted": tilted_system,
+}
+
+
+@pytest.mark.parametrize("case", INDEX_CASES)
+def test_index_searches_match_svd_oracles(case):
+    x = INDEX_CASES[case]()
+    depth = 2 if case == "widening" else 8
+    plain = outcome(build_representing_indices, x, depth)
+    assert plain == outcome(oracles.build_representing_indices, x, depth)
+    est = norming_constant_estimate(x)
+    for c in (est / 2, est / 4, 0.4):
+        r = outcome(build_norming_indices, x, depth, c)
+        assert r == outcome(oracles.build_norming_indices, x, depth, c)
+        if isinstance(r, type):
+            continue
+        for p, rho in zip(r.interim_p, r.values):
+            assert norming_property_minimum(x, p, rho) == pytest.approx(
+                oracles.norming_property_minimum(x, p, rho), abs=1e-12)
+    if isinstance(plain, type):
+        return
+    # the oracle's eigenvalues of a projector difference carry cancellation
+    # of order sqrt(float64 eps) near a zero defect
+    for head, p in zip(plain.values, plain.values[1:]):
+        for q in {p - 1, p} - {head}:
+            assert window_approximation_defect(x, head, q) == pytest.approx(
+                oracles.window_approximation_defect(x, head, q), abs=1e-7)
 
 
 def test_staged_512_known_answer():

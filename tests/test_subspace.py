@@ -174,6 +174,12 @@ class TestDualSolve:
         F = dual_solve(SubspaceBasis(ambient_dim=3), np.eye(3))
         assert isinstance(F, np.ndarray) and F.shape == (0, 3)
 
+    def test_empty_list_gives_empty_rows(self):
+        # an empty list is the zero subspace too; the rows live where within does
+        assert dual_solve([], np.eye(3)).shape == (0, 3)
+        assert distance_to_span(e(1, 3), []) == 1.0
+        assert span_gap([], [e(1, 3)]) == 1.0
+
     def test_non_finite_solution_refused(self, monkeypatch):
         # a NaN pairing defect must fail the biorthogonality check
         monkeypatch.setattr(np.linalg, "solve", lambda G, B: np.full_like(B, np.nan))
