@@ -42,7 +42,6 @@ from .representing import (
     build_representing_indices,
     strong_partition,
 )
-from .biorth import norming_constant_estimate
 from .subspace import ToleranceConfig
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "emit_report", "main"]
@@ -242,8 +241,7 @@ def _cmd_perturb(cfg: ExperimentConfig, out: str) -> dict:
 def _cmd_represent(cfg: ExperimentConfig, out: str) -> dict:
     system = _load_or_canonical(cfg)
     if cfg.variant == "norming":
-        c = cfg.c or norming_constant_estimate(system) / 2.0
-        indices = build_norming_indices(system, cfg.depth, c)
+        indices = build_norming_indices(system, cfg.depth, cfg.c or None)
     else:
         indices = build_representing_indices(system, cfg.depth)
     mio.save_indices(indices, os.path.join(out, "indices.txt"))

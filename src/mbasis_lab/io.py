@@ -2,8 +2,12 @@
 
 All numeric text uses 12 significant digits so artifacts are byte-stable
 across runs with identical inputs.  Matrices are stored one vector per
-row.  A biorthogonal system is a directory holding ``X.csv``, ``F.csv``
-and a ``header.txt`` with the ambient dimension and tolerances.
+row.  The matrix writer formats each distinct float64 bit pattern once
+and assembles rows from that table; the text is exactly what formatting
+every cell with :func:`fmt` gives.  A biorthogonal system is a directory
+holding ``X.csv``, ``F.csv`` and a ``header.txt`` with the ambient
+dimension and tolerances.  Reading a missing or malformed stored system
+raises :class:`ArgumentError` naming the file.
 """
 
 from __future__ import annotations
@@ -51,21 +55,47 @@ def fmt(value) -> str:
     return f"{v:.12g}"
 
 
+#: cells per block of rows handed to :func:`np.unique`; bounds the writer's
+#: working memory to a few MB whatever the matrix size
+_WRITE_BLOCK_CELLS = 1 << 16
+
+
 def write_matrix_csv(M: np.ndarray, path: str):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """One row of ``M`` per line, each cell as :func:`fmt` writes it.
+
+    Cells are keyed by their float64 bit pattern, so -0.0 and 0.0 (and NaN
+    payloads) keep their own text; ``"%.12g"`` equals :func:`fmt` on every
+    float, infinities and NaN included.
+    """
+    M = np.ascontiguousarray(np.atleast_2d(np.asarray(M, dtype=float)))
+    step = max(1, _WRITE_BLOCK_CELLS // max(1, M.shape[1]))
     with open(path, "w", newline="") as fh:
-        for row in M:
-            fh.write(",".join(fmt(v) for v in row))
-            fh.write("\n")
+        for start in range(0, M.shape[0], step):
+            block = M[start:start + step]
+            keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array(["%.12g" % v for v in keys.view(np.float64).tolist()],
+                            dtype=object)
+            fh.writelines(",".join(row) + "\n"
+                          for row in text[inverse.reshape(block.shape)].tolist())
+
+
+def _open_text(path: str):
+    try:
+        return open(path)
+    except OSError as exc:
+        raise ArgumentError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
     rows = []
-    with open(path) as fh:
-        for line in fh:
+    with _open_text(path) as fh:
+        for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                rows.append([float(tok) for tok in line.split(",")])
+                try:
+                    rows.append([float(tok) for tok in line.split(",")])
+                except ValueError as exc:
+                    raise ArgumentError(f"{path}:{ln}: malformed matrix row ({exc})")
     if not rows:
         return np.zeros((0, 0))
     widths = {len(r) for r in rows}
@@ -90,19 +120,26 @@ def save_system(sys: BiorthSystem, directory: str):
 def load_system(directory: str, validate: bool = True) -> BiorthSystem:
     X = read_matrix_csv(os.path.join(directory, "X.csv"))
     F = read_matrix_csv(os.path.join(directory, "F.csv"))
+    header_path = os.path.join(directory, "header.txt")
     header = {}
-    with open(os.path.join(directory, "header.txt")) as fh:
+    with _open_text(header_path) as fh:
         for line in fh:
             if "=" in line:
                 k, v = line.split("=", 1)
                 header[k.strip()] = v.strip()
-    tol = ToleranceConfig(
-        rank_tol=float(header.get("rank_tol", 1e-10)),
-        biorth_tol=float(header.get("biorth_tol", 1e-8)),
-        span_tol=float(header.get("span_tol", 1e-8)),
-        net_resolution=float(header.get("net_resolution", 0.25)),
-    )
-    sys = BiorthSystem(X, F, ambient_dim=int(header["ambient_dim"]), tol=tol)
+    try:
+        ambient_dim = int(header["ambient_dim"])
+        tol = ToleranceConfig(
+            rank_tol=float(header.get("rank_tol", 1e-10)),
+            biorth_tol=float(header.get("biorth_tol", 1e-8)),
+            span_tol=float(header.get("span_tol", 1e-8)),
+            net_resolution=float(header.get("net_resolution", 0.25)),
+        )
+    except KeyError as exc:
+        raise ArgumentError(f"{header_path}: missing key {exc}")
+    except ValueError as exc:
+        raise ArgumentError(f"{header_path}: malformed value ({exc})")
+    sys = BiorthSystem(X, F, ambient_dim=ambient_dim, tol=tol)
     if validate:
         sys.validate()
     return sys
@@ -119,7 +156,7 @@ def save_partition(p: BlockPartition, path: str):
 
 def load_partition(path: str) -> BlockPartition:
     blocks, anchors, eps = [], [], []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -131,12 +131,18 @@ def _least_window_end(sys: BiorthSystem, head_end: int, delta: float) -> int:
     """Least p > head_end passing the spectral window criterion.
 
     p = N always passes: there the window equals the tail exactly, so the
-    distance difference vanishes identically regardless of delta.
+    distance difference vanishes identically regardless of delta.  Each
+    column norm of W bounds the spectral norm of any column range holding
+    it from below, so a candidate whose remaining columns include one
+    longer than delta is rejected without computing its defect.
     """
     N = sys.size
     W, rank = _window_table(sys, head_end)
+    col_norms = np.append(np.linalg.norm(W, axis=0), 0.0)
+    longest_rest = np.maximum.accumulate(col_norms[::-1])[::-1]
     for p in range(head_end + 1, N):
-        if _window_defect(W, rank[p - head_end]) <= delta:
+        k = rank[p - head_end]
+        if longest_rest[k] <= delta and _window_defect(W, k) <= delta:
             return p
     return N
 
@@ -218,20 +224,23 @@ def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
     return _cross_minimum(prefix_bases(sys.xs[:p], tol)[0], prefix_bases(sys.fs[:rho], tol)[0])
 
 
-def build_norming_indices(sys: BiorthSystem, depth: int, c: float) -> RepresentingIndices:
+def build_norming_indices(sys: BiorthSystem, depth: int,
+                          c: float | None = None) -> RepresentingIndices:
     """Representing indices whose steps also satisfy the norming property.
 
     After finding the interim window end p(m+1), the index r(m+1) >= p(m+1)
     is widened until every unit v of span{x_1..x_{p(m+1)}} admits a unit
     functional in span{f_1..f_{r(m+1)}} with action at least ``c``.
     Requires c at most half the measured norming constant of the system
-    (:func:`norming_constant_estimate` at its default sample count).
+    (:func:`norming_constant_estimate` at its default sample count); c
+    defaults to exactly that half.
     """
     if depth < 1:
         raise ArgumentError("depth must be at least 1")
+    est = norming_constant_estimate(sys)
+    c = est / 2.0 if c is None else c
     if c <= 0:
         raise ArgumentError("c must be positive")
-    est = norming_constant_estimate(sys)
     if c > est / 2.0 + 1e-12:
         raise ArgumentError(
             f"c = {c} exceeds half the measured norming constant {est:.6f}"

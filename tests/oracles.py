@@ -4,9 +4,11 @@ These are the incremental Gram-Schmidt ``spanning_indices``, the
 projector-gap ``classify_perturbation``, the Gram-Schmidt loops of the
 representing-index window search and of the pathological-system
 verification, and the SVD-per-prefix representing and norming index
-builders, which the orthonormal-prefix kernel replaced.  They are slow (O(n^3)-ish Python loops and a full
-projector SVD per prefix) but transparently follow the definitions, so
-the kernel-based diagnostics are required to agree with them exactly.
+builders, which the orthonormal-prefix kernel replaced, and the per-cell
+matrix CSV writer, which the once-per-distinct-value writer replaced.
+They are slow (O(n^3)-ish Python loops and a full projector SVD per
+prefix) but transparently follow the definitions, so the kernel-based
+diagnostics and the writer are required to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from mbasis_lab.biorth import (
     norming_constant_estimate,
 )
 from mbasis_lab.errors import ArgumentError, ConstructionError
+from mbasis_lab.io import fmt
 from mbasis_lab.representing import RepresentingIndices
 from mbasis_lab.subspace import ToleranceConfig, orthonormal_rows, span_equal
 
@@ -330,3 +333,11 @@ def _verify_pathological(X, F, Ehat, pi_t, eps, tol: ToleranceConfig):
         support = set(np.nonzero(F[m])[0])
         if not support <= covered:
             raise ConstructionError(f"functional {m + 1} leaves its coordinate span")
+
+
+def write_matrix_csv(M: np.ndarray, path: str):
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    with open(path, "w", newline="") as fh:
+        for row in M:
+            fh.write(",".join(fmt(v) for v in row))
+            fh.write("\n")

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -136,6 +138,31 @@ class TestPipelines:
                                variant="norming", depth=4, out=str(tmp_path / "out"))
         assert run(cfg) == 0
         assert mio.load_indices(str(tmp_path / "out" / "indices.txt")).values == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("damage,match", [
+        (lambda d: (d / "X.csv").write_text("1,0\n0,abc\n"), r"X\.csv:2: malformed matrix row"),
+        (lambda d: shutil.rmtree(d), r"cannot read .*X\.csv: No such file"),
+        (lambda d: (d / "header.txt").write_text("rank_tol = 1e-10\n"),
+         r"header\.txt: missing key 'ambient_dim'"),
+        (lambda d: (d / "X.csv").write_text("1,0\n0\n"), r"ragged matrix rows in .*X\.csv"),
+    ], ids=["bad-token", "missing-directory", "no-ambient-dim", "ragged"])
+    def test_corrupt_stored_system_refused(self, tmp_path, damage, match):
+        sys_dir = tmp_path / "input"
+        mio.save_system(BiorthSystem.canonical(2), str(sys_dir))
+        damage(sys_dir)
+        cfg = ExperimentConfig(command="represent", input_system=str(sys_dir),
+                               out=str(tmp_path / "out"))
+        assert run(cfg) == 1
+        record = json.load(open(tmp_path / "out" / "failure.json"))
+        assert re.search(match, record["invariant"])
+        assert str(sys_dir) in record["invariant"]
+
+    def test_missing_partition_file_refused(self, tmp_path):
+        cfg = ExperimentConfig(command="perturb", partition=str(tmp_path / "none.txt"),
+                               truncation=4, out=str(tmp_path / "out"))
+        assert run(cfg) == 1
+        record = json.load(open(tmp_path / "out" / "failure.json"))
+        assert f"cannot read {tmp_path / 'none.txt'}" in record["invariant"]
 
     def test_build_system(self, tmp_path):
         cfg = ExperimentConfig(command="build-system", truncation=6,

@@ -1,0 +1,100 @@
+"""Matrix CSV writer: byte identity with the per-cell oracle, reader round trip,
+and golden digests of the pathological ``build-system`` artifacts."""
+
+import hashlib
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import oracles
+from mbasis_lab import io as mio
+from mbasis_lab.cli import ExperimentConfig, run
+from mbasis_lab.pathology import (
+    build_pathological_system,
+    build_permutation,
+    build_phi,
+    default_eps_sequence,
+)
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                    1e300, -1e300, 1e-300, 0.1, 1 / 3, 123456789012.5])
+
+#: sha256 of the artifacts of ``build-system`` with kind = pathological and
+#: truncation = 400, as written by the per-cell writer
+GOLDEN_N400 = {
+    "system/X.csv": "1bd8fe9e5a5d473d25a15552e31a5b422ac1a5aacf8f172cdff36fb78c75c428",
+    "system/F.csv": "28636fd05bbad94a94240b1ff88f684b1f915f3de3f241d668dc640a7a56b02b",
+    "E.csv": "ca12245df161678dfec41e666ba6c618313d7b866a0db2d95a29f33ee9a0bd27",
+}
+
+
+def pathological_matrices(N):
+    """X, F and E as ``build-system`` with kind = pathological builds them."""
+    spec = build_permutation(build_phi(lambda n: float(n), 4 * N), 4 * N)
+    system, E = build_pathological_system(spec, default_eps_sequence(N), N)
+    return {"X": system.xs, "F": system.fs, "E": E}
+
+
+def assert_same_bytes(M, tmp_path):
+    mio.write_matrix_csv(M, str(tmp_path / "new.csv"))
+    oracles.write_matrix_csv(M, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("N", [16, 400])
+def test_pathological_matrices_match_oracle(N, tmp_path):
+    for M in pathological_matrices(N).values():
+        assert_same_bytes(M, tmp_path)
+
+
+@pytest.mark.parametrize("M", [
+    np.random.default_rng(0).standard_normal((512, 512)),
+    SPECIAL,
+    SPECIAL[::-1].reshape(2, 7),
+    np.arange(7.0),
+    np.zeros((0, 0)),
+    np.zeros((0, 4)),
+    np.zeros(0),
+], ids=["dense512", "special", "special-2d", "1d", "empty", "no-rows", "empty-1d"])
+def test_matrices_match_oracle(M, tmp_path):
+    assert_same_bytes(M, tmp_path)
+
+
+def test_repeated_values_across_row_blocks(tmp_path):
+    # more cells than the writer formats in one block; -0.0 beside 0.0
+    M = np.tile([0.0, -0.0, 1.5, np.nan, -np.inf], (20000, 3))
+    assert_same_bytes(M, tmp_path)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=-2**63, max_value=2**63 - 1))
+def test_printf_format_equals_fmt_on_every_bit_pattern(bits):
+    v = float(np.int64(bits).view(np.float64))
+    assert "%.12g" % v == mio.fmt(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_reader_inverts_writer(M):
+    M = np.vectorize(lambda v: float(mio.fmt(v)), otypes=[float])(M)  # 12 digits, as stored
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "M.csv")
+        mio.write_matrix_csv(M, path)
+        back = mio.read_matrix_csv(path)
+    assert back.shape == M.shape
+    assert back.view(np.int64).tolist() == M.view(np.int64).tolist()
+
+
+def test_pathological_build_system_golden_digests(tmp_path):
+    cfg = ExperimentConfig(command="build-system", kind="pathological", truncation=400,
+                           out=str(tmp_path))
+    assert run(cfg) == 0
+    digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
+               for rel in GOLDEN_N400}
+    assert digests == GOLDEN_N400

@@ -136,6 +136,13 @@ class TestNormingIndices:
             for v in unit_net(sys.xs[:p], 0.2):
                 assert np.linalg.norm(QF @ v) >= c
 
+    def test_default_c_is_half_the_estimate(self):
+        sys = widening_system()
+        c = norming_constant_estimate(sys) / 2.0
+        r = build_norming_indices(sys, 2)
+        assert r.norming_c == c
+        assert r == build_norming_indices(sys, 2, c)
+
     def test_c_out_of_range(self):
         sys = widening_system()
         with pytest.raises(ArgumentError, match="half the measured"):
