@@ -13,7 +13,6 @@ mathematical indexing; raw array rows are 0-based.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from .subspace import (
     span_equal,
     span_gap,
     span_matrix,
+    svd_basis,
     tail_norms,
 )
 
@@ -212,7 +212,7 @@ def norming_estimate_envelope(sys: BiorthSystem, samples: int, seed: int) -> np.
     """
     if samples <= 0:
         raise ArgumentError("need a positive number of samples")
-    Qf = orthonormal_rows(sys.fs, sys.tol.rank_tol)
+    Qf = svd_basis(sys.fs, sys.tol.rank_tol)
     if Qf.shape[0] == 0:
         raise ArgumentError("functional span is zero")
     Qx = orthonormal_rows(sys.xs, sys.tol.rank_tol)
@@ -290,27 +290,11 @@ class PerturbationClass:
     pile_prefixes: tuple
 
 
-def _svd_full_rank_length(R: np.ndarray, rank: np.ndarray, rank_tol: float) -> int:
-    """Longest k whose first k rows pass :func:`orthonormal_rows`' relative
-    SVD rank test, by bisection over R[:k, :k] up to the first row
-    Gram-Schmidt dropped: deleting rows interlaces singular values, so the
-    prefix condition number never decreases with k."""
-    def fails(k: int) -> bool:
-        s = np.linalg.svd(R[:k, :k], compute_uv=False)
-        return not s[-1] > rank_tol * s[0]
-
-    top = int(np.sum(rank[1:] == np.arange(1, rank.size)))
-    if top == 0 or not fails(top):
-        return top
-    return bisect.bisect_left(range(1, top), True, key=fails)
-
-
 def _prefix_agreement(Z: np.ndarray, X: np.ndarray, tol: float) -> np.ndarray:
     """Boolean array: entry k - 1 is ``span_equal(Z[:k], X[:k], tol)``."""
     rank_tol = 1e-10  # span_equal's default; the classifier's verdicts are defined at it
-    (Qx, Rx, rank_x), (Qz, Rz, rank_z) = prefix_bases(X, rank_tol), prefix_bases(Z, rank_tol)
-    K = min(_svd_full_rank_length(Rx, rank_x, rank_tol),
-            _svd_full_rank_length(Rz, rank_z, rank_tol))
+    (Qx, _, rank_x), (Qz, _, rank_z) = prefix_bases(X, rank_tol), prefix_bases(Z, rank_tol)
+    K = min(int(np.sum(r[1:] == np.arange(1, r.size))) for r in (rank_x, rank_z))
     Qx, Qz = Qx[:, :K], Qz[:, :K]
     # column j of block k: dist(z direction j, first k x directions), j < k
     cols = np.triu(tail_norms(Qz.T, Qx)[:, 1:])
@@ -340,19 +324,20 @@ def classify_perturbation(zsys: BiorthSystem, xsys: BiorthSystem,
     """Classify ``zsys`` as a block or pile perturbation of ``xsys``.
 
     Row ranges agree when their vector spans and their functional spans
-    both have projector gap (:func:`span_gap`, SVD rank test at 1e-10)
-    within ``tol``.  Pile prefixes are all agreeing prefixes; block
-    intervals close greedily at the earliest agreeing end (the maximal
-    refinement when one exists), the first at the first pile prefix.
+    both have projector gap (:func:`span_gap`, Gram-Schmidt rank test of
+    :func:`prefix_bases` at 1e-10) within ``tol``.  Pile prefixes are all
+    agreeing prefixes; block intervals close greedily at the earliest
+    agreeing end (the maximal refinement when one exists), the first at the
+    first pile prefix.
 
     For full-rank prefixes the gap is the 2-norm of the block D[k:, :k] of
     D = Q_x^T Q_z (principal angles, Bjorck & Golub 1973), with both bases
     from :func:`prefix_bases`.  One :func:`tail_norms` table of its column
     tails decides most k (Frobenius norm within ``tol``: equal; a column
-    above it: unequal); the rest take the exact 2-norm.  Past the bisected
-    full-rank length, :func:`span_equal` decides.  Start 1 factors all n
-    rows, later starts windows of 16 rows, quadrupled until one closes:
-    O(d w^2) per window of w rows, plus O(log w) SVDs of w x w.
+    above it: unequal); the rest take the exact 2-norm.  Past the first
+    row either side drops as dependent, :func:`span_equal` decides.  Start
+    1 factors all n rows, later starts windows of 16 rows, quadrupled until
+    one closes: O(d w^2) per window of w rows.
     """
     tol = xsys.tol.span_tol if tol is None else tol
     if zsys.size != xsys.size:

@@ -350,6 +350,14 @@ def run(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _log_level(name: str) -> int:
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigError("MBASIS_LOG must be one of DEBUG, INFO, WARNING, ERROR, "
+                          f"CRITICAL; got '{name}'")
+    return level
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mbasis-lab",
@@ -370,8 +378,8 @@ def main(argv=None) -> int:
                         help="derive the partition from representing indices (perturb)")
     args = parser.parse_args(argv)
 
-    logging.basicConfig(level=os.environ.get("MBASIS_LOG", "WARNING").upper())
     try:
+        logging.basicConfig(level=_log_level(os.environ.get("MBASIS_LOG", "WARNING")))
         if args.config:
             with open(args.config) as fh:
                 cfg = parse_config(fh.read(), default_command=args.command)

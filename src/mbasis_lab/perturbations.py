@@ -16,7 +16,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError, SingularGramError
-from .subspace import dual_solve, orthonormal_rows, span_gap
+from .subspace import dual_solve, orthonormal_rows, span_gap, svd_basis
 
 __all__ = [
     "BlockPartition",
@@ -199,7 +199,7 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
         D[anchor - 1] = anchor_f
         if b == 1:
             continue
-        Qf = orthonormal_rows(sys.fs[rows], tol.rank_tol)
+        Qf = svd_basis(sys.fs[rows], tol.rank_tol)
         if Qf.shape[0] < b:
             raise ConstructionError(f"functional span of block {j} is rank deficient")
         # orthonormal complement of the anchor inside the block dual span;
@@ -208,7 +208,7 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
         a_unit = anchor_f / np.linalg.norm(anchor_f)
         proj = Qf - np.outer(Qf @ a_unit, a_unit)
         keep = np.linalg.norm(proj, axis=1) > tol.span_tol
-        comp = orthonormal_rows(proj[keep], tol.rank_tol)
+        comp = svd_basis(proj[keep], tol.rank_tol)
         if comp.shape[0] < b - 1:
             raise ConstructionError(
                 f"anchor complement of block {j} is rank deficient"

@@ -2,9 +2,10 @@
 
 Vectors are points of a finite truncation of l2, represented as 1-d float
 arrays.  Subspaces are given by row matrices of spanning vectors and
-handled through SVD orthonormalization, which keeps distances and span
+orthonormalized by one kernel, :func:`prefix_bases` (Householder QR of the
+normalized rows, Gram-Schmidt rank test), which keeps distances and span
 comparisons stable on the ill-conditioned systems produced elsewhere in
-this package.
+this package; :func:`svd_basis` serves only outputs defined in its basis.
 
 Results are plain arrays: a point is a 1-d array, a family of points a
 row matrix.  The :class:`TruncatedVector` and :class:`SubspaceBasis`
@@ -32,6 +33,7 @@ __all__ = [
     "as_vector",
     "span_matrix",
     "orthonormal_rows",
+    "svd_basis",
     "prefix_bases",
     "tail_norms",
     "distance_to_span",
@@ -158,22 +160,24 @@ def span_matrix(S, ambient_dim: int | None = None) -> np.ndarray:
 
 
 def orthonormal_rows(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of ``M`` via SVD.
+    """Orthonormal basis (as rows) of the row space of ``M``: the transposed
+    Q of :func:`prefix_bases`, with its Gram-Schmidt rank test."""
+    return prefix_bases(M, rank_tol)[0].T
 
-    Nonzero rows are normalized first, so spans mixing vectors across many
-    orders of magnitude keep their small members.  ``rank_tol`` is relative
-    to the largest singular value.
-    """
+
+def svd_basis(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+    """Right singular vectors (as rows) of the normalized rows of ``M``, rank
+    relative to the largest one: the basis in which the seeded draws of the
+    flattening and the norming estimate, and :func:`dual_solve`, combine."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or 0 in M.shape:
         return np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
     norms = np.linalg.norm(M, axis=1, keepdims=True)
     scaled = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
     _, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return np.zeros((0, M.shape[1]))
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return vt[:rank]
+    return vt[:int(np.sum(s > rank_tol * s[0]))]
 
 
 def prefix_bases(M: np.ndarray, rank_tol: float = 1e-10):
@@ -183,7 +187,9 @@ def prefix_bases(M: np.ndarray, rank_tol: float = 1e-10):
     diag(R) > 0, so column j of Q is the direction modified Gram-Schmidt
     adds for row j.  Rank semantics are Gram-Schmidt's relative residual
     test: a row within ``rank_tol`` of the span before it (|R_jj|), or a
-    zero row, adds no direction, and the QR is redone without it.
+    zero row, adds no direction.  The QR is redone without the first such
+    row and every later row within ``rank_tol`` of the directions before it
+    (its column of R below them), which Gram-Schmidt drops too.
 
     Returns ``(Q, R, rank)``: Q (d x r) orthonormal columns, R the r x r
     factor of the kept rows, and ``Q[:, :rank[k]]`` spans the first k rows
@@ -197,7 +203,8 @@ def prefix_bases(M: np.ndarray, rank_tol: float = 1e-10):
         bad = np.flatnonzero(np.abs(np.diagonal(R)) <= rank_tol)
         if not bad.size:
             break
-        kept = np.delete(kept, bad[0])
+        b = bad[0]
+        kept = np.delete(kept, b + np.flatnonzero(np.linalg.norm(R[b:, b:], axis=0) <= rank_tol))
     # rows past a basis of the whole space are dependent
     kept, R = kept[:Q.shape[1]], R[:, :Q.shape[1]]
     signs = np.where(np.diagonal(R) < 0, -1.0, 1.0)
@@ -251,18 +258,21 @@ def span_gap(S1, S2, rank_tol: float = 1e-10) -> float:
 
     Equals the larger of the two one-sided maxima of the distance from a
     unit vector of one span to the other span (the Hausdorff gap between
-    unit balls), computable through principal angles.
+    unit balls): 1 when the ranks differ, else the sine of the largest
+    principal angle, ||Q1 - (Q1 Q2^T) Q2||_2 on the :func:`orthonormal_rows`
+    bases (Davis & Kahan 1970), exactly 0 for bitwise-equal bases.
     """
     M1 = span_matrix(S1)
     M2 = span_matrix(S2)
     if M1.shape[0] and M2.shape[0] and M1.shape[1] != M2.shape[1]:
         raise ArgumentError("spans live in different ambient dimensions")
-    n = M1.shape[1] if M1.shape[0] else M2.shape[1]
     Q1 = orthonormal_rows(M1, rank_tol)
     Q2 = orthonormal_rows(M2, rank_tol)
-    P1 = Q1.T @ Q1 if Q1.shape[0] else np.zeros((n, n))
-    P2 = Q2.T @ Q2 if Q2.shape[0] else np.zeros((n, n))
-    return float(np.linalg.norm(P1 - P2, 2))
+    if Q1.shape[0] != Q2.shape[0]:
+        return 1.0
+    if Q1.shape[0] == 0 or np.array_equal(Q1, Q2):
+        return 0.0
+    return float(np.linalg.norm(Q1 - (Q1 @ Q2.T) @ Q2, 2))
 
 
 def span_equal(S1, S2, tol: float, rank_tol: float = 1e-10) -> bool:
@@ -340,12 +350,13 @@ def dual_solve(vectors, within, rank_tol: float = 1e-10,
     <f_i, v_j> equal to the Kronecker delta up to ``biorth_tol``.  Requires
     dim(within) == len(vectors) and an invertible cross-Gram matrix;
     otherwise the vectors are not minimal relative to the given span and a
-    :class:`SingularGramError` is raised.
+    :class:`SingularGramError` is raised.  The rows are combined in the
+    :func:`svd_basis` of ``within``.
     """
     V = span_matrix(vectors)
     if V.shape[0] == 0:
         return np.zeros((0, V.shape[1] or span_matrix(within).shape[1]))
-    W = orthonormal_rows(span_matrix(within, ambient_dim=V.shape[1]), rank_tol)
+    W = svd_basis(span_matrix(within, ambient_dim=V.shape[1]), rank_tol)
     k = V.shape[0]
     if W.shape[0] != k:
         raise ArgumentError(

@@ -1,7 +1,9 @@
 """Superseded implementations kept as test oracles.
 
-These are the incremental Gram-Schmidt ``spanning_indices``, the
-projector-gap ``classify_perturbation``, the Gram-Schmidt loops of the
+These are the SVD ``orthonormal_rows`` and the projector ``span_gap``,
+which the QR prefix kernel and the sine form replaced, the incremental
+Gram-Schmidt ``spanning_indices``, the projector-gap
+``classify_perturbation``, the Gram-Schmidt loops of the
 representing-index window search and of the pathological-system
 verification, and the SVD-per-prefix representing and norming index
 builders, which the orthonormal-prefix kernel replaced, and the per-cell
@@ -26,7 +28,50 @@ from mbasis_lab.biorth import (
 from mbasis_lab.errors import ArgumentError, ConstructionError
 from mbasis_lab.io import fmt
 from mbasis_lab.representing import RepresentingIndices
-from mbasis_lab.subspace import ToleranceConfig, orthonormal_rows, span_equal
+from mbasis_lab.subspace import ToleranceConfig, span_matrix
+
+
+def orthonormal_rows(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis (as rows) of the row space of ``M`` via SVD.
+
+    Nonzero rows are normalized first, so spans mixing vectors across many
+    orders of magnitude keep their small members.  ``rank_tol`` is relative
+    to the largest singular value.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or 0 in M.shape:
+        return np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
+    norms = np.linalg.norm(M, axis=1, keepdims=True)
+    scaled = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
+    _, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((0, M.shape[1]))
+    rank = int(np.sum(s > rank_tol * s[0]))
+    return vt[:rank]
+
+
+def span_gap(S1, S2, rank_tol: float = 1e-10) -> float:
+    """Spectral norm of the projector difference between the two spans.
+
+    Equals the larger of the two one-sided maxima of the distance from a
+    unit vector of one span to the other span (the Hausdorff gap between
+    unit balls), computable through principal angles.
+    """
+    M1 = span_matrix(S1)
+    M2 = span_matrix(S2)
+    if M1.shape[0] and M2.shape[0] and M1.shape[1] != M2.shape[1]:
+        raise ArgumentError("spans live in different ambient dimensions")
+    n = M1.shape[1] if M1.shape[0] else M2.shape[1]
+    Q1 = orthonormal_rows(M1, rank_tol)
+    Q2 = orthonormal_rows(M2, rank_tol)
+    P1 = Q1.T @ Q1 if Q1.shape[0] else np.zeros((n, n))
+    P2 = Q2.T @ Q2 if Q2.shape[0] else np.zeros((n, n))
+    return float(np.linalg.norm(P1 - P2, 2))
+
+
+def span_equal(S1, S2, tol: float, rank_tol: float = 1e-10) -> bool:
+    """True iff the two spans agree within ``tol`` (projector difference norm)."""
+    return span_gap(S1, S2, rank_tol) <= tol
 
 
 class _PrefixSpan:

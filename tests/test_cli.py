@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,3 +233,21 @@ class TestMain:
         manifest = json.load(open(tmp_path / "o" / "run.json"))
         assert manifest["seed"] == 3
         assert manifest["truncation"] == 16
+
+    def test_unknown_log_level_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MBASIS_LOG", "verbose")
+        assert main(["unb", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: MBASIS_LOG must be one of DEBUG, INFO, WARNING" in err
+        assert "got 'verbose'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["pathology", "unb"])
+    def test_pathology_and_unb_skip_numpy_ma(self, tmp_path, command):
+        # a fresh process: a plain np.unique imports numpy.ma (~0.02 s a run)
+        code = ("import sys; from mbasis_lab.cli import main; "
+                "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mio.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code, command, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr

@@ -1,5 +1,6 @@
 """Matrix CSV writer: byte identity with the per-cell oracle, reader round trip,
-and golden digests of the pathological ``build-system`` artifacts."""
+and golden digests of the pathological ``build-system`` artifacts and of the
+flattened system ``perturb --auto-strong`` writes."""
 
 import hashlib
 import os
@@ -30,6 +31,13 @@ GOLDEN_N400 = {
     "system/X.csv": "1bd8fe9e5a5d473d25a15552e31a5b422ac1a5aacf8f172cdff36fb78c75c428",
     "system/F.csv": "28636fd05bbad94a94240b1ff88f684b1f915f3de3f241d668dc640a7a56b02b",
     "E.csv": "ca12245df161678dfec41e666ba6c618313d7b866a0db2d95a29f33ee9a0bd27",
+}
+
+#: sha256 of the flattened system of ``perturb --auto-strong --truncation 128``,
+#: as written before span gaps and bases moved to the QR kernel
+GOLDEN_PERTURB_128 = {
+    "flattened/X.csv": "464be08346eba2bdbc35977a390be5cf2c0e785c3a675e5e6f92fc2fd724d869",
+    "flattened/F.csv": "d6c973a983c1753d52a5483ca68fe5971b8c77608b8e5dd0447b8211fd4ca7a0",
 }
 
 
@@ -98,3 +106,12 @@ def test_pathological_build_system_golden_digests(tmp_path):
     digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
                for rel in GOLDEN_N400}
     assert digests == GOLDEN_N400
+
+
+def test_flattened_perturb_golden_digests(tmp_path):
+    cfg = ExperimentConfig(command="perturb", auto_strong=True, truncation=128,
+                           out=str(tmp_path))
+    assert run(cfg) == 0
+    digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
+               for rel in GOLDEN_PERTURB_128}
+    assert digests == GOLDEN_PERTURB_128

@@ -4,8 +4,11 @@ The superseded Gram-Schmidt, projector-gap and SVD-per-prefix
 implementations in ``oracles`` define the expected outputs: on every input
 below the kernel-based ``spanning_indices``, ``classify_perturbation`` and
 representing and norming index searches must return the same values, or
-raise the same exception type.
+raise the same exception type, and the sine-form ``span_gap`` must give
+the projector gap's verdicts and agree with its values to a rounding floor.
 """
+
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -33,7 +36,14 @@ from mbasis_lab.representing import (
     strong_partition,
     window_approximation_defect,
 )
-from mbasis_lab.subspace import ToleranceConfig, distance_to_span, prefix_bases, tail_norms
+from mbasis_lab.subspace import (
+    ToleranceConfig,
+    distance_to_span,
+    orthonormal_rows,
+    prefix_bases,
+    span_gap,
+    tail_norms,
+)
 from test_representing import widening_system
 
 #: forward couplings of acceptance criterion 6; the last target is the size n
@@ -254,6 +264,76 @@ def test_prefix_bases_follow_gram_schmidt():
     kept = [0, 1, 3, 6, 7, 8]
     unit = rows[kept] / np.linalg.norm(rows[kept], axis=1, keepdims=True)
     assert np.allclose(Q @ R, unit.T, rtol=0, atol=1e-12)
+
+
+#: sine form against projector form: both err by a few units of rounding
+#: per ambient coordinate (Higham, Accuracy and Stability, Thm 19.4), so
+#: they may differ by GAP_FLOOR_C * d * u; measured at most 1.6 d u here
+GAP_FLOOR_C = 4.0
+
+
+def _prefix_lengths(n):
+    return sorted({*range(1, min(n, 16) + 1), *np.linspace(1, n, 12).astype(int).tolist()})
+
+
+def _assert_gap_matches_oracle(S1, S2, tol=ToleranceConfig().span_tol):
+    gap, expected = span_gap(S1, S2), oracles.span_gap(S1, S2)
+    assert (gap <= tol) == (expected <= tol)
+    d = np.shape(S1)[1]
+    assert abs(gap - expected) <= GAP_FLOOR_C * d * np.finfo(float).eps / 2
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_span_gap_matches_projector_oracle(case):
+    z, x = CASES[case]()
+    for Z, X in ((z.xs, x.xs), (z.fs, x.fs)):
+        for k in _prefix_lengths(z.size):
+            _assert_gap_matches_oracle(Z[:k], X[:k])
+
+
+@pytest.mark.parametrize("aligned", [False, True])
+@pytest.mark.parametrize("gap", [0.9e-8, 0.999e-8, 1.001e-8, 1.1e-8])
+def test_span_gap_near_tolerance_matches_projector_oracle(aligned, gap):
+    z, x = near_tolerance_case(aligned, gap)
+    for k in (1, 2, 3):
+        _assert_gap_matches_oracle(z.xs[:k], x.xs[:k])
+
+
+def test_span_gap_is_one_when_ranks_differ():
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((2, 5))
+    assert span_gap(np.eye(4)[:2], np.eye(4)[:3]) == 1.0
+    assert span_gap([a, 2.0 * a], [a, b]) == 1.0
+    assert span_gap([a, a + 1e-12 * b], [a, b]) == 1.0
+    assert span_gap([a, b], [a + 1e-12 * b]) == 1.0
+
+
+def test_prefix_bases_keep_rows_after_a_dropped_one():
+    # a + eps b is dropped, but b is not within rank_tol of span{a}
+    a, b = np.eye(3)[:2]
+    for eps in (1e-11, 0.9e-10):
+        rows = np.vstack([a, a + eps * b, b])
+        Q, _, rank = prefix_bases(rows, 1e-10)
+        assert rank.tolist() == [0, 1, 1, 2]
+        assert distance_to_span(b, Q.T) <= 1e-15
+        assert orthonormal_rows(rows).shape == (2, 3)
+
+
+def test_prefix_bases_low_rank_is_fast():
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((512, 128)) @ rng.standard_normal((128, 512))
+    started = perf_counter()
+    Q, R, rank = prefix_bases(M)
+    assert perf_counter() - started < 1.0
+    assert Q.shape == (512, 128) and R.shape == (128, 128)
+    assert rank.tolist() == list(range(129)) + [128] * 384
+
+
+def test_norming_estimate_golden():
+    # recorded at the SVD-basis implementation; its seeded draws are
+    # defined in that basis, which a QR basis would move to 0.9337536
+    assert norming_constant_estimate(tilted_system()) == pytest.approx(
+        0.9533434091959724, abs=1e-12)
 
 
 def test_prefix_bases_empty_and_zero():
