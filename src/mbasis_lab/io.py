@@ -200,14 +200,10 @@ def load_indices(path: str) -> RepresentingIndices:
 def save_permutation(spec: PermutationSpec, path: str, upto: int | None = None):
     """Text table ``n phi Phi inGamma pi``; -1 marks beyond-table values."""
     upto = spec.N if upto is None else min(int(upto), spec.N)
-    gamma = set(int(g) for g in spec.Gamma)
-    with open(path, "w") as fh:
-        fh.write("n phi Phi inGamma pi\n")
-        for n in range(1, upto + 1):
-            fh.write(
-                f"{n} {spec.phi[n - 1]} {spec.Phi[n - 1]} "
-                f"{1 if n in gamma else 0} {spec.pi[n - 1]}\n"
-            )
+    n = np.arange(1, upto + 1)
+    table = np.column_stack([n, spec.phi[:upto], spec.Phi[:upto],
+                             np.isin(n, spec.Gamma), spec.pi[:upto]])
+    np.savetxt(path, table, fmt="%d", header="n phi Phi inGamma pi", comments="")
 
 
 def _clean(value):

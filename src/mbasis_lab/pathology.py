@@ -124,22 +124,17 @@ def build_phi(f, N: int) -> PhiTable:
     if N > 1 and fv[-1] <= fv[0]:
         raise ArgumentError("f is constant on the table, not divergent")
 
-    jumps = [1]
-    while True:
-        k_next = len(jumps) + 1
-        threshold = (k_next * k_next) / 4.0
-        above = np.nonzero(fv >= threshold)[0]
-        if above.size == 0:
-            break
-        candidate = max(2 * jumps[-1], int(above[0]) + 1)
-        if candidate > N:
-            break
-        jumps.append(candidate)
-
-    values = np.zeros(N, dtype=np.int64)
-    for k, n_k in enumerate(jumps, start=1):
-        values[n_k - 1:] = k
-    table = PhiTable(values, tuple(jumps), fv)
+    # jump k is max(2 * jump k-1, a_k), a_k the first n with f(n) >= k^2/4
+    # (a_1 = 1), i.e. 2^k max_{i<=k} a_i / 2^i, exact in float64; the
+    # running maximum of f crosses each threshold first where f does
+    k = np.arange(1, int(N).bit_length() + 1)
+    first = np.searchsorted(np.maximum.accumulate(fv), k * k / 4.0) + 1.0
+    first[0] = 1.0
+    scale = np.ldexp(1.0, k)
+    jumps = (np.maximum.accumulate(first / scale) * scale).astype(np.int64)
+    jumps = jumps[jumps <= N]
+    values = np.searchsorted(jumps, np.arange(1, N + 1), side="right")
+    table = PhiTable(values, tuple(jumps.tolist()), fv)
     _check_phi_conditions(table)
     return table
 
@@ -168,11 +163,13 @@ def _check_phi_conditions(t: PhiTable):
 
 @dataclass(frozen=True)
 class PermutationSpec:
-    """Tabulated permutation data: f, phi, Phi, Gamma, pi and the free trace.
+    """Tabulated permutation data: f, phi, Phi, Gamma and pi on 1..N.
 
-    ``Phi`` and ``pi`` hold exact values where they fit inside the table
-    and the ``BEYOND_TABLE`` sentinel otherwise; a sentinel value is known
+    ``Phi`` and ``pi`` hold exact values where they are at most N and the
+    ``BEYOND_TABLE`` sentinel otherwise, whether or not the staircase
+    table reaches far enough to know the value; a sentinel value is known
     to exceed N, which keeps every overlap query with bound <= N exact.
+    The free values handed out on Gamma are ``pi[Gamma - 1]``.
     """
 
     N: int
@@ -182,7 +179,6 @@ class PermutationSpec:
     Phi: np.ndarray
     Gamma: np.ndarray
     pi: np.ndarray
-    free_values: np.ndarray
     injective_verified: bool = False
 
     def pi_value(self, n: int) -> int | None:
@@ -226,68 +222,52 @@ class PermutationSpec:
         keep = M if keep_below is None else int(keep_below)
         if keep < M:
             raise ArgumentError("keep_below must not cut into the index range")
-        out = np.zeros(M, dtype=np.int64)
-        large = []
-        for j in range(1, M + 1):
-            v = self.pi[j - 1]
-            if v != BEYOND_TABLE and v <= keep:
-                out[j - 1] = v
-            else:
-                large.append(j)
+        pi = self.pi[:M]
+        large = (pi == BEYOND_TABLE) | (pi > keep)
         # beyond-keep values are all of counting type and increase with j,
         # so relabeling in j-order preserves their relative order
-        for rank, j in enumerate(large, start=1):
-            out[j - 1] = keep + rank
-        return out
+        return np.where(large, keep + np.cumsum(large), pi)
 
 
 def build_permutation(phi: PhiTable, N: int, exact: bool = False) -> PermutationSpec:
-    """Assemble the permutation from the staircase.
+    """Assemble the permutation on 1..N from the staircase.
 
     Phi(n) counts the m with phi(m) <= n, which is the index just before
-    phi reaches n+1; Gamma is the jump set of phi (it meets every prefix
-    {1..m} in at most phi(m) points, with equality); off Gamma the
-    permutation is Phi, on Gamma it is the minimal unused value.  With
-    ``exact`` set, a Phi value that cannot be evaluated inside the table
+    phi reaches n+1, so Phi is the jump points shifted by one; Gamma is
+    the jump set of phi (it meets every prefix {1..m} in at most phi(m)
+    points, with equality); off Gamma the permutation is Phi, on Gamma it
+    is the minimal unused value.  Phi(n) >= n, so the free value at a
+    jump n, which is at most n, can only collide with Phi values already
+    assigned: the free values are the least values outside the exact Phi
+    image, handed out in order, and only Gamma is walked.  A Phi value
+    above N, known or not, is stored as ``BEYOND_TABLE``.  With ``exact``
+    set, a Phi value that cannot be evaluated inside the staircase table
     raises instead of saturating, naming the extension required.
     """
     if N > phi.N:
         raise ArgumentError(f"phi tabulated to {phi.N} < N = {N}")
-    jumps = phi.jump_points
-    K = len(jumps)
+    jumps = np.asarray(phi.jump_points, dtype=np.int64)
+    if exact and jumps.size <= N:
+        raise ArgumentError(
+            f"phi table too short to evaluate Phi({jumps.size}) exactly; extend "
+            f"the table beyond {2 * jumps[-1]} entries"
+        )
     Phi = np.full(N, BEYOND_TABLE, dtype=np.int64)
-    for n in range(1, N + 1):
-        if n + 1 <= K:
-            Phi[n - 1] = jumps[n] - 1  # first index of value n+1, minus one
-        elif exact:
-            raise ArgumentError(
-                f"phi table too short to evaluate Phi({n}) exactly; extend the "
-                f"table beyond {2 * jumps[-1]} entries"
-            )
-    gamma = np.array([j for j in jumps if j <= N], dtype=np.int64)
-    in_gamma = np.zeros(N + 1, dtype=bool)
-    in_gamma[gamma] = True
+    known = jumps[1:N + 1] - 1  # first index of value n+1, minus one
+    Phi[:known.size] = np.where(known <= N, known, BEYOND_TABLE)
+    gamma = jumps[jumps <= N]
 
-    pi = np.full(N, BEYOND_TABLE, dtype=np.int64)
-    used: set = set()
+    pi = Phi.copy()
+    pi[gamma - 1] = BEYOND_TABLE
+    used = set(pi[pi != BEYOND_TABLE].tolist())
     free_cursor = 1
-    free_trace = []
-    for n in range(1, N + 1):
-        if in_gamma[n]:
-            while free_cursor in used:
-                free_cursor += 1
-            pi[n - 1] = free_cursor
-            used.add(free_cursor)
-            free_trace.append(free_cursor)
+    for n in gamma.tolist():
+        while free_cursor in used:
             free_cursor += 1
-        else:
-            v = Phi[n - 1]
-            if v != BEYOND_TABLE:
-                pi[n - 1] = v
-                used.add(int(v))
+        pi[n - 1] = free_cursor
+        free_cursor += 1
 
-    spec = PermutationSpec(N, phi.f[:N], phi.values[:N], jumps, Phi, gamma, pi,
-                           np.array(free_trace, dtype=np.int64))
+    spec = PermutationSpec(N, phi.f[:N], phi.values[:N], phi.jump_points, Phi, gamma, pi)
     report = verify_injective(spec, N)
     if not report:
         raise ConstructionError("constructed permutation failed injectivity checks")
@@ -333,7 +313,6 @@ def identity_permutation(N: int) -> PermutationSpec:
         Phi=idx.copy(),
         Gamma=idx.copy(),
         pi=idx.copy(),
-        free_values=idx.copy(),
         injective_verified=True,
     )
     return spec
@@ -398,12 +377,6 @@ def omega_stats(spec: PermutationSpec, cs, N: int, grid_points: int = 24) -> Ome
 # the near-canonical pathological system
 
 
-def _power_of_two_at_most(x: float) -> float:
-    if x <= 0:
-        raise ArgumentError("budget must be positive")
-    return 2.0 ** math.floor(math.log2(x))
-
-
 def _check_eps_budget(eps: np.ndarray):
     total = float(np.sum(eps * eps))
     if total > EPS_SQ_BUDGET + 1e-15:
@@ -433,8 +406,8 @@ def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
     Permutation values beyond M are relabeled order-preservingly into
     (M, M + count]; ``ambient`` defaults to the top of that range, and an
     explicit value below it is refused.  Corrections use the largest power
-    of two below each eps_n, which makes the cascade coefficients exact in
-    floating point.
+    of two at most each eps_n, read off its binary exponent, which makes
+    the cascade coefficients exact in floating point.
     """
     tol = tol or ToleranceConfig()
     if M < 1:
@@ -442,7 +415,7 @@ def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
     eps = np.asarray(eps_seq, dtype=float)
     if eps.size < M:
         raise ArgumentError(f"eps sequence of length {eps.size} shorter than M={M}")
-    if np.any(eps < 0):
+    if not np.all(eps >= 0):
         raise ArgumentError("eps entries must be nonnegative")
     _check_eps_budget(eps)
     pi_t = spec.compactified(M, keep_below=M)
@@ -455,16 +428,17 @@ def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
             f"{required}; pass a larger ambient"
         )
 
+    moved = pi_t != np.arange(1, M + 1)
+    starved = np.flatnonzero(moved & (eps[:M] <= 0.0))
+    if starved.size:
+        n = int(starved[0]) + 1
+        raise ConstructionError(
+            f"step {n} needs a correction toward coordinate {pi_t[n - 1]} "
+            f"but eps_{n} is zero; enlarge the budget"
+        )
+    # eps_n = m * 2^e with 1/2 <= m < 1 exactly, so 2^(e-1) <= eps_n
     t = np.zeros(M + 1)
-    for n in range(1, M + 1):
-        if pi_t[n - 1] == n:
-            continue
-        if eps[n - 1] <= 0.0:
-            raise ConstructionError(
-                f"step {n} needs a correction toward coordinate {pi_t[n - 1]} "
-                f"but eps_{n} is zero; enlarge the budget"
-            )
-        t[n] = _power_of_two_at_most(float(eps[n - 1]))
+    t[1:] = np.where(moved, np.ldexp(1.0, np.frexp(eps[:M])[1] - 1), 0.0)
 
     preimage = {int(pi_t[k - 1]): k for k in range(1, M + 1)}
 
@@ -544,7 +518,7 @@ def _verify_pathological(X, F, Ehat, pi_t, eps, tol: ToleranceConfig):
     if defect > tol.biorth_tol:
         raise ConstructionError(f"biorthogonality defect {defect:.3e} above tolerance")
     # correction budgets
-    over = np.flatnonzero(np.linalg.norm(Ehat - np.eye(M, Ehat.shape[1]), axis=1) > eps + 1e-15)
+    over = np.flatnonzero(np.linalg.norm(Ehat - np.eye(M, Ehat.shape[1]), axis=1) > eps)
     if over.size:
         raise ConstructionError(f"correction at step {over[0] + 1} exceeds its budget")
     # prefix vector spans: x_m must sit in the e_hat prefix span, which has
@@ -584,8 +558,13 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     """The map sending each row e_hat_n of ``e_hats`` to e_n, identity on
     the complement.
 
-    When the square-sum budget of ``eps_seq`` is within 1/8, both operator
-    norms are asserted to be at most 2.
+    With E the M x ambient row matrix and E_0 its first M canonical rows,
+    T = I - (E - E_0)^T (E E^T)^-1 E: on span E it sends E^T c to E_0^T c,
+    and it fixes every vector E annihilates.  One M x M solve on the Gram
+    matrix gives it; the rows are refused as dependent when the smallest
+    singular value of E is within ``rank_tol`` of the largest.  When the
+    square-sum budget of ``eps_seq`` is within 1/8, both operator norms,
+    read off the singular values of T, are asserted to be at most 2.
     """
     E = np.asarray(e_hats, dtype=float)
     if E.ndim != 2:
@@ -593,13 +572,10 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     M, dim = E.shape
     if dim != ambient:
         raise ArgumentError(f"e_hats live in dimension {dim}, expected {ambient}")
-    _, s, vt = np.linalg.svd(E, full_matrices=True)
+    s = np.linalg.svd(E, compute_uv=False)
     if s.size < M or s[-1] <= rank_tol * s[0]:
         raise ArgumentError("e_hat vectors are linearly dependent")
-    Qperp = vt[M:]
-    A = np.vstack([E, Qperp]).T
-    B = np.vstack([np.eye(ambient)[:M], Qperp]).T
-    T = B @ np.linalg.inv(A)
+    T = np.eye(ambient) - (E - np.eye(M, ambient)).T @ np.linalg.solve(E @ E.T, E)
     sv = np.linalg.svd(T, compute_uv=False)
     norm, norm_inv = float(sv[0]), float(1.0 / sv[-1])
     if eps_seq is not None:
@@ -642,10 +618,9 @@ def t_asymptotics_check(T: np.ndarray, zs, eps_seq, strict: bool = True) -> Deca
     tail_sq = np.concatenate([np.cumsum((eps * eps)[::-1])[::-1], [0.0]])
     tails = np.sqrt(tail_sq)  # tails[k] = sqrt(sum_{i>k} eps_i^2), 0-based k
     measured = np.linalg.norm(Z @ T.T - Z, axis=1)
-    bounds = np.empty(Z.shape[0])
-    for i, row in enumerate(np.abs(Z)):
-        heads = np.concatenate([[0.0], np.cumsum(row)])
-        bounds[i] = float(np.min(heads + tails))
+    heads = np.zeros((Z.shape[0], dim + 1))  # heads[:, k] = sum_{i<=k} |a_i|
+    np.cumsum(np.abs(Z), axis=1, out=heads[:, 1:])
+    bounds = np.min(heads + tails, axis=1)
     table = DecayTable(measured, bounds)
     if strict and not bool(np.all(table.ok)):
         worst = int(np.argmax(measured - 2.0 * bounds))

@@ -8,6 +8,9 @@ representing-index window search and of the pathological-system
 verification, and the SVD-per-prefix representing and norming index
 builders, which the orthonormal-prefix kernel replaced, and the per-cell
 matrix CSV writer, which the once-per-distinct-value writer replaced.
+The per-n staircase, permutation, relabelling and permutation-table loops,
+the full-SVD operator T and the per-row distortion bounds follow; array
+expressions over the jump points and the Gram form of T replaced them.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -27,6 +30,16 @@ from mbasis_lab.biorth import (
 )
 from mbasis_lab.errors import ArgumentError, ConstructionError
 from mbasis_lab.io import fmt
+from mbasis_lab.pathology import (
+    BEYOND_TABLE,
+    EPS_SQ_BUDGET,
+    PermutationSpec,
+    PhiTable,
+    TOperator,
+    _as_f_table,
+    _check_phi_conditions,
+    verify_injective,
+)
 from mbasis_lab.representing import RepresentingIndices
 from mbasis_lab.subspace import ToleranceConfig, span_matrix
 
@@ -386,3 +399,168 @@ def write_matrix_csv(M: np.ndarray, path: str):
         for row in M:
             fh.write(",".join(fmt(v) for v in row))
             fh.write("\n")
+
+
+def build_phi(f, N: int) -> PhiTable:
+    """Unit-jump staircase phi below f with doubling plateaus, one threshold
+    scan of the whole table per jump."""
+    if N < 1:
+        raise ArgumentError("table length must be at least 1")
+    fv = _as_f_table(f, N)
+    if np.any(np.diff(fv) < -1e-12):
+        raise ArgumentError("f must be non-decreasing on the table")
+    if fv[-1] < 1.0:
+        raise ArgumentError("need f(N) >= 1 on the table")
+    if N > 1 and fv[-1] <= fv[0]:
+        raise ArgumentError("f is constant on the table, not divergent")
+
+    jumps = [1]
+    while True:
+        k_next = len(jumps) + 1
+        threshold = (k_next * k_next) / 4.0
+        above = np.nonzero(fv >= threshold)[0]
+        if above.size == 0:
+            break
+        candidate = max(2 * jumps[-1], int(above[0]) + 1)
+        if candidate > N:
+            break
+        jumps.append(candidate)
+
+    values = np.zeros(N, dtype=np.int64)
+    for k, n_k in enumerate(jumps, start=1):
+        values[n_k - 1:] = k
+    table = PhiTable(values, tuple(jumps), fv)
+    _check_phi_conditions(table)
+    return table
+
+
+def build_permutation(phi: PhiTable, N: int, exact: bool = False):
+    """The permutation by one pass over n = 1..N with a set of used values.
+
+    Returns ``(spec, free_trace)``, the free values in the order the cursor
+    handed them out.  Phi values beyond N are stored as exact values, so a
+    table longer than N fails the injectivity check.
+    """
+    if N > phi.N:
+        raise ArgumentError(f"phi tabulated to {phi.N} < N = {N}")
+    jumps = phi.jump_points
+    K = len(jumps)
+    Phi = np.full(N, BEYOND_TABLE, dtype=np.int64)
+    for n in range(1, N + 1):
+        if n + 1 <= K:
+            Phi[n - 1] = jumps[n] - 1  # first index of value n+1, minus one
+        elif exact:
+            raise ArgumentError(
+                f"phi table too short to evaluate Phi({n}) exactly; extend the "
+                f"table beyond {2 * jumps[-1]} entries"
+            )
+    gamma = np.array([j for j in jumps if j <= N], dtype=np.int64)
+    in_gamma = np.zeros(N + 1, dtype=bool)
+    in_gamma[gamma] = True
+
+    pi = np.full(N, BEYOND_TABLE, dtype=np.int64)
+    used: set = set()
+    free_cursor = 1
+    free_trace = []
+    for n in range(1, N + 1):
+        if in_gamma[n]:
+            while free_cursor in used:
+                free_cursor += 1
+            pi[n - 1] = free_cursor
+            used.add(free_cursor)
+            free_trace.append(free_cursor)
+            free_cursor += 1
+        else:
+            v = Phi[n - 1]
+            if v != BEYOND_TABLE:
+                pi[n - 1] = v
+                used.add(int(v))
+
+    spec = PermutationSpec(N, phi.f[:N], phi.values[:N], jumps, Phi, gamma, pi)
+    report = verify_injective(spec, N)
+    if not report:
+        raise ConstructionError("constructed permutation failed injectivity checks")
+    object.__setattr__(spec, "injective_verified", True)
+    return spec, np.array(free_trace, dtype=np.int64)
+
+
+def compactified(self: PermutationSpec, M: int, keep_below: int | None = None) -> np.ndarray:
+    """pi(1..M) with values above ``keep_below`` relabeled just above it,
+    one index at a time."""
+    if not 1 <= M <= self.N:
+        raise ArgumentError(f"need M within 1..{self.N}")
+    keep = M if keep_below is None else int(keep_below)
+    if keep < M:
+        raise ArgumentError("keep_below must not cut into the index range")
+    out = np.zeros(M, dtype=np.int64)
+    large = []
+    for j in range(1, M + 1):
+        v = self.pi[j - 1]
+        if v != BEYOND_TABLE and v <= keep:
+            out[j - 1] = v
+        else:
+            large.append(j)
+    # beyond-keep values are all of counting type and increase with j,
+    # so relabeling in j-order preserves their relative order
+    for rank, j in enumerate(large, start=1):
+        out[j - 1] = keep + rank
+    return out
+
+
+def save_permutation(spec: PermutationSpec, path: str, upto: int | None = None):
+    """Text table ``n phi Phi inGamma pi``, one formatted line per n."""
+    upto = spec.N if upto is None else min(int(upto), spec.N)
+    gamma = set(int(g) for g in spec.Gamma)
+    with open(path, "w") as fh:
+        fh.write("n phi Phi inGamma pi\n")
+        for n in range(1, upto + 1):
+            fh.write(
+                f"{n} {spec.phi[n - 1]} {spec.Phi[n - 1]} "
+                f"{1 if n in gamma else 0} {spec.pi[n - 1]}\n"
+            )
+
+
+def operator_T(e_hats, ambient: int, eps_seq=None,
+               rank_tol: float = 1e-10) -> TOperator:
+    """T = B A^-1 with A = [E; Q_perp]^T and B = [E_0; Q_perp]^T, the
+    complement basis Q_perp taken from a full SVD of E."""
+    E = np.asarray(e_hats, dtype=float)
+    if E.ndim != 2:
+        raise ArgumentError(f"e_hats must be a row matrix of shape (M, {ambient}), got {E.shape}")
+    M, dim = E.shape
+    if dim != ambient:
+        raise ArgumentError(f"e_hats live in dimension {dim}, expected {ambient}")
+    _, s, vt = np.linalg.svd(E, full_matrices=True)
+    if s.size < M or s[-1] <= rank_tol * s[0]:
+        raise ArgumentError("e_hat vectors are linearly dependent")
+    Qperp = vt[M:]
+    A = np.vstack([E, Qperp]).T
+    B = np.vstack([np.eye(ambient)[:M], Qperp]).T
+    T = B @ np.linalg.inv(A)
+    sv = np.linalg.svd(T, compute_uv=False)
+    norm, norm_inv = float(sv[0]), float(1.0 / sv[-1])
+    if eps_seq is not None:
+        eps = np.asarray(eps_seq, dtype=float)
+        if float(np.sum(eps * eps)) <= EPS_SQ_BUDGET + 1e-15:
+            if norm > 2.0 + 1e-9 or norm_inv > 2.0 + 1e-9:
+                raise ConstructionError(
+                    f"operator norms ({norm:.6f}, {norm_inv:.6f}) exceed 2 "
+                    "despite the eps budget"
+                )
+    return TOperator(T, norm, norm_inv)
+
+
+def distortion_bounds(Z: np.ndarray, eps_seq) -> np.ndarray:
+    """The coefficient-split bounds of ``t_asymptotics_check``, one row at a
+    time."""
+    dim = Z.shape[1]
+    eps = np.zeros(dim)
+    eps_in = np.asarray(eps_seq, dtype=float)
+    eps[:min(dim, eps_in.size)] = eps_in[:min(dim, eps_in.size)]
+    tail_sq = np.concatenate([np.cumsum((eps * eps)[::-1])[::-1], [0.0]])
+    tails = np.sqrt(tail_sq)  # tails[k] = sqrt(sum_{i>k} eps_i^2), 0-based k
+    bounds = np.empty(Z.shape[0])
+    for i, row in enumerate(np.abs(Z)):
+        heads = np.concatenate([[0.0], np.cumsum(row)])
+        bounds[i] = float(np.min(heads + tails))
+    return bounds

@@ -1,6 +1,7 @@
 """Matrix CSV writer: byte identity with the per-cell oracle, reader round trip,
-and golden digests of the pathological ``build-system`` artifacts and of the
-flattened system ``perturb --auto-strong`` writes."""
+and golden digests of the pathological ``build-system``, ``pathology`` and
+``unb`` artifacts and of the flattened system ``perturb --auto-strong``
+writes."""
 
 import hashlib
 import os
@@ -31,6 +32,32 @@ GOLDEN_N400 = {
     "system/X.csv": "1bd8fe9e5a5d473d25a15552e31a5b422ac1a5aacf8f172cdff36fb78c75c428",
     "system/F.csv": "28636fd05bbad94a94240b1ff88f684b1f915f3de3f241d668dc640a7a56b02b",
     "E.csv": "ca12245df161678dfec41e666ba6c618313d7b866a0db2d95a29f33ee9a0bd27",
+}
+
+#: sha256 of every artifact but ``run.json`` of ``pathology --truncation 128``,
+#: as written while the permutation and T were built by per-n loops and a full SVD
+GOLDEN_PATHOLOGY_128 = {
+    "E.csv": "7860525a833b280ab39d34649abc0dcb8a18de312ac110722a15c20aa1e975dd",
+    "omega_growth.csv": "b5640f20d48fef42fcee5c3d32bfc3277d326fb0fd93a20fcb2c15c6f9bceff7",
+    "omega_growth.json": "4143bb6a16c08572750b67dc08891382b4882c60097ec5478c32107f4ef0b028",
+    "pathology_report.csv": "9882d6caa27dac94f321deda5a90ac58a40e3979de237feddb0e6ef06ac35aff",
+    "pathology_report.json": "5db5ee2b87dc21ea29e8f25a430f3cca242218fd98312ff3653ec14238ba743b",
+    "permutation.txt": "f4d7021c866c22af89630f96b8185df40697008a804ee135a800d9d7f5267273",
+    "system/F.csv": "15562e94fd1b82aa2098f0a163bf91891b3d87becefa279a830693b7790eb94c",
+    "system/X.csv": "82483cb1ab25fbfb82c8f1f64f8b4ebb8f35d05ffe391dd19b5cbcb30165d2e7",
+    "system/header.txt": "2e275db8e8672d4e16a50016afe1f86cf6f85f14571f0ed5e6b1937c27e3007c",
+}
+
+#: sha256 of every artifact but ``run.json`` of ``unb`` (sizes 64, 128, 256), as
+#: written at the same point
+GOLDEN_UNB = {
+    "unb_64.csv": "e7fbb16fd70d5136cb97a13469af567e875f6cb82feef5312bb8d0b38a1990b5",
+    "unb_64.json": "085c71f92d7e96f3440f9f4feb56b82d127f1f83c453627cca88dfdfa365f1b2",
+    "unb_128.csv": "8a30e9c5b6978b5505433e0fcb21f4cd89fcf2e393b68666f1f897cd91bddb4d",
+    "unb_128.json": "0c9724633dbc3ef7fb53ae48ecfcb9d33c50e868822d271e01e87911012ce276",
+    "unb_256.csv": "e3af6912b4ff1af33077cf5073a1c46deaed27aee6010a75ecc09f38cef68795",
+    "unb_256.json": "0ebf0050129358e20a32d01163c9a30605b2c52da8f0053ae88d2bbe7b1e12be",
+    "unb_summary.json": "f3e6514b92722df14d80d2c9d169117f61b1328e869539faf56337ba1259bb43",
 }
 
 #: sha256 of the flattened system of ``perturb --auto-strong --truncation 128``,
@@ -99,6 +126,17 @@ def test_reader_inverts_writer(M):
     assert back.view(np.int64).tolist() == M.view(np.int64).tolist()
 
 
+def assert_golden(cfg, golden, tmp_path):
+    """Run ``cfg`` and compare the sha256 of every artifact but ``run.json``."""
+    assert run(cfg) == 0
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+               if p.is_file() and p.name != "run.json"}
+    assert written == set(golden)
+    digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
+               for rel in golden}
+    assert digests == golden
+
+
 def test_pathological_build_system_golden_digests(tmp_path):
     cfg = ExperimentConfig(command="build-system", kind="pathological", truncation=400,
                            out=str(tmp_path))
@@ -106,6 +144,16 @@ def test_pathological_build_system_golden_digests(tmp_path):
     digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
                for rel in GOLDEN_N400}
     assert digests == GOLDEN_N400
+
+
+def test_pathology_golden_digests(tmp_path):
+    cfg = ExperimentConfig(command="pathology", truncation=128, out=str(tmp_path))
+    assert_golden(cfg, GOLDEN_PATHOLOGY_128, tmp_path)
+
+
+def test_unb_golden_digests(tmp_path):
+    cfg = ExperimentConfig(command="unb", sizes=(64, 128, 256), out=str(tmp_path))
+    assert_golden(cfg, GOLDEN_UNB, tmp_path)
 
 
 def test_flattened_perturb_golden_digests(tmp_path):

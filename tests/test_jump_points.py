@@ -1,0 +1,140 @@
+"""The pathology layer against the per-n and full-SVD implementations in
+``oracles``: the staircase, the permutation, its relabelling and its table
+must come out exactly equal (refusals identical), operator T within
+rounding and the distortion bounds exactly equal."""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from mbasis_lab import io as mio
+from mbasis_lab.errors import ArgumentError, ConstructionError
+from mbasis_lab.pathology import (
+    build_pathological_system,
+    build_permutation,
+    build_phi,
+    default_eps_sequence,
+    operator_T,
+    t_asymptotics_check,
+    _gram_schmidt_rows,
+)
+
+SIZES = [1, 2, 3, 5, 16, 64, 257, 2048, 10**4]
+
+
+def unb_table(N):
+    """f as ``unb_experiment`` tabulates it for lambda_m = m and truncation
+    N / 2: log2 of one plus the count of lambda values up to n."""
+    return np.log2(1.0 + np.minimum(np.arange(1, N + 1), max(N // 2, 1)))
+
+
+def uniform_cumsum(N):
+    return np.cumsum(np.random.default_rng(7).uniform(size=N))
+
+
+def dipping(N):
+    """Plateaus at q/4 whose middle entry pokes 1e-13 above the level and
+    whose last entry dips back below it, within the input check's slack."""
+    n = np.arange(1, N + 1)
+    return (n // 3) / 4.0 - 1e-13 + 2e-13 * (n % 3 == 1)
+
+
+TARGETS = {
+    "n": lambda N: (lambda n: float(n)),
+    "unb": unb_table,
+    "3sqrt": lambda N: (lambda n: 3.0 * math.sqrt(n)),
+    "uniform": uniform_cumsum,
+    "dipping": dipping,
+}
+
+
+def outcome(fn, *args):
+    """(result, None), or (None, (type, message)) for a refusal."""
+    try:
+        return fn(*args), None
+    except (ArgumentError, ConstructionError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("target", TARGETS)
+def test_permutation_matches_per_n_oracle(target, N, tmp_path):
+    f = TARGETS[target](N)
+    phi, refusal = outcome(build_phi, f, N)
+    old_phi, old_refusal = outcome(oracles.build_phi, f, N)
+    assert refusal == old_refusal
+    if refusal:
+        return
+    assert_same_array(phi.values, old_phi.values)
+    assert_same_array(phi.f, old_phi.f)
+    assert phi.jump_points == old_phi.jump_points
+
+    for exact in (False, True):
+        spec, refusal = outcome(build_permutation, phi, N, exact)
+        old, old_refusal = outcome(oracles.build_permutation, old_phi, N, exact)
+        assert refusal == old_refusal
+        if refusal:
+            continue
+        old_spec, free_trace = old
+        for name in ("f", "phi", "Phi", "Gamma", "pi"):
+            assert_same_array(getattr(spec, name), getattr(old_spec, name))
+        assert spec.jump_points == old_spec.jump_points
+        assert spec.injective_verified
+        assert_same_array(spec.pi[spec.Gamma - 1], free_trace)
+
+    spec = build_permutation(phi, N)
+    for M in sorted({1, max(N // 3, 1), N}):
+        for keep in (None, M, N, 2 * N):
+            assert_same_array(spec.compactified(M, keep),
+                              oracles.compactified(spec, M, keep))
+    for upto in (None, max(N // 2, 1)):
+        mio.save_permutation(spec, str(tmp_path / "new.txt"), upto)
+        oracles.save_permutation(spec, str(tmp_path / "old.txt"), upto)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+@pytest.mark.parametrize("N", [64, 200, 400])
+def test_operator_T_matches_full_svd_oracle(N):
+    spec = build_permutation(build_phi(lambda n: float(n), 4 * N), 4 * N)
+    eps = default_eps_sequence(N)
+    system, E = build_pathological_system(spec, eps, N)
+    d = system.ambient_dim
+    new = operator_T(E, d, eps_seq=eps)
+    old = oracles.operator_T(E, d, eps_seq=eps)
+    assert np.max(np.abs(new.matrix - old.matrix)) <= 4 * d * 2.0**-53
+    for a, b in ((new.norm, old.norm), (new.norm_inv, old.norm_inv)):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    Z = _gram_schmidt_rows(E, system.tol.rank_tol)
+    bounds = t_asymptotics_check(new.matrix, Z, eps, strict=True).bounds
+    assert_same_array(bounds, oracles.distortion_bounds(Z, eps))
+
+
+@pytest.mark.parametrize("e_hats,ambient", [
+    (np.array([[1.0, 0.0], [2.0, 0.0]]), 2),
+    (np.eye(3), 3),
+    (np.eye(3)[:2], 4),
+    (np.ones(3), 3),
+    (np.ones((3, 2)), 2),
+], ids=["dependent", "identity", "wrong-ambient", "one-dimensional", "too-many-rows"])
+def test_operator_T_refusals_match_oracle(e_hats, ambient):
+    top, refusal = outcome(operator_T, e_hats, ambient)
+    old, old_refusal = outcome(oracles.operator_T, e_hats, ambient)
+    assert refusal == old_refusal
+    if not refusal:
+        assert np.array_equal(top.matrix, old.matrix)
+
+
+@pytest.mark.parametrize("count,dim,n_eps", [(1, 1, 1), (5, 8, 3), (7, 6, 12), (40, 64, 64)])
+def test_distortion_bounds_match_oracle(count, dim, n_eps):
+    rng = np.random.default_rng(count * dim)
+    Z = rng.standard_normal((count, dim))
+    eps = 0.25 * rng.uniform(size=n_eps) ** 4
+    bounds = t_asymptotics_check(np.eye(dim), Z, eps, strict=False).bounds
+    assert_same_array(bounds, oracles.distortion_bounds(Z, eps))

@@ -111,6 +111,15 @@ class TestBuildPermutation:
         # a sentinel value is known to exceed the table length
         assert spec.pi_value(int(sentinel[0]) + 1) is None
 
+    def test_longer_staircase_table_stores_large_phi_as_sentinel(self):
+        # Phi(6) = 63 is known from a table of 64 but exceeds N = 32; it is
+        # stored as the sentinel, exactly as a table of 32 leaves it
+        long = build_permutation(build_phi(lambda n: float(n), 64), 32)
+        short = build_permutation(build_phi(lambda n: float(n), 32), 32)
+        assert long.Phi[5] == BEYOND_TABLE
+        for name in ("pi", "Phi", "Gamma"):
+            assert np.array_equal(getattr(long, name), getattr(short, name))
+
     def test_image_covers_initial_segments(self):
         # the minimal-unused cursor makes the image swallow 1..g after the
         # g-th jump-set element has been processed
@@ -209,6 +218,22 @@ class TestPathologicalSystem:
         bad = np.full(16, 0.2)  # sum of squares 0.64 > 1/8
         with pytest.raises(ArgumentError, match="1/8"):
             build_pathological_system(spec, bad, 16, 64)
+
+    @pytest.mark.parametrize("N", [16, 64, 400])
+    def test_corrections_within_budget_without_slack(self, N):
+        # eps_n just below a power of two: t_n must be the next power down
+        spec = make_spec(N)
+        eps = np.nextafter(default_eps_sequence(N), 0)
+        system, e_hats = build_pathological_system(spec, eps, N)
+        lengths = np.linalg.norm(e_hats - np.eye(N, system.ambient_dim), axis=1)
+        assert np.all(lengths <= eps)
+
+    def test_nan_eps_refused(self):
+        spec = make_spec(16)
+        eps = default_eps_sequence(16)
+        eps[2] = np.nan
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            build_pathological_system(spec, eps, 16)
 
     def test_zero_eps_where_needed_fails(self):
         spec = make_spec(16)
