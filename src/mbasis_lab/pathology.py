@@ -92,14 +92,20 @@ class PhiTable:
         return int(self.values[n - 1])
 
 
-def _as_f_table(f, N: int) -> np.ndarray:
+def _table(f, N: int, too_short: str) -> np.ndarray:
+    """f(1..N) as floats for a callable ``f``, else the first N entries of
+    the table ``f``; a shorter table is refused with ``too_short`` formatted
+    with its length and N."""
     if callable(f):
-        vals = np.array([float(f(n)) for n in range(1, N + 1)])
-    else:
-        vals = np.asarray(f, dtype=float)
-        if vals.size < N:
-            raise ArgumentError(f"f table of length {vals.size} shorter than N={N}")
-        vals = vals[:N]
+        return np.fromiter(map(float, map(f, range(1, N + 1))), float, N)
+    vals = np.asarray(f, dtype=float)
+    if vals.size < N:
+        raise ArgumentError(too_short.format(vals.size, N))
+    return vals[:N]
+
+
+def _as_f_table(f, N: int) -> np.ndarray:
+    vals = _table(f, N, "f table of length {} shorter than N={}")
     if not np.all(np.isfinite(vals)):
         raise ArgumentError("f must be finite on the table")
     return vals
@@ -848,13 +854,7 @@ def orthonormalized_duals(system: BiorthSystem, Z: np.ndarray, p: int) -> np.nda
 
 
 def _lambda_table(lambdas, N: int) -> np.ndarray:
-    if callable(lambdas):
-        lam = np.array([float(lambdas(m)) for m in range(1, N + 1)])
-    else:
-        lam = np.asarray(lambdas, dtype=float)
-        if lam.size < N:
-            raise ArgumentError(f"lambda table of length {lam.size} shorter than {N}")
-        lam = lam[:N]
+    lam = _table(lambdas, N, "lambda table of length {} shorter than {}")
     if np.any(lam <= 0) or np.any(np.diff(lam) < 0):
         raise ArgumentError("lambda schedule must be positive and non-decreasing")
     return lam

@@ -16,7 +16,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError, SingularGramError
-from .subspace import dual_solve, orthonormal_rows, span_gap, svd_basis
+from .subspace import dual_solve, prefix_coordinates, span_gap, svd_basis
 
 __all__ = [
     "BlockPartition",
@@ -154,17 +154,15 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
     Z = np.zeros_like(sys.xs)
     for j, blk in enumerate(p.blocks, start=1):
         rows = [n - 1 for n in blk]
-        block_f = sys.fs[rows]
-        block_x = sys.xs[rows]
-        Qf = orthonormal_rows(block_f, tol.rank_tol)
-        for n in rows:
-            resid = D[n] - Qf.T @ (Qf @ D[n])
-            if np.linalg.norm(resid) > tol.span_tol * max(1.0, np.linalg.norm(D[n])):
-                raise ArgumentError(
-                    f"replacement functional {n + 1} leaves the span of block {j}"
-                )
+        outside = prefix_coordinates(sys.fs[rows], D[rows], tol.rank_tol)[1]
+        leaving = outside > tol.span_tol * np.maximum(1.0, np.linalg.norm(D[rows], axis=1))
+        if leaving.any():
+            raise ArgumentError(
+                f"replacement functional {rows[np.argmax(leaving)] + 1} leaves the span "
+                f"of block {j}"
+            )
         try:
-            Z[rows] = dual_solve(D[rows], block_x, tol.rank_tol, tol.biorth_tol)
+            Z[rows] = dual_solve(D[rows], sys.xs[rows], tol.rank_tol, tol.biorth_tol)
         except SingularGramError as exc:
             raise ConstructionError(
                 f"block {j} cross-Gram is singular; use a smaller block or a "

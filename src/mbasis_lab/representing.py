@@ -28,7 +28,7 @@ import numpy as np
 from .biorth import BiorthSystem, norming_constant_estimate
 from .errors import ArgumentError
 from .perturbations import BlockPartition
-from .subspace import as_vector, distance_to_span, prefix_bases, project
+from .subspace import as_vector, distance_to_span, prefix_bases, prefix_coordinates, project
 
 __all__ = [
     "RepresentingIndices",
@@ -90,13 +90,15 @@ class RepresentingIndices:
 
 
 def _window_table(sys: BiorthSystem, head_end: int):
-    """W = QH^T Q and the tail's prefix ranks, from two :func:`prefix_bases`
-    factorizations: QH spans the head x_1..x_head_end and the first
-    rank[p - head_end] columns of Q span the window x_{head_end+1}..x_p."""
+    """W = QH^T Q and the tail's prefix ranks: QH (from :func:`prefix_bases`)
+    spans the head x_1..x_head_end and the first rank[p - head_end] columns
+    of Q span the window x_{head_end+1}..x_p.  W holds the coordinates of
+    the head directions on the tail's prefix directions, read off the R
+    factor of one :func:`prefix_coordinates` QR, which never forms Q."""
     tol = sys.tol.rank_tol
     QH = prefix_bases(sys.xs[:head_end], tol)[0]
-    Q, _, rank = prefix_bases(sys.xs[head_end:], tol)
-    return QH.T @ Q, rank
+    W, _, rank = prefix_coordinates(sys.xs[head_end:], QH.T, tol)
+    return W, rank
 
 
 def _window_defect(W: np.ndarray, k: int) -> float:
@@ -119,8 +121,8 @@ def window_approximation_defect(sys: BiorthSystem, head_end: int, p: int) -> flo
     empty head and at p = N, where window and tail coincide).
     """
     N = sys.size
-    if not head_end < p <= N:
-        raise ArgumentError(f"need head_end < p <= {N}, got ({head_end}, {p})")
+    if not 0 <= head_end < p <= N:
+        raise ArgumentError(f"need 0 <= head_end < p <= {N}, got ({head_end}, {p})")
     if p == N:
         return 0.0
     W, rank = _window_table(sys, head_end)
@@ -219,7 +221,11 @@ def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
     orthonormalized functional prefix f_1..f_rho and the orthonormalized
     head x_1..x_p; at least c here certifies the norming property for
     every unit v of the head, hence for every point of any net of it.
+    Both prefixes must lie in 1..N.
     """
+    N = sys.size
+    if not (1 <= p <= N and 1 <= rho <= N):
+        raise ArgumentError(f"need 1 <= p <= {N} and 1 <= rho <= {N}, got ({p}, {rho})")
     tol = sys.tol.rank_tol
     return _cross_minimum(prefix_bases(sys.xs[:p], tol)[0], prefix_bases(sys.fs[:rho], tol)[0])
 
@@ -467,9 +473,13 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     or a last violator n0 exists with every later index within budget
     (case B); in case B the block containing n0 is checked to carry only
     nonzero z-coefficients of x.  Residuals are distances from x to the
-    span of those z_n (n below each requested prefix) whose coefficient is
-    above biorth_tol.
+    span of those z_n (n up to each requested prefix, in 1..N) whose
+    coefficient is above biorth_tol.
     """
+    prefixes = [zsys.size] if prefixes is None else [int(N) for N in prefixes]
+    bad = [N for N in prefixes if not 1 <= N <= zsys.size]
+    if bad:
+        raise ArgumentError(f"prefixes must lie in 1..{zsys.size}, got {bad}")
     eps = [float(e) for e in eps]
     if len(eps) < trace.partition.count:
         raise ArgumentError(f"need {trace.partition.count} epsilons, got {len(eps)}")
@@ -498,14 +508,12 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
         claim_ok = all(abs(coeff_z[n - 1]) > btol for n in block)
         verdicts.append(BoundVerdict(bound, "B", n0, claim_ok, block))
 
-    if prefixes is None:
-        prefixes = [zsys.size]
     residuals = {}
     for N in prefixes:
-        idx = [n for n in range(1, int(N) + 1) if abs(coeff_z[n - 1]) > btol]
+        idx = [n for n in range(1, N + 1) if abs(coeff_z[n - 1]) > btol]
         if idx:
-            residuals[int(N)] = distance_to_span(xv, zsys.xs[[i - 1 for i in idx]],
-                                                 zsys.tol.rank_tol)
+            residuals[N] = distance_to_span(xv, zsys.xs[[i - 1 for i in idx]],
+                                            zsys.tol.rank_tol)
         else:
-            residuals[int(N)] = 1.0
+            residuals[N] = 1.0
     return StrongnessReport(tuple(verdicts), residuals)

@@ -2,10 +2,15 @@
 
 Vectors are points of a finite truncation of l2, represented as 1-d float
 arrays.  Subspaces are given by row matrices of spanning vectors and
-orthonormalized by one kernel, :func:`prefix_bases` (Householder QR of the
-normalized rows, Gram-Schmidt rank test), which keeps distances and span
-comparisons stable on the ill-conditioned systems produced elsewhere in
-this package; :func:`svd_basis` serves only outputs defined in its basis.
+factored by one kernel: a Householder QR of the normalized rows with
+Gram-Schmidt's rank test, which keeps distances and span comparisons
+stable on the ill-conditioned systems produced elsewhere in this package.
+:func:`prefix_bases` forms its Q.  :func:`prefix_coordinates` factors the
+rows together with a few vectors and reads their coordinates on the prefix
+directions and their distances to the span off the R factor alone, without
+forming Q; :func:`distance_to_span`, :func:`project` and the rank check of
+:func:`dual_solve` use it.  :func:`svd_basis` serves only outputs defined
+in its basis.
 
 Results are plain arrays: a point is a 1-d array, a family of points a
 row matrix.  The :class:`TruncatedVector` and :class:`SubspaceBasis`
@@ -35,6 +40,7 @@ __all__ = [
     "orthonormal_rows",
     "svd_basis",
     "prefix_bases",
+    "prefix_coordinates",
     "tail_norms",
     "distance_to_span",
     "project",
@@ -180,35 +186,83 @@ def svd_basis(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     return vt[:int(np.sum(s > rank_tol * s[0]))]
 
 
+def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
+    """Householder QR of [M_hat^T | V^T] under Gram-Schmidt's rank test.
+
+    M_hat is M with normalized rows.  A row of M within ``rank_tol`` of the
+    span before it (|R_jj|), or a zero row, adds no direction: the QR is
+    redone without the first such row and every later row within
+    ``rank_tol`` of the directions before it (its column of R below them),
+    which Gram-Schmidt drops too.  Rows past a basis of the whole space are
+    dependent.  V's columns come last, so they never change the rank.
+
+    Returns ``(Q, R, kept)`` with ``kept`` the r rows of M that add a
+    direction and R = [[R11, R12], [0, R22]], diag(R11) > 0: R11 (r x r)
+    factors the kept rows, R12 holds V's coordinates on the r directions
+    and R22 the part of V outside their span.  Q is those d x r directions
+    when V is None; given V, the QR runs with ``mode="r"`` and Q is None.
+    """
+    M = np.asarray(M, dtype=float)
+    norms = np.linalg.norm(M, axis=1)
+    kept = np.flatnonzero(norms > 0)
+    while True:
+        A = (M[kept] / norms[kept, None]).T
+        if V is None:
+            Q, R = np.linalg.qr(A)
+        else:
+            Q, R = None, np.linalg.qr(np.concatenate([A, V.T], axis=1), mode="r")
+        n = kept.size
+        bad = np.flatnonzero(np.abs(np.diagonal(R[:, :n])) <= rank_tol)
+        if not bad.size:
+            break
+        b = bad[0]
+        kept = np.delete(kept, b + np.flatnonzero(np.linalg.norm(R[b:, b:n], axis=0) <= rank_tol))
+    r = min(n, M.shape[1])
+    signs = np.where(np.diagonal(R)[:r] < 0, -1.0, 1.0)
+    R = np.concatenate([R[:, :r], R[:, n:]], axis=1)
+    R[:r] *= signs[:, None]
+    return None if Q is None else Q * signs, R, kept[:r]
+
+
 def prefix_bases(M: np.ndarray, rank_tol: float = 1e-10):
     """Orthonormal bases of every row prefix of ``M`` from one Householder QR.
 
     Factors the normalized rows as M_hat^T = Q R (``numpy.linalg.qr``) with
     diag(R) > 0, so column j of Q is the direction modified Gram-Schmidt
     adds for row j.  Rank semantics are Gram-Schmidt's relative residual
-    test: a row within ``rank_tol`` of the span before it (|R_jj|), or a
-    zero row, adds no direction.  The QR is redone without the first such
-    row and every later row within ``rank_tol`` of the directions before it
-    (its column of R below them), which Gram-Schmidt drops too.
+    test, shared with :func:`prefix_coordinates`: a row within ``rank_tol``
+    of the span before it, or a zero row, adds no direction.
 
     Returns ``(Q, R, rank)``: Q (d x r) orthonormal columns, R the r x r
     factor of the kept rows, and ``Q[:, :rank[k]]`` spans the first k rows
     (k = 0..n).  Cost O(d r^2) per factorization.
     """
-    M = np.asarray(M, dtype=float)
-    norms = np.linalg.norm(M, axis=1)
-    kept = np.flatnonzero(norms > 0)
-    while True:
-        Q, R = np.linalg.qr((M[kept] / norms[kept, None]).T)
-        bad = np.flatnonzero(np.abs(np.diagonal(R)) <= rank_tol)
-        if not bad.size:
-            break
-        b = bad[0]
-        kept = np.delete(kept, b + np.flatnonzero(np.linalg.norm(R[b:, b:], axis=0) <= rank_tol))
-    # rows past a basis of the whole space are dependent
-    kept, R = kept[:Q.shape[1]], R[:, :Q.shape[1]]
-    signs = np.where(np.diagonal(R) < 0, -1.0, 1.0)
-    return Q * signs, R * signs[:, None], np.searchsorted(kept, np.arange(len(M) + 1))
+    Q, R, kept = _prefix_qr(M, None, rank_tol)
+    return Q, R, np.searchsorted(kept, np.arange(len(M) + 1))
+
+
+def prefix_coordinates(M: np.ndarray, V: np.ndarray, rank_tol: float = 1e-10):
+    """Coordinates of the rows of ``V`` on the prefix directions of ``M``,
+    and their distances to span(M), from the R factor of one QR.
+
+    Factors [M_hat^T | V^T] = Q [[R11, R12], [0, R22]] with
+    ``numpy.linalg.qr(..., mode="r")`` under the rank semantics of
+    :func:`prefix_bases`, so the r prefix directions are Q's first r
+    columns, and V^T = Q[:, :r] R12 + Q[:, r:] R22 gives R12^T = V Q[:, :r]
+    and the column norms of R22 as the distances (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., 5.3).  Q is never formed, which halves
+    the cost of a QR that forms it when V has few rows.
+
+    Returns ``(C, outside, rank)``: C (k x r) the coordinates, ``outside``
+    (k,) the norms of the parts of the V rows outside span(M), exactly 0
+    when M spans the whole space, and ``rank`` the prefix rank table of
+    :func:`prefix_bases`, so ``C[:, :rank[j]]`` are the coordinates on the
+    span of the first j rows of M.
+    """
+    V = np.asarray(V, dtype=float)
+    _, R, kept = _prefix_qr(M, V, rank_tol)
+    r, rank = kept.size, np.searchsorted(kept, np.arange(len(M) + 1))
+    return R[:r, r:].T, np.linalg.norm(R[r:, r:], axis=0), rank
 
 
 def tail_norms(V: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -223,34 +277,32 @@ def tail_norms(V: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(tails + np.einsum("ij,ij->i", out, out)[:, None])
 
 
-def _head_basis(S, x_dim: int, rank_tol: float) -> np.ndarray:
-    M = span_matrix(S, ambient_dim=None)
-    if M.shape[0] and M.shape[1] != x_dim:
-        raise ArgumentError(
-            f"ambient dimension mismatch: vector has {x_dim}, span has {M.shape[1]}"
-        )
-    return orthonormal_rows(M, rank_tol)
+def _span_rows(S, x: np.ndarray) -> np.ndarray:
+    """The spanning rows of ``S`` as a matrix as wide as ``x``."""
+    return span_matrix(S, ambient_dim=x.size).reshape(-1, x.size)
 
 
 def distance_to_span(x, S, rank_tol: float = 1e-10) -> float:
-    """Distance from ``x`` to the span of ``S`` (orthogonal projection residual)."""
+    """Distance from ``x`` to the span of ``S``: the norm of R22 in
+    :func:`prefix_coordinates`, without forming a basis of the span."""
     xv = as_vector(x)
-    Q = _head_basis(S, xv.size, rank_tol)
-    if Q.shape[0] == 0:
-        return float(np.linalg.norm(xv))
-    resid = xv - Q.T @ (Q @ xv)
-    return float(np.linalg.norm(resid))
+    return float(prefix_coordinates(_span_rows(S, xv), xv[None], rank_tol)[1][0])
 
 
 def project(x, S, rank_tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Orthogonal projection of ``x`` onto span(S) and the residual norm."""
+    """Orthogonal projection of ``x`` onto span(S) and the residual norm.
+
+    From the QR of :func:`prefix_coordinates`: the kept normalized rows
+    factor as S_hat^T = Q R11, so the projection Q R12 is S_hat^T solved
+    against the triangular R11, and the residual norm is that of R22.  Q is
+    never formed.
+    """
     xv = as_vector(x)
-    Q = _head_basis(S, xv.size, rank_tol)
-    if Q.shape[0] == 0:
-        proj = np.zeros_like(xv)
-    else:
-        proj = Q.T @ (Q @ xv)
-    return proj, float(np.linalg.norm(xv - proj))
+    M = _span_rows(S, xv)
+    _, R, kept = _prefix_qr(M, xv[None], rank_tol)
+    r = kept.size
+    unit = M[kept] / np.linalg.norm(M[kept], axis=1)[:, None]
+    return unit.T @ np.linalg.solve(R[:r, :r], R[:r, r]), float(np.linalg.norm(R[r:, r]))
 
 
 def span_gap(S1, S2, rank_tol: float = 1e-10) -> float:
@@ -362,7 +414,7 @@ def dual_solve(vectors, within, rank_tol: float = 1e-10,
         raise ArgumentError(
             f"need dim(within) == number of vectors, got {W.shape[0]} != {k}"
         )
-    if orthonormal_rows(V, rank_tol).shape[0] != k:
+    if prefix_coordinates(V, V[:0], rank_tol)[2][-1] != k:
         raise SingularGramError("input vectors are linearly dependent above rank_tol")
     G = V @ W.T
     s = np.linalg.svd(G, compute_uv=False)

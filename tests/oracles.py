@@ -11,6 +11,10 @@ matrix CSV writer, which the once-per-distinct-value writer replaced.
 The per-n staircase, permutation, relabelling and permutation-table loops,
 the full-SVD operator T and the per-row distortion bounds follow; array
 expressions over the jump points and the Gram form of T replaced them.
+Last come the window table, ``distance_to_span``, ``project`` and the
+per-row span check of ``flattened_from_duals`` as they were when they
+formed the Q of the QR kernel; coordinates read off the R factor of one
+augmented QR replaced them.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -41,7 +45,8 @@ from mbasis_lab.pathology import (
     verify_injective,
 )
 from mbasis_lab.representing import RepresentingIndices
-from mbasis_lab.subspace import ToleranceConfig, span_matrix
+from mbasis_lab.subspace import ToleranceConfig, as_vector, prefix_bases, span_matrix
+from mbasis_lab.subspace import orthonormal_rows as qr_rows
 
 
 def orthonormal_rows(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -564,3 +569,70 @@ def distortion_bounds(Z: np.ndarray, eps_seq) -> np.ndarray:
         heads = np.concatenate([[0.0], np.cumsum(row)])
         bounds[i] = float(np.min(heads + tails))
     return bounds
+
+
+# ---------------------------------------------------------------------------
+# Q-forming window table, distances, projections and span check.  Copied
+# verbatim, except that the QR kernel's ``orthonormal_rows`` is ``qr_rows``
+# here (this module's ``orthonormal_rows`` is the SVD one) and the span
+# check returns the residual norms it tests.
+
+
+def _window_table(sys: BiorthSystem, head_end: int):
+    """W = QH^T Q and the tail's prefix ranks, from two :func:`prefix_bases`
+    factorizations: QH spans the head x_1..x_head_end and the first
+    rank[p - head_end] columns of Q span the window x_{head_end+1}..x_p."""
+    tol = sys.tol.rank_tol
+    QH = prefix_bases(sys.xs[:head_end], tol)[0]
+    Q, _, rank = prefix_bases(sys.xs[head_end:], tol)
+    return QH.T @ Q, rank
+
+
+def _head_basis(S, x_dim: int, rank_tol: float) -> np.ndarray:
+    M = span_matrix(S, ambient_dim=None)
+    if M.shape[0] and M.shape[1] != x_dim:
+        raise ArgumentError(
+            f"ambient dimension mismatch: vector has {x_dim}, span has {M.shape[1]}"
+        )
+    return qr_rows(M, rank_tol)
+
+
+def distance_to_span(x, S, rank_tol: float = 1e-10) -> float:
+    """Distance from ``x`` to the span of ``S`` (orthogonal projection residual)."""
+    xv = as_vector(x)
+    Q = _head_basis(S, xv.size, rank_tol)
+    if Q.shape[0] == 0:
+        return float(np.linalg.norm(xv))
+    resid = xv - Q.T @ (Q @ xv)
+    return float(np.linalg.norm(resid))
+
+
+def project(x, S, rank_tol: float = 1e-10) -> tuple[np.ndarray, float]:
+    """Orthogonal projection of ``x`` onto span(S) and the residual norm."""
+    xv = as_vector(x)
+    Q = _head_basis(S, xv.size, rank_tol)
+    if Q.shape[0] == 0:
+        proj = np.zeros_like(xv)
+    else:
+        proj = Q.T @ (Q @ xv)
+    return proj, float(np.linalg.norm(xv - proj))
+
+
+def block_span_residuals(sys: BiorthSystem, p, D: np.ndarray) -> list[float]:
+    """The per-row span check of ``flattened_from_duals``: the distance of
+    each replacement functional to its block's functional span, refused as
+    there when one leaves it."""
+    tol = sys.tol
+    out = []
+    for j, blk in enumerate(p.blocks, start=1):
+        rows = [n - 1 for n in blk]
+        block_f = sys.fs[rows]
+        Qf = qr_rows(block_f, tol.rank_tol)
+        for n in rows:
+            resid = D[n] - Qf.T @ (Qf @ D[n])
+            out.append(float(np.linalg.norm(resid)))
+            if np.linalg.norm(resid) > tol.span_tol * max(1.0, np.linalg.norm(D[n])):
+                raise ArgumentError(
+                    f"replacement functional {n + 1} leaves the span of block {j}"
+                )
+    return out

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from mbasis_lab import io as mio
+from mbasis_lab.biorth import BiorthSystem
 from mbasis_lab.cli import ExperimentConfig, run
 from mbasis_lab.pathology import (
     build_pathological_system,
@@ -65,6 +66,24 @@ GOLDEN_UNB = {
 GOLDEN_PERTURB_128 = {
     "flattened/X.csv": "464be08346eba2bdbc35977a390be5cf2c0e785c3a675e5e6f92fc2fd724d869",
     "flattened/F.csv": "d6c973a983c1753d52a5483ca68fe5971b8c77608b8e5dd0447b8211fd4ca7a0",
+}
+
+#: sha256 of every artifact but ``run.json`` of depth-8 ``represent`` (plain and
+#: norming write the same files) and ``perturb --auto-strong`` on the stored
+#: staged-coupling system at n = 512, as written while window tables,
+#: projections and span checks formed an explicit Q
+GOLDEN_STAGED_512_REPRESENT = {
+    "indices.txt": "4feb8ee3a87cbb3528710c179c6bb2a14027975a47b311c492e2ef59b53f5d73",
+    "indices_report.csv": "bc154c322318d4de878ce099a31e5240a77b2cddbc3c643566f1eb52ba15a59f",
+    "indices_report.json": "1c50ee913e55d11c04f3bb07d3ffb5d63a6a70126594a19ddcddf93da4930669",
+}
+GOLDEN_STAGED_512_PERTURB = {
+    "flattened/F.csv": "9664ecdf2f6b3b2d938a930d14bc78115364b5700d8d19949bdbe8e2f2dca51f",
+    "flattened/X.csv": "646d554930adf30c1e1dd9ba3100a09251adbc87c0ff1c9f040fe14a7915b478",
+    "flattened/header.txt": "b129a77bd7b2ffc43cd33e7baca8430dd885f479a5f15da15226aff33df0d873",
+    "flattening_report.csv": "c6c1a1a8809cb7188c572063987d2d4ef856407104ce5454cb9e3a6e8f4966b5",
+    "flattening_report.json": "c672c3b8e8f6bcf6cf6e42a007e2aaf2cd46ce35ac2685d79beb97e0f3b10b06",
+    "partition.txt": "010a731ae6680d9cf102887326b9c6e1deb4dccda530c5c0a2da896b5009847c",
 }
 
 
@@ -163,3 +182,31 @@ def test_flattened_perturb_golden_digests(tmp_path):
     digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
                for rel in GOLDEN_PERTURB_128}
     assert digests == GOLDEN_PERTURB_128
+
+
+def staged_coupling_system(n):
+    """The benchmark's staged-coupling system (``perfbench/workloads.py``):
+    x_s = e_s + 0.9 e_t and f_t = e_t - 0.9 e_s for each coupling (s, t)."""
+    X, F = np.eye(n), np.eye(n)
+    for s, t in ((2, 7), (3, 15), (8, 30), (16, 60), (31, 100), (61, n)):
+        X[s - 1, t - 1] = 0.9
+        F[t - 1, s - 1] = -0.9
+    return BiorthSystem.from_pairs(X, F)
+
+
+@pytest.fixture(scope="module")
+def staged_512_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("staged") / "system"
+    mio.save_system(staged_coupling_system(512), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,extra,golden", [
+    ("represent", {}, GOLDEN_STAGED_512_REPRESENT),
+    ("represent", {"variant": "norming"}, GOLDEN_STAGED_512_REPRESENT),
+    ("perturb", {"auto_strong": True}, GOLDEN_STAGED_512_PERTURB),
+], ids=["represent-plain", "represent-norming", "perturb-auto-strong"])
+def test_staged_512_golden_digests(command, extra, golden, staged_512_dir, tmp_path):
+    cfg = ExperimentConfig(command=command, input_system=staged_512_dir, depth=8,
+                           out=str(tmp_path), **extra)
+    assert_golden(cfg, golden, tmp_path)

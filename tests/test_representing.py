@@ -405,3 +405,27 @@ def test_invalid_input_vector_refused(call, x, match):
     }[call]
     with pytest.raises(ArgumentError, match=match):
         run()
+
+
+def test_window_defect_refuses_head_out_of_range():
+    sys = BiorthSystem.canonical(8)
+    with pytest.raises(ArgumentError, match=r"need 0 <= head_end < p <= 8, got \(-3, 5\)"):
+        window_approximation_defect(sys, -3, 5)
+
+
+@pytest.mark.parametrize("p,rho", [(9, 8), (12, 4), (-3, 4), (0, 4), (4, 9), (4, -2), (4, 0)])
+def test_norming_minimum_refuses_prefixes_out_of_range(p, rho):
+    # p > N or p < 0 sliced from the end and read 0.0; p = 0 read 1.0
+    sys = BiorthSystem.canonical(8)
+    with pytest.raises(ArgumentError, match=r"need 1 <= p <= 8 and 1 <= rho <= 8"):
+        norming_property_minimum(sys, p, rho)
+
+
+@pytest.mark.parametrize("prefixes", [[129], [0], [-5], [64, 129]])
+def test_strongness_diagnostic_refuses_prefixes_out_of_range(prefixes):
+    # 129 raised a bare IndexError; 0 and -5 silently read residual 1.0
+    sys = BiorthSystem.canonical(128)
+    trace = strong_partition(build_representing_indices(sys, 6), 2)
+    with pytest.raises(ArgumentError, match=r"prefixes must lie in 1\.\.128"):
+        strongness_diagnostic(e(1, 128), sys, sys, trace, trace.partition.epsilons,
+                              prefixes=prefixes)
