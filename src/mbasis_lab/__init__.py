@@ -3,9 +3,7 @@
 __version__ = "0.1.0"
 
 from .subspace import (  # noqa: F401
-    SubspaceBasis,
     ToleranceConfig,
-    TruncatedVector,
     distance_to_span,
     dual_solve,
     project,

@@ -23,11 +23,11 @@ from .subspace import (
     distance_to_span,
     orthonormal_rows,
     prefix_bases,
+    prefix_coordinates,
     span_equal,
     span_gap,
     span_matrix,
     svd_basis,
-    tail_norms,
 )
 
 __all__ = [
@@ -247,9 +247,9 @@ def spanning_indices(zsys: BiorthSystem, xsys: BiorthSystem, tol: float | None =
     q(m) >= m is the least q such that every z_n and z_n* with n <= m lies
     within ``tol`` of span{x_1..x_q} resp. span{f_1..f_q} (distances taken
     on normalized vectors); raises naming the first m no q <= |xsys| serves.
-    Per side, :func:`tail_norms` of the normalized z rows against one
-    :func:`prefix_bases` factorization of the x rows (Gram-Schmidt rank
-    semantics at ``xsys.tol.rank_tol``) tabulates dist(z_n, span{x_1..x_q})
+    Per side, the distance table of :func:`prefix_coordinates` of the
+    normalized z rows against the x rows (Gram-Schmidt rank semantics at
+    ``xsys.tol.rank_tol``, no Q formed) tabulates dist(z_n, span{x_1..x_q})
     for all (n, q), and q(m) is a running maximum.  Cost O(d n^2).
     """
     tol = xsys.tol.span_tol if tol is None else tol
@@ -258,10 +258,11 @@ def spanning_indices(zsys: BiorthSystem, xsys: BiorthSystem, tol: float | None =
     need = np.zeros(zsys.size)
     zero = np.zeros(zsys.size, dtype=bool)
     for zs, xs in ((zsys.xs, xsys.xs), (zsys.fs, xsys.fs)):
-        Q, _, rank = prefix_bases(xs, xsys.tol.rank_tol)
         norms = np.linalg.norm(zs, axis=1)
         zero |= norms == 0
-        within = tail_norms(zs / np.where(norms > 0, norms, 1.0)[:, None], Q)[:, rank] <= tol
+        unit = zs / np.where(norms > 0, norms, 1.0)[:, None]
+        _, dist, rank = prefix_coordinates(xs, unit, xsys.tol.rank_tol)
+        within = dist[:, rank] <= tol
         need = np.maximum(need, np.where(within.any(axis=1), within.argmax(axis=1), np.inf))
     bad = np.flatnonzero(zero | (need == np.inf))
     if bad.size:
@@ -293,17 +294,17 @@ class PerturbationClass:
 def _prefix_agreement(Z: np.ndarray, X: np.ndarray, tol: float) -> np.ndarray:
     """Boolean array: entry k - 1 is ``span_equal(Z[:k], X[:k], tol)``."""
     rank_tol = 1e-10  # span_equal's default; the classifier's verdicts are defined at it
-    (Qx, _, rank_x), (Qz, _, rank_z) = prefix_bases(X, rank_tol), prefix_bases(Z, rank_tol)
+    Qz, _, rank_z = prefix_bases(Z, rank_tol)
+    _, dist, rank_x = prefix_coordinates(X, Qz.T, rank_tol)
     K = min(int(np.sum(r[1:] == np.arange(1, r.size))) for r in (rank_x, rank_z))
-    Qx, Qz = Qx[:, :K], Qz[:, :K]
     # column j of block k: dist(z direction j, first k x directions), j < k
-    cols = np.triu(tail_norms(Qz.T, Qx)[:, 1:])
-    equal = np.sqrt(np.sum(np.square(cols), axis=0)) <= tol
-    for k in np.flatnonzero(~equal & (cols.max(axis=0, initial=0.0) <= tol)) + 1:
-        outside = Qz[:, :k] - Qx[:, :k] @ (Qx[:, :k].T @ Qz[:, :k])
-        equal[k - 1] = np.linalg.norm(outside, 2) <= tol
-    beyond = [span_equal(Z[:k], X[:k], tol, rank_tol) for k in range(K + 1, len(X) + 1)]
-    return np.concatenate([equal, np.array(beyond, dtype=bool)])
+    cols = np.triu(dist[:K, 1:K + 1])
+    equal = np.zeros(len(X), dtype=bool)
+    equal[:K] = np.sqrt(np.sum(np.square(cols), axis=0)) <= tol
+    undecided = np.flatnonzero(~equal[:K] & (cols.max(axis=0, initial=0.0) <= tol))
+    for k in [*(undecided + 1).tolist(), *range(K + 1, len(X) + 1)]:
+        equal[k - 1] = span_equal(Z[:k], X[:k], tol, rank_tol)
+    return equal
 
 
 def _agreements(zsys: BiorthSystem, xsys: BiorthSystem, start: int, tol: float,
@@ -332,12 +333,14 @@ def classify_perturbation(zsys: BiorthSystem, xsys: BiorthSystem,
 
     For full-rank prefixes the gap is the 2-norm of the block D[k:, :k] of
     D = Q_x^T Q_z (principal angles, Bjorck & Golub 1973), with both bases
-    from :func:`prefix_bases`.  One :func:`tail_norms` table of its column
-    tails decides most k (Frobenius norm within ``tol``: equal; a column
-    above it: unequal); the rest take the exact 2-norm.  Past the first
-    row either side drops as dependent, :func:`span_equal` decides.  Start
-    1 factors all n rows, later starts windows of 16 rows, quadrupled until
-    one closes: O(d w^2) per window of w rows.
+    from :func:`prefix_bases`.  The column tails of D are the distances of
+    the z directions to the x prefix spans, one table read off the R factor
+    of :func:`prefix_coordinates` (the x side forms no Q).  They decide most
+    k (Frobenius norm within ``tol``: equal; a column above it: unequal);
+    the rest, and every k past the first row either side drops as
+    dependent, :func:`span_equal` decides.  Start 1 factors all n rows,
+    later starts windows of 16 rows, quadrupled until one closes: O(d w^2)
+    per window of w rows.
     """
     tol = xsys.tol.span_tol if tol is None else tol
     if zsys.size != xsys.size:

@@ -140,6 +140,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"variant must be plain or norming, got '{cfg.variant}'")
     if cfg.kind not in ("canonical", "pathological"):
         raise ConfigError(f"kind must be canonical or pathological, got '{cfg.kind}'")
+    for key in ("sizes", "cs"):
+        if not getattr(cfg, key):
+            raise ConfigError(f"{key} must list at least one entry")
     if any(s < 4 for s in cfg.sizes):
         raise ConfigError("sizes entries must be at least 4")
     if any(c < 1 for c in cfg.cs):

@@ -183,7 +183,7 @@ def save_indices(r: RepresentingIndices, path: str):
 
 def load_indices(path: str) -> RepresentingIndices:
     values, interim, deltas = [], [], []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -191,9 +191,12 @@ def load_indices(path: str) -> RepresentingIndices:
             toks = line.split()
             if len(toks) != 4:
                 raise ArgumentError(f"{path}:{ln}: expected 'm r p delta'")
-            values.append(int(toks[1]))
-            interim.append(int(toks[2]))
-            deltas.append(float(toks[3]))
+            try:
+                values.append(int(toks[1]))
+                interim.append(int(toks[2]))
+                deltas.append(float(toks[3]))
+            except ValueError as exc:
+                raise ArgumentError(f"{path}:{ln}: malformed index line ({exc})")
     return RepresentingIndices(tuple(values), tuple(deltas), tuple(interim))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError
-from .subspace import ToleranceConfig, directed_span_gap, prefix_bases, tail_norms
+from .subspace import ToleranceConfig, directed_span_gap, prefix_bases, prefix_coordinates
 
 __all__ = [
     "PhiTable",
@@ -235,7 +235,7 @@ class PermutationSpec:
         return np.where(large, keep + np.cumsum(large), pi)
 
 
-def build_permutation(phi: PhiTable, N: int, exact: bool = False) -> PermutationSpec:
+def build_permutation(phi: PhiTable, N: int) -> PermutationSpec:
     """Assemble the permutation on 1..N from the staircase.
 
     Phi(n) counts the m with phi(m) <= n, which is the index just before
@@ -246,18 +246,11 @@ def build_permutation(phi: PhiTable, N: int, exact: bool = False) -> Permutation
     jump n, which is at most n, can only collide with Phi values already
     assigned: the free values are the least values outside the exact Phi
     image, handed out in order, and only Gamma is walked.  A Phi value
-    above N, known or not, is stored as ``BEYOND_TABLE``.  With ``exact``
-    set, a Phi value that cannot be evaluated inside the staircase table
-    raises instead of saturating, naming the extension required.
+    above N, known or not, is stored as ``BEYOND_TABLE``.
     """
     if N > phi.N:
         raise ArgumentError(f"phi tabulated to {phi.N} < N = {N}")
     jumps = np.asarray(phi.jump_points, dtype=np.int64)
-    if exact and jumps.size <= N:
-        raise ArgumentError(
-            f"phi table too short to evaluate Phi({jumps.size}) exactly; extend "
-            f"the table beyond {2 * jumps[-1]} entries"
-        )
     Phi = np.full(N, BEYOND_TABLE, dtype=np.int64)
     known = jumps[1:N + 1] - 1  # first index of value n+1, minus one
     Phi[:known.size] = np.where(known <= N, known, BEYOND_TABLE)
@@ -529,9 +522,9 @@ def _verify_pathological(X, F, Ehat, pi_t, eps, tol: ToleranceConfig):
         raise ConstructionError(f"correction at step {over[0] + 1} exceeds its budget")
     # prefix vector spans: x_m must sit in the e_hat prefix span, which has
     # full rank by the unit diagonal
-    Q, _, rank = prefix_bases(Ehat, tol.rank_tol)
+    _, dist, rank = prefix_coordinates(Ehat, X, tol.rank_tol)
     full = int(np.sum(rank[1:] == np.arange(1, M + 1)))
-    resid = tail_norms(X[:full], Q)[np.arange(full), np.arange(1, full + 1)]
+    resid = dist[np.arange(full), rank[1:full + 1]]
     scale = np.maximum(np.linalg.norm(X[:full], axis=1), 1.0)
     off = np.flatnonzero(resid > tol.span_tol * scale)
     if off.size:

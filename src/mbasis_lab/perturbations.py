@@ -154,7 +154,7 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
     Z = np.zeros_like(sys.xs)
     for j, blk in enumerate(p.blocks, start=1):
         rows = [n - 1 for n in blk]
-        outside = prefix_coordinates(sys.fs[rows], D[rows], tol.rank_tol)[1]
+        outside = prefix_coordinates(sys.fs[rows], D[rows], tol.rank_tol)[1][:, -1]
         leaving = outside > tol.span_tol * np.maximum(1.0, np.linalg.norm(D[rows], axis=1))
         if leaving.any():
             raise ArgumentError(

@@ -6,16 +6,16 @@ factored by one kernel: a Householder QR of the normalized rows with
 Gram-Schmidt's rank test, which keeps distances and span comparisons
 stable on the ill-conditioned systems produced elsewhere in this package.
 :func:`prefix_bases` forms its Q.  :func:`prefix_coordinates` factors the
-rows together with a few vectors and reads their coordinates on the prefix
-directions and their distances to the span off the R factor alone, without
-forming Q; :func:`distance_to_span`, :func:`project` and the rank check of
-:func:`dual_solve` use it.  :func:`svd_basis` serves only outputs defined
-in its basis.
+rows together with some vectors and reads, off the R factor alone and
+without forming Q, their coordinates on the prefix directions and one
+table of their distances to every prefix span; :func:`distance_to_span`,
+:func:`project` and the rank check of :func:`dual_solve` use it.
+:func:`svd_basis` serves only outputs defined in its basis.
 
-Results are plain arrays: a point is a 1-d array, a family of points a
-row matrix.  The :class:`TruncatedVector` and :class:`SubspaceBasis`
-wrappers are accepted as input only; :func:`as_vector` and
-:func:`span_matrix` decide what counts as a vector or a span.
+Arrays in, arrays out: a point is a 1-d array, a family of points a row
+matrix, and a ``(0, d)`` array is the zero subspace of dimension d.
+:func:`as_vector` and :func:`span_matrix` decide what counts as a vector or
+a span.
 
 Functionals on l2 are identified with vectors acting by the inner product,
 so dual systems are returned as row matrices as well.
@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, NetCapError, SingularGramError
 
 __all__ = [
-    "TruncatedVector",
-    "SubspaceBasis",
     "ToleranceConfig",
     "as_vector",
     "span_matrix",
@@ -41,7 +39,6 @@ __all__ = [
     "svd_basis",
     "prefix_bases",
     "prefix_coordinates",
-    "tail_norms",
     "distance_to_span",
     "project",
     "span_gap",
@@ -55,45 +52,16 @@ __all__ = [
 NET_POINT_CAP = 2_000_000
 
 
-def _validated_array(coords) -> np.ndarray:
-    arr = np.asarray(coords, dtype=float)
+def as_vector(x, ambient_dim: int | None = None) -> np.ndarray:
+    """Coerce the array-like ``x`` to a validated 1-d array: nonempty,
+    finite and, when ``ambient_dim`` is given, that long."""
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ArgumentError(f"expected a 1-d coordinate array, got shape {arr.shape}")
     if arr.size < 1:
         raise ArgumentError("ambient dimension must be at least 1")
     if not np.all(np.isfinite(arr)):
         raise ArgumentError("coordinates must be finite (no NaN or inf)")
-    return arr
-
-
-@dataclass(frozen=True)
-class TruncatedVector:
-    """A point of a finite l2 truncation: coordinates plus ambient dimension."""
-
-    coords: np.ndarray
-    ambient_dim: int = 0
-
-    def __post_init__(self):
-        arr = _validated_array(self.coords)
-        object.__setattr__(self, "coords", arr)
-        dim = self.ambient_dim or arr.size
-        if dim != arr.size:
-            raise ArgumentError(
-                f"ambient_dim {dim} does not match coordinate length {arr.size}"
-            )
-        object.__setattr__(self, "ambient_dim", dim)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def __array__(self, dtype=None):
-        return self.coords if dtype is None else self.coords.astype(dtype)
-
-
-def as_vector(x, ambient_dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` (TruncatedVector or array-like) to a validated 1-d array."""
-    arr = x.coords if isinstance(x, TruncatedVector) else _validated_array(x)
     if ambient_dim is not None and arr.size != ambient_dim:
         raise ArgumentError(
             f"ambient dimension mismatch: vector has {arr.size}, expected {ambient_dim}"
@@ -101,63 +69,19 @@ def as_vector(x, ambient_dim: int | None = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """An ordered list of spanning vectors with a relative rank tolerance.
-
-    The empty list is permitted and denotes the zero subspace.  When
-    ``independent`` is set the numerical rank must equal the list length.
-    """
-
-    vectors: tuple = ()
-    rank_tol: float = 1e-10
-    independent: bool = False
-    ambient_dim: int = field(default=0)
-
-    def __post_init__(self):
-        rows = [as_vector(v) for v in self.vectors]
-        if rows:
-            dims = {r.size for r in rows}
-            if len(dims) > 1:
-                raise ArgumentError(f"vectors have mixed ambient dimensions {sorted(dims)}")
-            dim = rows[0].size
-        else:
-            dim = self.ambient_dim
-            if dim <= 0:
-                raise ArgumentError("an empty SubspaceBasis needs an explicit ambient_dim")
-        if self.rank_tol <= 0:
-            raise ArgumentError("rank_tol must be strictly positive")
-        object.__setattr__(self, "vectors", tuple(TruncatedVector(r) for r in rows))
-        object.__setattr__(self, "ambient_dim", dim)
-        if self.independent and self.rank() != len(rows):
-            raise ArgumentError("vectors flagged independent but numerically rank deficient")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if not self.vectors:
-            return np.zeros((0, self.ambient_dim))
-        return np.vstack([v.coords for v in self.vectors])
-
-    def rank(self) -> int:
-        return orthonormal_rows(self.matrix, self.rank_tol).shape[0]
-
-
 def span_matrix(S, ambient_dim: int | None = None) -> np.ndarray:
     """Coerce a subspace description to a row matrix of spanning vectors.
 
-    Accepts a :class:`SubspaceBasis`, a 2-d array (rows spanning), or a
-    sequence of vectors.  An empty description denotes the zero subspace.
+    Accepts a 2-d array (rows spanning) or a sequence of vectors.  An empty
+    description, such as a ``(0, d)`` array, denotes the zero subspace.
     """
-    if isinstance(S, SubspaceBasis):
-        M = S.matrix
-    else:
-        M = np.asarray(S, dtype=float)
-        if M.ndim == 1:
-            M = M[None, :] if M.size else M.reshape(0, 0)
-        if M.size and not np.all(np.isfinite(M)):
-            raise ArgumentError("spanning vectors must be finite")
-        if M.ndim != 2:
-            raise ArgumentError(f"cannot interpret shape {M.shape} as a span")
+    M = np.asarray(S, dtype=float)
+    if M.ndim == 1:
+        M = M[None, :] if M.size else M.reshape(0, 0)
+    if M.size and not np.all(np.isfinite(M)):
+        raise ArgumentError("spanning vectors must be finite")
+    if M.ndim != 2:
+        raise ArgumentError(f"cannot interpret shape {M.shape} as a span")
     if ambient_dim is not None and M.shape[0] and M.shape[1] != ambient_dim:
         raise ArgumentError(
             f"ambient dimension mismatch: span lives in {M.shape[1]}, expected {ambient_dim}"
@@ -206,11 +130,13 @@ def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     norms = np.linalg.norm(M, axis=1)
     kept = np.flatnonzero(norms > 0)
     while True:
-        A = (M[kept] / norms[kept, None]).T
+        # built in one piece, so no second copy of the unit rows stays alive
+        # through the QR: this bounds the peak memory of a large V
+        A = np.concatenate([M[kept] / norms[kept, None], M[:0] if V is None else V]).T
         if V is None:
             Q, R = np.linalg.qr(A)
         else:
-            Q, R = None, np.linalg.qr(np.concatenate([A, V.T], axis=1), mode="r")
+            Q, R = None, np.linalg.qr(A, mode="r")
         n = kept.size
         bad = np.flatnonzero(np.abs(np.diagonal(R[:, :n])) <= rank_tol)
         if not bad.size:
@@ -243,38 +169,34 @@ def prefix_bases(M: np.ndarray, rank_tol: float = 1e-10):
 
 def prefix_coordinates(M: np.ndarray, V: np.ndarray, rank_tol: float = 1e-10):
     """Coordinates of the rows of ``V`` on the prefix directions of ``M``,
-    and their distances to span(M), from the R factor of one QR.
+    and their distances to every prefix span, from the R factor of one QR.
 
     Factors [M_hat^T | V^T] = Q [[R11, R12], [0, R22]] with
     ``numpy.linalg.qr(..., mode="r")`` under the rank semantics of
     :func:`prefix_bases`, so the r prefix directions are Q's first r
     columns, and V^T = Q[:, :r] R12 + Q[:, r:] R22 gives R12^T = V Q[:, :r]
-    and the column norms of R22 as the distances (Golub & Van Loan,
-    *Matrix Computations*, 4th ed., 5.3).  Q is never formed, which halves
-    the cost of a QR that forms it when V has few rows.
+    and the column norms of R22 as the distances to span(M) (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., 5.3).  The distance to the span of
+    the first j directions adds the squares of the coordinate tail
+    C[i, j:], summed from the end so small distances stay accurate.  Q is
+    never formed, which halves the cost of a QR that forms it when V has
+    few rows.  Cost O(d (n + k)^2).
 
-    Returns ``(C, outside, rank)``: C (k x r) the coordinates, ``outside``
-    (k,) the norms of the parts of the V rows outside span(M), exactly 0
+    Returns ``(C, dist, rank)``: C (k x r) the coordinates, ``dist``
+    (k x (r + 1)) with ``dist[i, j]`` the distance from V[i] to the span of
+    the first j directions, whose last column is the R22 norm, exactly 0
     when M spans the whole space, and ``rank`` the prefix rank table of
-    :func:`prefix_bases`, so ``C[:, :rank[j]]`` are the coordinates on the
-    span of the first j rows of M.
+    :func:`prefix_bases`: ``C[:, :rank[j]]`` are the coordinates on, and
+    ``dist[:, rank[j]]`` the distances to, the span of the first j rows of M.
     """
     V = np.asarray(V, dtype=float)
     _, R, kept = _prefix_qr(M, V, rank_tol)
     r, rank = kept.size, np.searchsorted(kept, np.arange(len(M) + 1))
-    return R[:r, r:].T, np.linalg.norm(R[r:, r:], axis=0), rank
-
-
-def tail_norms(V: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """T[i, j] = distance from V[i] to span(Q[:, :j]), j = 0..r, for Q with
-    orthonormal columns: the norm of the coordinate tail (V Q)[i, j:] plus
-    the part of V[i] outside span(Q), summed in squares from the end so
-    small distances stay accurate.  Cost O(n d r)."""
-    C = V @ Q
-    out = V - C @ Q.T
-    sq = np.concatenate([np.square(C), np.zeros((C.shape[0], 1))], axis=1)
-    tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
-    return np.sqrt(tails + np.einsum("ij,ij->i", out, out)[:, None])
+    C, outside = R[:r, r:].T, np.linalg.norm(R[r:, r:], axis=0)
+    sq = np.concatenate([np.square(C), np.square(outside)[:, None]], axis=1)
+    dist = np.sqrt(np.cumsum(sq[:, ::-1], axis=1)[:, ::-1])
+    dist[:, r] = outside
+    return C, dist, rank
 
 
 def _span_rows(S, x: np.ndarray) -> np.ndarray:
@@ -286,7 +208,7 @@ def distance_to_span(x, S, rank_tol: float = 1e-10) -> float:
     """Distance from ``x`` to the span of ``S``: the norm of R22 in
     :func:`prefix_coordinates`, without forming a basis of the span."""
     xv = as_vector(x)
-    return float(prefix_coordinates(_span_rows(S, xv), xv[None], rank_tol)[1][0])
+    return float(prefix_coordinates(_span_rows(S, xv), xv[None], rank_tol)[1][0, -1])
 
 
 def project(x, S, rank_tol: float = 1e-10) -> tuple[np.ndarray, float]:
@@ -438,8 +360,11 @@ def dual_solve(vectors, within, rank_tol: float = 1e-10,
 class ToleranceConfig:
     """Numerical knobs shared by the diagnostics.
 
-    rank_tol is relative to the largest singular value; the others are
-    absolute.  net_resolution parameterizes every sphere-net argument, and
+    rank_tol is Gram-Schmidt's per-row relative residual test of
+    :func:`prefix_bases`: a row within rank_tol of the span of the normalized
+    rows before it adds no direction.  :func:`svd_basis` and the cross-Gram
+    test of :func:`dual_solve` read it relative to the largest singular
+    value instead.  The others are absolute.  net_resolution parameterizes every sphere-net argument, and
     all net-based guarantees are stated relative to it.
     """
 

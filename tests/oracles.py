@@ -11,10 +11,11 @@ matrix CSV writer, which the once-per-distinct-value writer replaced.
 The per-n staircase, permutation, relabelling and permutation-table loops,
 the full-SVD operator T and the per-row distortion bounds follow; array
 expressions over the jump points and the Gram form of T replaced them.
-Last come the window table, ``distance_to_span``, ``project`` and the
-per-row span check of ``flattened_from_duals`` as they were when they
-formed the Q of the QR kernel; coordinates read off the R factor of one
-augmented QR replaced them.
+Last come the window table, ``distance_to_span``, ``project``, the
+per-row span check of ``flattened_from_duals`` and the ``tail_norms``
+distance table as they were when they formed the Q of the QR kernel;
+coordinates and distances read off the R factor of one augmented QR
+replaced them.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -636,3 +637,15 @@ def block_span_residuals(sys: BiorthSystem, p, D: np.ndarray) -> list[float]:
                     f"replacement functional {n + 1} leaves the span of block {j}"
                 )
     return out
+
+
+def tail_norms(V: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """T[i, j] = distance from V[i] to span(Q[:, :j]), j = 0..r, for Q with
+    orthonormal columns: the norm of the coordinate tail (V Q)[i, j:] plus
+    the part of V[i] outside span(Q), summed in squares from the end so
+    small distances stay accurate.  Cost O(n d r)."""
+    C = V @ Q
+    out = V - C @ Q.T
+    sq = np.concatenate([np.square(C), np.zeros((C.shape[0], 1))], axis=1)
+    tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
+    return np.sqrt(tails + np.einsum("ij,ij->i", out, out)[:, None])

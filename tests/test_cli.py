@@ -11,6 +11,7 @@ import pytest
 from mbasis_lab.cli import ConfigError, ExperimentConfig, main, parse_config, run
 from mbasis_lab import io as mio
 from mbasis_lab.biorth import BiorthSystem
+from mbasis_lab.errors import ArgumentError
 from mbasis_lab.perturbations import BlockPartition
 from mbasis_lab.representing import RepresentingIndices
 from test_prefix_kernel import tilted_system
@@ -67,6 +68,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(f"command = unb\n{line}")
 
+    @pytest.mark.parametrize("command,key", [("unb", "sizes"), ("pathology", "cs")])
+    def test_empty_list_refused(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"command = {command}\ntruncation = 16\n{key} = \n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must list at least one entry" in capsys.readouterr().err
+
 
 class TestRoundTrips:
     def test_system_roundtrip(self, tmp_path):
@@ -95,6 +103,16 @@ class TestRoundTrips:
         assert back.values == r.values
         assert back.interim_p == r.interim_p
         assert back.deltas == r.deltas
+
+    def test_indices_missing_file_refused(self, tmp_path):
+        with pytest.raises(ArgumentError, match="cannot read .*absent.txt"):
+            mio.load_indices(str(tmp_path / "absent.txt"))
+
+    def test_indices_malformed_token_refused(self, tmp_path):
+        fp = tmp_path / "idx.txt"
+        fp.write_text("1 1 1 inf\n2 x 2 0.5\n")
+        with pytest.raises(ArgumentError, match=r"idx.txt:2: malformed index line"):
+            mio.load_indices(str(fp))
 
 
 class TestPipelines:

@@ -99,11 +99,6 @@ class TestBuildPermutation:
         moved = [n for n in range(1, 65) if spec.pi_value(n) != n]
         assert moved
 
-    def test_exact_mode_raises_on_overflow(self):
-        phi = build_phi(lambda n: float(n), 64)
-        with pytest.raises(ArgumentError, match="extend the table"):
-            build_permutation(phi, 64, exact=True)
-
     def test_beyond_table_semantics(self):
         spec = make_spec(64)
         sentinel = np.nonzero(spec.pi == BEYOND_TABLE)[0]

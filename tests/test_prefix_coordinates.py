@@ -1,12 +1,13 @@
 """Coordinates, distances and projections read off the R factor of one QR.
 
-The Q-forming window table, ``distance_to_span``, ``project`` and span
-check in ``oracles`` define the expected outputs.  On every input below
-``prefix_coordinates`` must keep the same rows as ``prefix_bases`` (so the
-same prefix ranks), its coordinates and out-of-span norms must agree with
-the Q-forming ones to COORD_FLOOR_C * d * u, and the representing-index
-searches and span checks built on it must return the same values, or
-refuse with the same exception and message.
+The Q-forming window table, ``distance_to_span``, ``project``, span check
+and ``tail_norms`` distance table in ``oracles`` define the expected
+outputs.  On every input below ``prefix_coordinates`` must keep the same
+rows as ``prefix_bases`` (so the same prefix ranks), its coordinates,
+prefix distances and out-of-span norms must agree with the Q-forming ones
+to COORD_FLOOR_C * d * u, and the representing-index searches and span
+checks built on it must return the same values, or refuse with the same
+exception and message.
 """
 
 import numpy as np
@@ -42,14 +43,17 @@ def unit_rows(M):
 
 
 def assert_matches_q_form(M, V):
-    """prefix_coordinates(M, V) against the Q of prefix_bases(M)."""
+    """prefix_coordinates(M, V) against the Q of prefix_bases(M): its
+    coordinates, its distance table and the table's last column."""
     Q, _, rank = prefix_bases(M, RANK_TOL)
-    C, outside, rank_c = prefix_coordinates(M, V, RANK_TOL)
+    C, dist, rank_c = prefix_coordinates(M, V, RANK_TOL)
+    outside = dist[:, -1]
     assert rank_c.tolist() == rank.tolist()
-    assert C.shape == (V.shape[0], Q.shape[1]) and outside.shape == (V.shape[0],)
+    assert C.shape == (V.shape[0], Q.shape[1]) and dist.shape == (V.shape[0], Q.shape[1] + 1)
     d = M.shape[1]
     scale = np.maximum(1.0, np.linalg.norm(V, axis=1))
     assert np.all(np.abs(C - V @ Q) <= floor(d) * scale[:, None])
+    assert np.all(np.abs(dist - oracles.tail_norms(V, Q)) <= floor(d) * scale[:, None])
     expected = [oracles.distance_to_span(v, M, RANK_TOL) for v in V]
     assert np.all(np.abs(outside - expected) <= floor(d) * scale)
 
@@ -213,8 +217,8 @@ def test_span_check_matches_per_row_check(tilt):
     if tilt == 1.1:
         assert expected == "replacement functional 7 leaves the span of block 2"
     if expected is None:
-        outside = [prefix_coordinates(base.fs[[n - 1 for n in blk]], D[[n - 1 for n in blk]])[1]
-                   for blk in p.blocks]
+        rows = [[n - 1 for n in blk] for blk in p.blocks]
+        outside = [prefix_coordinates(base.fs[r], D[r])[1][:, -1] for r in rows]
         assert np.allclose(np.concatenate(outside), oracles.block_span_residuals(base, p, D),
                            rtol=0, atol=floor(14))
         assert flattened_from_duals(base, p, D).size == 12

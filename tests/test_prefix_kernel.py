@@ -41,8 +41,8 @@ from mbasis_lab.subspace import (
     distance_to_span,
     orthonormal_rows,
     prefix_bases,
+    prefix_coordinates,
     span_gap,
-    tail_norms,
 )
 from test_representing import widening_system
 
@@ -345,8 +345,7 @@ def test_tail_norms_are_prefix_distances():
     rng = np.random.default_rng(1)
     basis_rows = rng.standard_normal((4, 7))
     V = rng.standard_normal((3, 7))
-    Q, _, _ = prefix_bases(basis_rows)
-    T = tail_norms(V, Q)
+    T = prefix_coordinates(basis_rows, V)[1]
     for i, v in enumerate(V):
         for j in range(5):
             assert T[i, j] == pytest.approx(distance_to_span(v, basis_rows[:j]), abs=1e-12)
