@@ -561,9 +561,19 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     T = I - (E - E_0)^T (E E^T)^-1 E: on span E it sends E^T c to E_0^T c,
     and it fixes every vector E annihilates.  One M x M solve on the Gram
     matrix gives it; the rows are refused as dependent when the smallest
-    singular value of E is within ``rank_tol`` of the largest.  When the
-    square-sum budget of ``eps_seq`` is within 1/8, both operator norms,
-    read off the singular values of T, are asserted to be at most 2.
+    singular value of E is within ``rank_tol`` of the largest, read off the
+    R factor of E^T = QR (sigma(E) = sigma(R)).
+
+    The norms come from the eigenvalues of the symmetric T^T T:
+    ||T|| = sqrt(lambda_max) and ||T^-1|| = 1 / sqrt(lambda_min), and T is
+    refused as not invertible when lambda_min is not positive.  The
+    eigenvalues are within about n u ||T||^2 of exact (n = ``ambient``,
+    u = 2^-53), so ||T|| keeps the SVD's relative accuracy of a few n u,
+    while ||T^-1|| is accurate to about n u kappa(T)^2, a factor kappa(T)
+    worse than the SVD's n u kappa(T).  Every T this package builds passes
+    the eps-budget check: when the square-sum budget of ``eps_seq`` is
+    within 1/8, both norms are asserted to be at most 2, which gives
+    kappa(T) <= 4.
     """
     E = np.asarray(e_hats, dtype=float)
     if E.ndim != 2:
@@ -571,12 +581,17 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     M, dim = E.shape
     if dim != ambient:
         raise ArgumentError(f"e_hats live in dimension {dim}, expected {ambient}")
-    s = np.linalg.svd(E, compute_uv=False)
+    s = np.linalg.svd(np.linalg.qr(E.T, mode="r"), compute_uv=False)
     if s.size < M or s[-1] <= rank_tol * s[0]:
         raise ArgumentError("e_hat vectors are linearly dependent")
     T = np.eye(ambient) - (E - np.eye(M, ambient)).T @ np.linalg.solve(E @ E.T, E)
-    sv = np.linalg.svd(T, compute_uv=False)
-    norm, norm_inv = float(sv[0]), float(1.0 / sv[-1])
+    lam = np.linalg.eigvalsh(T.T @ T)
+    if not lam[0] > 0.0:
+        raise ArgumentError(
+            f"T is not invertible: the smallest eigenvalue of T^T T is {lam[0]:.3e}, "
+            "not positive"
+        )
+    norm, norm_inv = float(np.sqrt(lam[-1])), float(1.0 / np.sqrt(lam[0]))
     if eps_seq is not None:
         eps = np.asarray(eps_seq, dtype=float)
         if float(np.sum(eps * eps)) <= EPS_SQ_BUDGET + 1e-15:
@@ -689,9 +704,9 @@ def rough_separation(rs: RoughSystem) -> float:
     """Minimum pairwise distance ||y_i - y_j||, infinity for size < 2."""
     if rs.size < 2:
         return math.inf
-    diffs = rs.ys[:, None, :] - rs.ys[None, :, :]
-    d = np.linalg.norm(diffs, axis=2)
-    return float(np.min(d[np.triu_indices(rs.size, k=1)]))
+    ys = rs.ys
+    return float(np.min([np.min(np.linalg.norm(ys[i + 1:] - ys[i], axis=1))
+                         for i in range(rs.size - 1)]))
 
 
 def extract_rough_system(zsys: BiorthSystem, xsys: BiorthSystem, T: np.ndarray,

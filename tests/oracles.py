@@ -9,8 +9,10 @@ verification, and the SVD-per-prefix representing and norming index
 builders, which the orthonormal-prefix kernel replaced, and the per-cell
 matrix CSV writer, which the once-per-distinct-value writer replaced.
 The per-n staircase, permutation, relabelling and permutation-table loops,
-the full-SVD operator T and the per-row distortion bounds follow; array
-expressions over the jump points and the Gram form of T replaced them.
+the full-SVD operator T, the difference-tensor rough separation and the
+per-row distortion bounds follow; array expressions over the jump points,
+the Gram form of T with its norms from the eigenvalues of T^T T, and a
+row-by-row minimum replaced them.
 Last come the window table, ``distance_to_span``, ``project``, the
 per-row span check of ``flattened_from_duals`` and the ``tail_norms``
 distance table as they were when they formed the Q of the QR kernel;
@@ -529,7 +531,8 @@ def save_permutation(spec: PermutationSpec, path: str, upto: int | None = None):
 def operator_T(e_hats, ambient: int, eps_seq=None,
                rank_tol: float = 1e-10) -> TOperator:
     """T = B A^-1 with A = [E; Q_perp]^T and B = [E_0; Q_perp]^T, the
-    complement basis Q_perp taken from a full SVD of E."""
+    complement basis Q_perp taken from a full SVD of E, and both norms read
+    off a full SVD of T."""
     E = np.asarray(e_hats, dtype=float)
     if E.ndim != 2:
         raise ArgumentError(f"e_hats must be a row matrix of shape (M, {ambient}), got {E.shape}")
@@ -554,6 +557,16 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
                     "despite the eps budget"
                 )
     return TOperator(T, norm, norm_inv)
+
+
+def rough_separation(rs) -> float:
+    """Minimum pairwise distance ||y_i - y_j|| from the full p x p x d
+    difference tensor, infinity for size < 2."""
+    if rs.size < 2:
+        return math.inf
+    diffs = rs.ys[:, None, :] - rs.ys[None, :, :]
+    d = np.linalg.norm(diffs, axis=2)
+    return float(np.min(d[np.triu_indices(rs.size, k=1)]))
 
 
 def distortion_bounds(Z: np.ndarray, eps_seq) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The pathology layer against the per-n and full-SVD implementations in
 ``oracles``: the staircase, the permutation, its relabelling and its table
-must come out exactly equal (refusals identical), operator T within
-rounding and the distortion bounds exactly equal."""
+must come out exactly equal (refusals identical), operator T and its norms
+within rounding and the distortion bounds exactly equal."""
 
 import math
 
@@ -110,6 +110,61 @@ def test_operator_T_matches_full_svd_oracle(N):
     Z = _gram_schmidt_rows(E, system.tol.rank_tol)
     bounds = t_asymptotics_check(new.matrix, Z, eps, strict=True).bounds
     assert_same_array(bounds, oracles.distortion_bounds(Z, eps))
+
+
+U = 2.0**-53
+
+
+def gram_form(E: np.ndarray, d: int) -> np.ndarray:
+    """T as ``operator_T`` forms it: I - (E - E_0)^T (E E^T)^-1 E."""
+    M = E.shape[0]
+    return np.eye(d) - (E - np.eye(M, d)).T @ np.linalg.solve(E @ E.T, E)
+
+
+def assert_norms_within_rounding(new, old, d):
+    """||T|| within 4 d u of the SVD's, ||T^-1|| within 4 d u kappa(T)^2."""
+    kappa = old.norm * old.norm_inv
+    assert abs(new.norm - old.norm) <= 4 * d * U * old.norm
+    assert abs(new.norm_inv - old.norm_inv) <= 4 * d * U * kappa**2 * old.norm_inv
+
+
+def unb_system(N):
+    """The e_hat rows ``unb_experiment`` builds at truncation N."""
+    spec = build_permutation(build_phi(unb_table(2 * N), 2 * N), 2 * N)
+    eps = default_eps_sequence(N)
+    system, E = build_pathological_system(spec, eps, N)
+    return E, system.ambient_dim, eps
+
+
+def ladder_system(N):
+    """The e_hat rows of the benchmark's cascade ladder at truncation N."""
+    spec = build_permutation(build_phi(lambda n: float(n), 4 * N), 4 * N)
+    eps = default_eps_sequence(N)
+    system, E = build_pathological_system(spec, eps, N)
+    return E, system.ambient_dim, eps
+
+
+@pytest.mark.parametrize("build,N", [
+    (unb_system, 64), (unb_system, 128), (unb_system, 256),
+    (ladder_system, 200), (ladder_system, 400),
+], ids=["unb-64", "unb-128", "unb-256", "ladder-200", "ladder-400"])
+def test_operator_norms_match_svd_oracle(build, N):
+    E, d, eps = build(N)
+    new = operator_T(E, d, eps_seq=eps)
+    assert np.array_equal(new.matrix, gram_form(E, d))
+    assert_norms_within_rounding(new, oracles.operator_T(E, d, eps_seq=eps), d)
+
+
+def test_operator_norms_within_kappa_squared_when_ill_conditioned():
+    """A random near-canonical E with kappa(T) near 10^2, far past the
+    kappa(T) <= 4 the eps budget gives."""
+    rng = np.random.default_rng(11)
+    M, d = 60, 120
+    E = np.eye(M, d) + 1.3 * rng.standard_normal((M, d)) / math.sqrt(d)
+    new = operator_T(E, d)
+    old = oracles.operator_T(E, d)
+    assert 50.0 <= old.norm * old.norm_inv <= 200.0
+    assert_norms_within_rounding(new, old, d)
 
 
 @pytest.mark.parametrize("e_hats,ambient", [

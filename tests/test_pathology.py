@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from mbasis_lab.biorth import BiorthSystem, biorthogonality_defect
 from mbasis_lab.errors import ArgumentError, ConstructionError
 from mbasis_lab.pathology import (
@@ -290,6 +293,15 @@ class TestOperatorT:
         with pytest.raises(ArgumentError, match=r"row matrix of shape \(M, 3\), got \(3,\)"):
             operator_T(np.ones(3), 3)
 
+    def test_singular_T_refused(self):
+        # e_1 is orthogonal to e_hat_1 = e_2, so T fixes it and also sends
+        # e_2 to it: T = [[1, 1], [0, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError,
+                               match=r"not invertible: .* T\^T T is 0\.000e\+00"):
+                operator_T([[0.0, 1.0]], 2)
+
 
 class TestDecay:
     def test_identity_zeroes(self):
@@ -404,6 +416,32 @@ class TestRoughSystems:
         assert defect < 0.5
         expected = (1.0 - 2.0 * defect) / rs.bound_M
         assert rough_separation(rs) >= expected - 1e-9
+
+    @pytest.mark.parametrize("ys", [
+        np.zeros((0, 3)),
+        np.ones((1, 3)),
+        np.array([[0.0, 0.0], [3.0, 4.0]]),
+        np.array([[1.0, 2.0], [0.5, 0.5], [1.0, 2.0]]),
+        np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]),
+        np.random.default_rng(5).standard_normal((60, 40)),
+        np.random.default_rng(6).standard_normal((80, 50)) * 2.0**-30,
+    ], ids=["empty", "single", "pair", "duplicate", "nan", "random", "tiny"])
+    def test_separation_matches_oracle(self, ys):
+        rs = RoughSystem(ys, ys, 0.25, 1.0)
+        new, old = rough_separation(rs), oracles.rough_separation(rs)
+        assert new == old or (math.isnan(new) and math.isnan(old))
+
+    def test_separation_memory_is_one_row_of_differences(self):
+        # the p x p x d difference tensor alone would take 256 MB here
+        rs = RoughSystem(np.random.default_rng(7).standard_normal((200, 400)),
+                         np.eye(200, 400), 0.25, 1.0)
+        tracemalloc.start()
+        try:
+            rough_separation(rs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRoughCapacity:
