@@ -11,9 +11,9 @@ every overlap query inside the table.
 On top of the permutation sits a biorthogonal system whose functionals
 occupy the permuted coordinates while the vectors stay near-canonical.
 The inductive construction here uses single-coordinate corrections
-e_n + t_n * e_{pi(n)} with power-of-two budgets t_n, which makes every
-required cancellation exact in floating point: the returned system is
-exactly biorthogonal and all prefix span equalities hold to rank scale.
+e_n + t_n * e_{pi(n)} with t_n = 2**a_n, so its cascade runs exactly on
+integer (index, sign, exponent) triples; a certifier checks the spans,
+budgets and pairings on them before the dense arrays are written.
 Coordinates the permutation would scatter beyond any feasible ambient
 dimension are relabeled, order preserved, into the band just above the
 probe window; overlap counts below the window are unaffected.
@@ -22,13 +22,14 @@ probe window; overlap counts below the window are unaffected.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError
-from .subspace import ToleranceConfig, directed_span_gap, prefix_bases, prefix_coordinates
+from .subspace import ToleranceConfig, directed_span_gap, prefix_bases
 
 __all__ = [
     "PhiTable",
@@ -399,14 +400,13 @@ def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
     for every prefix m: the vectors span exactly the e_hat prefix span,
     the functionals span exactly the permuted canonical coordinates
     pi(1..m), the corrections satisfy ||e_hat_n - e_n|| <= eps_n, and the
-    system is biorthogonal.  All four facts are machine-verified before
-    returning.
+    system is biorthogonal.
 
     Permutation values beyond M are relabeled order-preservingly into
     (M, M + count]; ``ambient`` defaults to the top of that range, and an
-    explicit value below it is refused.  Corrections use the largest power
-    of two at most each eps_n, read off its binary exponent, which makes
-    the cascade coefficients exact in floating point.
+    explicit value below it is refused.  Corrections are the largest power
+    of two at most each eps_n, held as its binary exponent: the first three
+    facts are certified exactly on exponents, biorthogonality in float64.
     """
     tol = tol or ToleranceConfig()
     if M < 1:
@@ -435,110 +435,101 @@ def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
             f"step {n} needs a correction toward coordinate {pi_t[n - 1]} "
             f"but eps_{n} is zero; enlarge the budget"
         )
-    # eps_n = m * 2^e with 1/2 <= m < 1 exactly, so 2^(e-1) <= eps_n
-    t = np.zeros(M + 1)
-    t[1:] = np.where(moved, np.ldexp(1.0, np.frexp(eps[:M])[1] - 1), 0.0)
+    # eps_n = m * 2^e with 1/2 <= m < 1 exactly, so t_n = 2^(e-1) <= eps_n
+    pi = pi_t.tolist()
+    rows = _cascade(pi, (np.frexp(eps[:M])[1] - 1).tolist())
+    frows = _certify(rows, pi, eps[:M])
+    erows, _, xrows, _ = zip(*rows)
+    shape = (M, ambient)
+    system = BiorthSystem(_scatter(xrows, shape), _scatter(frows, shape),
+                          ambient_dim=ambient, tol=tol)
+    return system.validate(), _scatter(erows, shape)
 
-    preimage = {int(pi_t[k - 1]): k for k in range(1, M + 1)}
 
-    def _guard(value: float, where: str):
-        if value == 0.0 or not math.isfinite(value):
-            raise ConstructionError(
-                f"cascade coefficient degenerate at {where}; enlarge eps or "
-                "reduce the truncation"
-            )
-        if abs(math.frexp(value)[1]) > 980:
-            raise ConstructionError(
-                f"cascade coefficient exponent overflow at {where}; enlarge eps "
-                "or reduce the truncation"
-            )
+def _check_exponent(e: int, where: str):
+    """Refuse a coefficient 2**e whose binary exponent as frexp reads it,
+    e + 1, exceeds 980 in size; past 2**1023 it is not even finite."""
+    if abs(e + 1) > 980:
+        kind = "degenerate" if e > 1023 else "exponent overflow"
+        raise ConstructionError(f"cascade coefficient {kind} at {where}; enlarge eps or "
+                                "reduce the truncation")
 
-    X = np.zeros((M, ambient))
-    F = np.zeros((M, ambient))
-    Ehat = np.zeros((M, ambient))
 
-    for n in range(1, M + 1):
-        target = int(pi_t[n - 1])
-        Ehat[n - 1, n - 1] = 1.0
-        if target != n:
-            Ehat[n - 1, target - 1] = t[n]
-
+def _cascade(pi: list, a: list) -> list:
+    """Per step n of the 1-based ``pi``, with t_k = 2**a_k: e_hat_n, x_n on
+    the e_hat rows (its chain), x_n and the unnormalized f_n, as lists of
+    (index, sign, exponent) triples for sign * 2**exponent."""
+    preimage = {p: k for k, p in enumerate(pi, 1)}
+    rows = []
+    for n, target in enumerate(pi, 1):
+        erow = [(n, 1, 0)] + ([(target, 1, a[n - 1])] if target != n else [])
         # functional cascade: start at the new coordinate, push each forced
         # coefficient through the constraints of the earlier corrections
-        fcoef = {target: 1.0}
-        j = target
+        frow = [(target, 1, 0)]
+        j, s, e = target, 1, 0
         while j < n:
-            nxt = int(pi_t[j - 1])
-            if nxt == j or nxt in fcoef:
+            nxt = pi[j - 1]
+            if nxt == j or nxt in [c for c, _, _ in frow]:
                 raise ConstructionError(f"functional cascade degenerates at {j}")
-            val = -fcoef[j] / t[j]
-            _guard(val, f"f({n}) coordinate {nxt}")
-            fcoef[nxt] = val
+            s, e = -s, e - a[j - 1]
+            _check_exponent(e, f"f({n}) coordinate {nxt}")
+            frow.append((nxt, s, e))
             j = nxt
 
         # vector cascade: coefficients on the e_hat prefix, cancelling every
         # coordinate some earlier functional already occupies
-        xcoef = {n: 1.0}
-        cur = n
-        while True:
-            k = preimage.get(cur)
-            if k is None or k >= n:
-                break
-            if k in xcoef:
+        chain = [(n, 1, 0)]
+        cur, s, e = n, 1, 0
+        while (k := preimage.get(cur)) is not None and k < n:
+            if k in [i for i, _, _ in chain]:
                 raise ConstructionError(f"vector cascade degenerates at {k}")
-            val = -xcoef[cur] / t[k]
-            _guard(val, f"x({n}) basis {k}")
-            xcoef[k] = val
+            s, e = -s, e - a[k - 1]
+            _check_exponent(e, f"x({n}) basis {k}")
+            chain.append((k, s, e))
             cur = k
 
-        xrow = np.zeros(ambient)
-        for k, c in xcoef.items():
-            xrow[k - 1] += c
-            tk = t[k]
-            if tk:
-                xrow[int(pi_t[k - 1]) - 1] += c * tk
-        frow = np.zeros(ambient)
-        for c_idx, c in fcoef.items():
-            frow[c_idx - 1] = c
-
-        pairing = float(frow @ xrow)
-        _guard(pairing, f"pairing at {n}")
-        X[n - 1] = xrow
-        F[n - 1] = frow / pairing
-
-    _verify_pathological(X, F, Ehat, pi_t, eps[:M], tol)
-    return BiorthSystem(X, F, ambient_dim=ambient, tol=tol).validate(), Ehat
+        # each correction in the chain cancels the coordinate of the step
+        # before it, so x_n = s 2^e e_cur + t_n e_target, and f_n(x_n) is
+        # t_n, the last entry of e_hat_n (1 for an unmoved step)
+        _check_exponent(erow[-1][2], f"pairing at {n}")
+        rows.append((erow, chain, [(cur, s, e)] + erow[1:], frow))
+    return rows
 
 
-def _verify_pathological(X, F, Ehat, pi_t, eps, tol: ToleranceConfig):
-    M = X.shape[0]
-    gram = F @ X.T
-    defect = float(np.max(np.abs(gram - np.eye(M))))
-    if defect > tol.biorth_tol:
-        raise ConstructionError(f"biorthogonality defect {defect:.3e} above tolerance")
-    # correction budgets
-    over = np.flatnonzero(np.linalg.norm(Ehat - np.eye(M, Ehat.shape[1]), axis=1) > eps)
-    if over.size:
-        raise ConstructionError(f"correction at step {over[0] + 1} exceeds its budget")
-    # prefix vector spans: x_m must sit in the e_hat prefix span, which has
-    # full rank by the unit diagonal
-    _, dist, rank = prefix_coordinates(Ehat, X, tol.rank_tol)
-    full = int(np.sum(rank[1:] == np.arange(1, M + 1)))
-    resid = dist[np.arange(full), rank[1:full + 1]]
-    scale = np.maximum(np.linalg.norm(X[:full], axis=1), 1.0)
-    off = np.flatnonzero(resid > tol.span_tol * scale)
-    if off.size:
-        raise ConstructionError(f"vector prefix span equality fails at {off[0] + 1}")
-    if full < M:
-        raise ConstructionError(f"e_hat prefix rank deficient at {full + 1}")
-    # prefix dual spans: exact support containment plus full rank; f_m may
-    # only use coordinates pi(k) - 1 with k <= m
-    entered = np.full(F.shape[1], M)
-    np.minimum.at(entered, pi_t[:M] - 1, np.arange(M))
-    rows, cols = np.nonzero(F)
-    leaving = rows[entered[cols] > rows]
-    if leaving.size:
-        raise ConstructionError(f"functional {leaving.min() + 1} leaves its coordinate span")
+def _certify(rows, pi: list, eps: np.ndarray) -> list:
+    """Check the cascade's rows by integer comparisons, per step in the
+    order the float checks ran, and return the rows f_n / f_n(x_n): the
+    pairing f_n(x_n) is one signed power of two; t_n <= eps_n; the chain of
+    x_n uses only e_hat_k with k <= n and, expanded, equals x_n term by
+    term; f_n lives on the coordinates pi(1..n)."""
+    entered = {p: k for k, p in reversed(list(enumerate(pi, 1)))}
+    normalized = []
+    for n, (erow, chain, xrow, frow) in enumerate(rows, 1):
+        pairing = [(s * xs, e + xe) for c, s, e in frow for d, xs, xe in xrow if c == d]
+        if len(pairing) != 1:
+            raise ConstructionError(f"biorthogonality defect at step {n}: f_{n}(x_{n}) "
+                                    "is not a single signed power of two")
+        # 2**e <= eps_n = m * 2**E (1/2 <= m < 1) exactly when e < E
+        if any(c != n and e >= math.frexp(eps[n - 1])[1] for c, _, e in erow):
+            raise ConstructionError(f"correction at step {n} exceeds its budget")
+        terms = [(c, -s, e) for c, s, e in xrow] + [
+            (c, s * es, e + ee) for k, s, e in chain if k <= n for c, es, ee in rows[k - 1][0]]
+        if max(k for k, _, _ in chain) > n or Counter(terms) != Counter(
+                (c, -s, e) for c, s, e in terms):
+            raise ConstructionError(f"vector prefix span equality fails at {n}")
+        if any(entered.get(c, n + 1) > n for c, _, _ in frow):
+            raise ConstructionError(f"functional {n} leaves its coordinate span")
+        (ps, pe), = pairing
+        normalized.append([(c, s * ps, e - pe) for c, s, e in frow])
+    return normalized
+
+
+def _scatter(rows, shape) -> np.ndarray:
+    """The dense matrix of the rows of (1-based index, sign, exponent) triples."""
+    n, c, s, e = np.array([(n, c - 1, s, e) for n, row in enumerate(rows) for c, s, e in row]).T
+    out = np.zeros(shape)
+    out[n, c] = np.ldexp(s, e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +572,10 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     M, dim = E.shape
     if dim != ambient:
         raise ArgumentError(f"e_hats live in dimension {dim}, expected {ambient}")
+    if M == 0:
+        raise ArgumentError("e_hats is empty: T needs at least one row")
+    if not np.all(np.isfinite(E)):
+        raise ArgumentError("e_hats has entries that are not finite")
     s = np.linalg.svd(np.linalg.qr(E.T, mode="r"), compute_uv=False)
     if s.size < M or s[-1] <= rank_tol * s[0]:
         raise ArgumentError("e_hat vectors are linearly dependent")

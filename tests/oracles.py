@@ -5,7 +5,9 @@ which the QR prefix kernel and the sine form replaced, the incremental
 Gram-Schmidt ``spanning_indices``, the projector-gap
 ``classify_perturbation``, the Gram-Schmidt loops of the
 representing-index window search and of the pathological-system
-verification, and the SVD-per-prefix representing and norming index
+verification, the float cascade of the pathological system that calls
+that verification, which the exact exponent cascade and its certifier
+replaced, and the SVD-per-prefix representing and norming index
 builders, which the orthonormal-prefix kernel replaced, and the per-cell
 matrix CSV writer, which the once-per-distinct-value writer replaced.
 The per-n staircase, permutation, relabelling and permutation-table loops,
@@ -44,6 +46,7 @@ from mbasis_lab.pathology import (
     PhiTable,
     TOperator,
     _as_f_table,
+    _check_eps_budget,
     _check_phi_conditions,
     verify_injective,
 )
@@ -399,6 +402,126 @@ def _verify_pathological(X, F, Ehat, pi_t, eps, tol: ToleranceConfig):
         support = set(np.nonzero(F[m])[0])
         if not support <= covered:
             raise ConstructionError(f"functional {m + 1} leaves its coordinate span")
+
+
+def build_pathological_system(spec: PermutationSpec, eps_seq, M: int,
+                              ambient: int | None = None,
+                              tol: ToleranceConfig | None = None):
+    """Inductive near-canonical system over the permuted dual coordinates.
+
+    Returns (system, E), E the M x ambient matrix of rows e_hat_n, with,
+    for every prefix m: the vectors span exactly the e_hat prefix span,
+    the functionals span exactly the permuted canonical coordinates
+    pi(1..m), the corrections satisfy ||e_hat_n - e_n|| <= eps_n, and the
+    system is biorthogonal.  All four facts are machine-verified before
+    returning.
+
+    Permutation values beyond M are relabeled order-preservingly into
+    (M, M + count]; ``ambient`` defaults to the top of that range, and an
+    explicit value below it is refused.  Corrections use the largest power
+    of two at most each eps_n, read off its binary exponent, which makes
+    the cascade coefficients exact in floating point.
+    """
+    tol = tol or ToleranceConfig()
+    if M < 1:
+        raise ArgumentError("M must be at least 1")
+    eps = np.asarray(eps_seq, dtype=float)
+    if eps.size < M:
+        raise ArgumentError(f"eps sequence of length {eps.size} shorter than M={M}")
+    if not np.all(eps >= 0):
+        raise ArgumentError("eps entries must be nonnegative")
+    _check_eps_budget(eps)
+    pi_t = spec.compactified(M, keep_below=M)
+    required = int(max(M, pi_t.max()))
+    if ambient is None:
+        ambient = required
+    elif ambient < required:
+        raise ArgumentError(
+            f"ambient {ambient} too small: the permuted coordinates need "
+            f"{required}; pass a larger ambient"
+        )
+
+    moved = pi_t != np.arange(1, M + 1)
+    starved = np.flatnonzero(moved & (eps[:M] <= 0.0))
+    if starved.size:
+        n = int(starved[0]) + 1
+        raise ConstructionError(
+            f"step {n} needs a correction toward coordinate {pi_t[n - 1]} "
+            f"but eps_{n} is zero; enlarge the budget"
+        )
+    # eps_n = m * 2^e with 1/2 <= m < 1 exactly, so 2^(e-1) <= eps_n
+    t = np.zeros(M + 1)
+    t[1:] = np.where(moved, np.ldexp(1.0, np.frexp(eps[:M])[1] - 1), 0.0)
+
+    preimage = {int(pi_t[k - 1]): k for k in range(1, M + 1)}
+
+    def _guard(value: float, where: str):
+        if value == 0.0 or not math.isfinite(value):
+            raise ConstructionError(
+                f"cascade coefficient degenerate at {where}; enlarge eps or "
+                "reduce the truncation"
+            )
+        if abs(math.frexp(value)[1]) > 980:
+            raise ConstructionError(
+                f"cascade coefficient exponent overflow at {where}; enlarge eps "
+                "or reduce the truncation"
+            )
+
+    X = np.zeros((M, ambient))
+    F = np.zeros((M, ambient))
+    Ehat = np.zeros((M, ambient))
+
+    for n in range(1, M + 1):
+        target = int(pi_t[n - 1])
+        Ehat[n - 1, n - 1] = 1.0
+        if target != n:
+            Ehat[n - 1, target - 1] = t[n]
+
+        # functional cascade: start at the new coordinate, push each forced
+        # coefficient through the constraints of the earlier corrections
+        fcoef = {target: 1.0}
+        j = target
+        while j < n:
+            nxt = int(pi_t[j - 1])
+            if nxt == j or nxt in fcoef:
+                raise ConstructionError(f"functional cascade degenerates at {j}")
+            val = -fcoef[j] / t[j]
+            _guard(val, f"f({n}) coordinate {nxt}")
+            fcoef[nxt] = val
+            j = nxt
+
+        # vector cascade: coefficients on the e_hat prefix, cancelling every
+        # coordinate some earlier functional already occupies
+        xcoef = {n: 1.0}
+        cur = n
+        while True:
+            k = preimage.get(cur)
+            if k is None or k >= n:
+                break
+            if k in xcoef:
+                raise ConstructionError(f"vector cascade degenerates at {k}")
+            val = -xcoef[cur] / t[k]
+            _guard(val, f"x({n}) basis {k}")
+            xcoef[k] = val
+            cur = k
+
+        xrow = np.zeros(ambient)
+        for k, c in xcoef.items():
+            xrow[k - 1] += c
+            tk = t[k]
+            if tk:
+                xrow[int(pi_t[k - 1]) - 1] += c * tk
+        frow = np.zeros(ambient)
+        for c_idx, c in fcoef.items():
+            frow[c_idx - 1] = c
+
+        pairing = float(frow @ xrow)
+        _guard(pairing, f"pairing at {n}")
+        X[n - 1] = xrow
+        F[n - 1] = frow / pairing
+
+    _verify_pathological(X, F, Ehat, pi_t, eps[:M], tol)
+    return BiorthSystem(X, F, ambient_dim=ambient, tol=tol).validate(), Ehat
 
 
 def write_matrix_csv(M: np.ndarray, path: str):

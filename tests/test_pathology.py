@@ -10,6 +10,7 @@ from mbasis_lab.biorth import BiorthSystem, biorthogonality_defect
 from mbasis_lab.errors import ArgumentError, ConstructionError
 from mbasis_lab.pathology import (
     BEYOND_TABLE,
+    PermutationSpec,
     build_pathological_system,
     build_permutation,
     build_phi,
@@ -260,6 +261,70 @@ class TestPathologicalSystem:
         with pytest.raises(ArgumentError, match="ambient"):
             build_pathological_system(spec, default_eps_sequence(16), 16, 16)
 
+    def test_cyclic_permutation_refused(self):
+        # a 3-cycle closes the vector cascade on the coordinate it started
+        # from, so f_3(x_3) = t_3 + 2**7 is no power of two and the
+        # functional cannot be normalized exactly
+        idx = np.arange(1, 5)
+        spec = PermutationSpec(4, idx.astype(float), idx, (1, 2, 3, 4), idx, idx,
+                               np.array([2, 3, 1, 4]))
+        with pytest.raises(ConstructionError,
+                           match=r"^biorthogonality defect at step 3: f_3\(x_3\)"):
+            build_pathological_system(spec, default_eps_sequence(3), 3)
+
+
+def _degenerate_case():
+    # x_7's chain runs through e_hat_3 and e_hat_4: 2**951 / 2**-101 is
+    # past the float64 range, where the float cascade met an inf
+    eps = default_eps_sequence(16)
+    eps[2], eps[3] = 2.0 ** -950, 2.0 ** -100
+    return make_spec(16), eps, 16
+
+
+def _default_case(N):
+    return lambda: (make_spec(N), default_eps_sequence(N), N)
+
+
+#: name -> (arguments, the start of the refusal text or None for a build)
+ORACLE_CASES = {
+    **{f"N{N}": (_default_case(N), None) for N in (16, 64, 200, 400, 509)},
+    **{f"N{N}-below-powers": (lambda N=N: (make_spec(N),
+                                           np.nextafter(default_eps_sequence(N), 0), N), None)
+       for N in (16, 64, 400)},
+    "identity": (lambda: (identity_permutation(32), default_eps_sequence(16), 16), None),
+    "N510": (_default_case(510), "1 row norms are not finite"),
+    "N520": (_default_case(520), "11 row norms are not finite"),
+    "N600": (_default_case(600), "91 row norms are not finite"),
+    "N1000": (_default_case(1000), "cascade coefficient exponent overflow at pairing at 980;"),
+    "N1100": (_default_case(1100), "step 1073 needs a correction toward coordinate 2156 "
+                                   "but eps_1073 is zero"),
+    "degenerate": (_degenerate_case, "cascade coefficient degenerate at x(7) basis 4;"),
+}
+
+
+def _build_outcome(build, spec, eps, N):
+    try:
+        system, E = build(spec, eps, N)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return system.xs, system.fs, E, system.ambient_dim
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_build_matches_float_cascade_oracle(case):
+    make_args, refusal = ORACLE_CASES[case]
+    args = make_args()
+    new = _build_outcome(build_pathological_system, *args)
+    # the float cascade reaches the degenerate case through an overflow,
+    # which it reports as a warning before refusing
+    with np.errstate(over="ignore"):
+        old = _build_outcome(oracles.build_pathological_system, *args)
+    if refusal:
+        assert new == old and new[1].startswith(refusal)
+    else:
+        assert len(new) == 4 and new[3] == old[3]
+        assert all(np.array_equal(a, b) for a, b in zip(new[:3], old[:3]))
+
 
 class TestOperatorT:
     def test_identity(self):
@@ -292,6 +357,15 @@ class TestOperatorT:
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ArgumentError, match=r"row matrix of shape \(M, 3\), got \(3,\)"):
             operator_T(np.ones(3), 3)
+
+    @pytest.mark.parametrize("e_hats,ambient,match", [
+        (np.zeros((0, 3)), 3, "^e_hats is empty"),
+        ([[np.nan, 1.0]], 2, "^e_hats has entries that are not finite"),
+        ([[np.inf, 1.0]], 2, "^e_hats has entries that are not finite"),
+    ], ids=["empty", "nan", "inf"])
+    def test_empty_or_non_finite_refused(self, e_hats, ambient, match):
+        with pytest.raises(ArgumentError, match=match):
+            operator_T(e_hats, ambient)
 
     def test_singular_T_refused(self):
         # e_1 is orthogonal to e_hat_1 = e_2, so T fixes it and also sends

@@ -8,6 +8,7 @@ raise the same exception type, and the sine-form ``span_gap`` must give
 the projector gap's verdicts and agree with its values to a rounding floor.
 """
 
+import math
 from time import perf_counter
 
 import numpy as np
@@ -21,8 +22,10 @@ from mbasis_lab.biorth import (
     norming_constant_estimate,
     spanning_indices,
 )
+from mbasis_lab.errors import ConstructionError
 from mbasis_lab.pathology import (
-    _verify_pathological,
+    _cascade,
+    _certify,
     build_pathological_system,
     build_permutation,
     build_phi,
@@ -352,21 +355,39 @@ def test_tail_norms_are_prefix_distances():
 
 
 def _corrupt(kind):
-    system, Ehat, pi_t, eps = pathological_build(40)
-    X, F = system.xs.copy(), system.fs.copy()
-    step = 3
+    """The cascade rows of the truncation-40 system, with the invariant
+    ``kind`` names broken at step 4, its permutation and eps."""
+    N, step = 40, 3
+    spec = build_permutation(build_phi(lambda n: float(n), 4 * N), 4 * N)
+    eps = default_eps_sequence(N)
+    pi = spec.compactified(N, keep_below=N).tolist()
+    rows = [tuple(list(part) for part in row)
+            for row in _cascade(pi, (np.frexp(eps)[1] - 1).tolist())]
+    erow, _, xrow, frow = rows[step]
     if kind == "budget":
-        Ehat[step, -1] = 0.5
+        # t_4 doubled past eps_4
+        erow[1] = (erow[1][0], 1, erow[1][2] + 1)
     elif kind == "vector-span":
         # a coordinate no functional and no e_hat prefix row touches keeps
         # the system biorthogonal but leaves the prefix span
-        free = sorted(set(range(X.shape[1])) - set(pi_t - 1) - set(range(step + 1)))
-        X[step, free[-1]] = 1e-3
+        free = max(set(range(1, max(pi) + 1)) - set(pi) - set(range(1, step + 2)))
+        xrow.append((free, 1, -10))
     elif kind == "dual-support":
-        F[step, pi_t[step + 1] - 1] = 1e-20
+        frow.append((pi[step + 1], 1, -66))
     elif kind == "defect":
-        F[step, step] += 1e-6
-    return X, F, Ehat, pi_t, eps
+        frow.append((pi[step], 1, -20))
+    return rows, pi, eps
+
+
+def _dense(rows):
+    """X, F and e_hat of the rows in float64, each f_n divided by f_n(x_n)."""
+    width = max(c for row in rows for part in row for c, _, _ in part)
+    X, F, E = (np.zeros((len(rows), width)) for _ in range(3))
+    for n, (erow, _, xrow, frow) in enumerate(rows):
+        for out, part in ((E, erow), (X, xrow), (F, frow)):
+            for c, s, e in part:
+                out[n, c - 1] += math.ldexp(s, e)
+    return X, F / np.sum(F * X, axis=1, keepdims=True), E
 
 
 def _message(fn, *args):
@@ -377,9 +398,27 @@ def _message(fn, *args):
     return None
 
 
-@pytest.mark.parametrize("kind", ["valid", "budget", "vector-span", "dual-support", "defect"])
+#: corruption kind -> the start of the refusal both verifiers give
+PATHOLOGICAL_INVARIANTS = {
+    "valid": None,
+    "budget": "correction at step 4 exceeds its budget",
+    "vector-span": "vector prefix span equality fails at 4",
+    "dual-support": "functional 4 leaves its coordinate span",
+    "defect": "biorthogonality defect",
+}
+
+
+@pytest.mark.parametrize("kind", list(PATHOLOGICAL_INVARIANTS))
 def test_pathological_verification_matches_oracle(kind):
-    args = _corrupt(kind) + (ToleranceConfig(),)
-    expected = _message(oracles._verify_pathological, *args)
-    assert _message(_verify_pathological, *args) == expected
-    assert (expected is None) == (kind == "valid")
+    # the exact certifier on the cascade's triples against the float
+    # verifier on their dense image
+    rows, pi, eps = _corrupt(kind)
+    expected = _message(oracles._verify_pathological, *_dense(rows), np.array(pi), eps,
+                        ToleranceConfig())
+    got = _message(_certify, rows, pi, eps)
+    invariant = PATHOLOGICAL_INVARIANTS[kind]
+    if invariant is None:
+        assert expected is None and got is None
+    else:
+        for outcome in (expected, got):
+            assert outcome[0] is ConstructionError and outcome[1].startswith(invariant)
