@@ -8,7 +8,6 @@ from .subspace import (  # noqa: F401
     dual_solve,
     project,
     span_equal,
-    unit_net,
 )
 from .biorth import (  # noqa: F401
     BiorthSystem,

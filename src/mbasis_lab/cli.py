@@ -1,7 +1,10 @@
 """Batch front-end: config parsing, pipeline dispatch, report emission.
 
 Configuration is a line-oriented ``key = value`` text format (blank lines
-and ``#`` comments allowed, unknown or duplicate keys rejected).  Every
+and ``#`` comments allowed, unknown or duplicate keys rejected).  The keys
+are the fields of :class:`ExperimentConfig`, with the fields of its
+:class:`ToleranceConfig` in place of ``tol``; each key's type gives its
+parser.  Every
 run writes its artifacts plus a ``run.json`` manifest into the output
 directory; failures leave a machine-readable ``failure.json`` naming the
 violated condition and exit nonzero.
@@ -19,7 +22,8 @@ import logging
 import os
 import sys as _sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,6 +61,8 @@ class ConfigError(ArgumentError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every config key but the tolerances, which ``tol`` carries."""
+
     command: str = ""
     truncation: int = 64
     seed: int = 0
@@ -69,18 +75,11 @@ class ExperimentConfig:
     blocks: int = 2
     variant: str = "plain"
     c: float = 0.0
-    eps: tuple = ()
-    sizes: tuple = (64, 128, 256)
-    cs: tuple = (1, 2, 4)
+    eps: tuple[float, ...] = ()
+    sizes: tuple[int, ...] = (64, 128, 256)
+    cs: tuple[int, ...] = (1, 2, 4)
     m_bound: float = 2.0
-    rank_tol: float = 1e-10
-    biorth_tol: float = 1e-8
-    span_tol: float = 1e-8
-    net_resolution: float = 0.25
-
-    def tolerances(self) -> ToleranceConfig:
-        return ToleranceConfig(self.rank_tol, self.biorth_tol, self.span_tol,
-                               self.net_resolution)
+    tol: ToleranceConfig = ToleranceConfig()
 
 
 def _parse_bool(text: str) -> bool:
@@ -92,36 +91,25 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text}")
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _parser(kind):
+    """The parser of a config value of type ``kind``: a bool word, a comma-
+    or space-separated list for a tuple, else the type itself."""
+    if kind is bool:
+        return _parse_bool
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return lambda text: tuple(item(tok) for tok in text.replace(",", " ").split())
+    return kind
 
 
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _key_fields():
+    """The field of every config key, in ``--help`` order."""
+    for f in fields(ExperimentConfig):
+        yield from fields(f.default) if isinstance(f.default, ToleranceConfig) else (f,)
 
 
-_PARSERS = {
-    "command": str,
-    "truncation": int,
-    "seed": int,
-    "out": str,
-    "kind": str,
-    "input_system": str,
-    "partition": str,
-    "auto_strong": _parse_bool,
-    "depth": int,
-    "blocks": int,
-    "variant": str,
-    "c": float,
-    "eps": _parse_float_list,
-    "sizes": _parse_int_list,
-    "cs": _parse_int_list,
-    "m_bound": float,
-    "rank_tol": float,
-    "biorth_tol": float,
-    "span_tol": float,
-    "net_resolution": float,
-}
+_TYPES = {**get_type_hints(ExperimentConfig), **get_type_hints(ToleranceConfig)}
+_PARSERS = {f.name: _parser(_TYPES[f.name]) for f in _key_fields()}
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -149,10 +137,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("cs entries must be positive")
     if cfg.m_bound < 1:
         raise ConfigError("m_bound must be at least 1")
-    try:
-        cfg.tolerances()
-    except ArgumentError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -178,7 +162,14 @@ def parse_config(source: str, default_command: str = "") -> ExperimentConfig:
             raise ConfigError(f"line {ln}: bad value for '{key}': {exc}")
     if "command" not in values and default_command:
         values["command"] = default_command
-    return _validate(ExperimentConfig(**values))
+    # the tolerances are checked after every other key
+    tolerances = {f.name: values.pop(f.name) for f in fields(ToleranceConfig)
+                  if f.name in values}
+    cfg = _validate(ExperimentConfig(**values))
+    try:
+        return replace(cfg, tol=ToleranceConfig(**tolerances))
+    except ArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def emit_report(rows, columns, out_dir: str, name: str):
@@ -192,20 +183,19 @@ def emit_report(rows, columns, out_dir: str, name: str):
 def _load_or_canonical(cfg: ExperimentConfig) -> BiorthSystem:
     if cfg.input_system:
         return mio.load_system(cfg.input_system)
-    return BiorthSystem.canonical(cfg.truncation, tol=cfg.tolerances())
+    return BiorthSystem.canonical(cfg.truncation, tol=cfg.tol)
 
 
 def _cmd_build_system(cfg: ExperimentConfig, out: str) -> dict:
-    tol = cfg.tolerances()
     if cfg.kind == "canonical":
-        system = BiorthSystem.canonical(cfg.truncation, tol=tol)
+        system = BiorthSystem.canonical(cfg.truncation, tol=cfg.tol)
         extras: dict = {}
     else:
         N = cfg.truncation
         phi = build_phi(lambda n: float(n), 4 * N)
         spec = build_permutation(phi, 4 * N)
         eps = np.asarray(cfg.eps, dtype=float) if cfg.eps else default_eps_sequence(N)
-        system, E = build_pathological_system(spec, eps, N, tol=tol)
+        system, E = build_pathological_system(spec, eps, N, tol=cfg.tol)
         mio.write_matrix_csv(E, os.path.join(out, "E.csv"))
         extras = {"ambient": system.ambient_dim}
     mio.save_system(system, os.path.join(out, "system"))
@@ -255,7 +245,6 @@ def _cmd_represent(cfg: ExperimentConfig, out: str) -> dict:
 
 
 def _cmd_pathology(cfg: ExperimentConfig, out: str) -> dict:
-    tol = cfg.tolerances()
     N = cfg.truncation
     table_len = max(cfg.cs) * N
     phi = build_phi(lambda n: float(n), table_len)
@@ -265,7 +254,7 @@ def _cmd_pathology(cfg: ExperimentConfig, out: str) -> dict:
     rows = list(zip(stats.grid_m, stats.omega, stats.two_phi))
     emit_report(rows, ("m", "omega", "two_phi"), out, "omega_growth")
     eps = np.asarray(cfg.eps, dtype=float) if cfg.eps else default_eps_sequence(N)
-    system, E = build_pathological_system(spec, eps, N, tol=tol)
+    system, E = build_pathological_system(spec, eps, N, tol=cfg.tol)
     top = operator_T(E, system.ambient_dim, eps_seq=eps)
     mio.save_system(system, os.path.join(out, "system"))
     mio.write_matrix_csv(E, os.path.join(out, "E.csv"))
@@ -278,7 +267,7 @@ def _cmd_pathology(cfg: ExperimentConfig, out: str) -> dict:
 
 def _cmd_unb(cfg: ExperimentConfig, out: str) -> dict:
     report = unb_experiment(lambda m: float(m), cfg.m_bound, cfg.sizes, cfg.seed,
-                            tol=cfg.tolerances())
+                            tol=cfg.tol)
     for run_data in report.runs:
         emit_report(run_data.rows, report.columns, out,
                     f"unb_{run_data.truncation}")
@@ -335,12 +324,7 @@ def run(cfg: ExperimentConfig) -> int:
         "command": cfg.command,
         "seed": cfg.seed,
         "truncation": cfg.truncation,
-        "tolerances": {
-            "rank_tol": cfg.rank_tol,
-            "biorth_tol": cfg.biorth_tol,
-            "span_tol": cfg.span_tol,
-            "net_resolution": cfg.net_resolution,
-        },
+        "tolerances": asdict(cfg.tol),
         "grid": {"sizes": list(cfg.sizes), "cs": list(cfg.cs)},
         "version": __version__,
         "numpy": np.__version__,
@@ -367,7 +351,7 @@ def main(argv=None) -> int:
         description="Finite-truncation experiments on biorthogonal systems.",
         epilog=(
             "Config keys and defaults: "
-            + ", ".join(f"{f.name}={f.default!r}" for f in fields(ExperimentConfig)
+            + ", ".join(f"{f.name}={f.default!r}" for f in _key_fields()
                         if f.name != "command")
         ),
     )
@@ -392,20 +376,11 @@ def main(argv=None) -> int:
                     f"says '{args.command}'"
                 )
         else:
-            cfg = _validate(ExperimentConfig(command=args.command))
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.truncation is not None:
-            overrides["truncation"] = args.truncation
-        if args.partition is not None:
-            overrides["partition"] = args.partition
-        if args.auto_strong is not None:
-            overrides["auto_strong"] = args.auto_strong
-        if overrides:
-            cfg = _validate(replace(cfg, **overrides))
+            cfg = ExperimentConfig(command=args.command)
+        # each option's dest is the name of the field it overrides
+        overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                     if getattr(args, f.name, None) is not None}
+        cfg = _validate(replace(cfg, **overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

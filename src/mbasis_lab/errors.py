@@ -13,17 +13,5 @@ class SingularGramError(RuntimeError):
     """
 
 
-class NetCapError(RuntimeError):
-    """Raised when a requested sphere net would exceed the point budget."""
-
-    def __init__(self, requested: int, cap: int):
-        super().__init__(
-            f"unit net would need {requested} points, cap is {cap}; "
-            "lower the resolution demand or the span dimension"
-        )
-        self.requested = requested
-        self.cap = cap
-
-
 class ConstructionError(RuntimeError):
     """Raised when an inductive construction cannot be completed as specified."""

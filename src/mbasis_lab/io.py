@@ -5,9 +5,11 @@ across runs with identical inputs.  Matrices are stored one vector per
 row.  The matrix writer formats each distinct float64 bit pattern once
 and assembles rows from that table; the text is exactly what formatting
 every cell with :func:`fmt` gives.  A biorthogonal system is a directory
-holding ``X.csv``, ``F.csv`` and a ``header.txt`` with the ambient
-dimension and tolerances.  Reading a missing or malformed stored system
-raises :class:`ArgumentError` naming the file.
+holding ``X.csv``, ``F.csv`` and a ``header.txt`` of ``key = value``
+lines: ``ambient_dim``, then one line per field of :class:`ToleranceConfig`.
+The reader skips keys it does not know, so headers of earlier versions
+load, and takes a missing tolerance at its default.  Reading a missing or
+malformed stored system raises :class:`ArgumentError` naming the file.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -108,13 +111,10 @@ def save_system(sys: BiorthSystem, directory: str):
     os.makedirs(directory, exist_ok=True)
     write_matrix_csv(sys.xs, os.path.join(directory, "X.csv"))
     write_matrix_csv(sys.fs, os.path.join(directory, "F.csv"))
-    t = sys.tol
     with open(os.path.join(directory, "header.txt"), "w") as fh:
         fh.write(f"ambient_dim = {sys.ambient_dim}\n")
-        fh.write(f"rank_tol = {fmt(t.rank_tol)}\n")
-        fh.write(f"biorth_tol = {fmt(t.biorth_tol)}\n")
-        fh.write(f"span_tol = {fmt(t.span_tol)}\n")
-        fh.write(f"net_resolution = {fmt(t.net_resolution)}\n")
+        for f in fields(ToleranceConfig):
+            fh.write(f"{f.name} = {fmt(getattr(sys.tol, f.name))}\n")
 
 
 def load_system(directory: str, validate: bool = True) -> BiorthSystem:
@@ -129,12 +129,8 @@ def load_system(directory: str, validate: bool = True) -> BiorthSystem:
                 header[k.strip()] = v.strip()
     try:
         ambient_dim = int(header["ambient_dim"])
-        tol = ToleranceConfig(
-            rank_tol=float(header.get("rank_tol", 1e-10)),
-            biorth_tol=float(header.get("biorth_tol", 1e-8)),
-            span_tol=float(header.get("span_tol", 1e-8)),
-            net_resolution=float(header.get("net_resolution", 0.25)),
-        )
+        tol = ToleranceConfig(**{f.name: float(header[f.name]) for f in fields(ToleranceConfig)
+                                 if f.name in header})
     except KeyError as exc:
         raise ArgumentError(f"{header_path}: missing key {exc}")
     except ValueError as exc:

@@ -237,9 +237,11 @@ def build_norming_indices(sys: BiorthSystem, depth: int,
     After finding the interim window end p(m+1), the index r(m+1) >= p(m+1)
     is widened until every unit v of span{x_1..x_{p(m+1)}} admits a unit
     functional in span{f_1..f_{r(m+1)}} with action at least ``c``.
-    Requires c at most half the measured norming constant of the system
-    (:func:`norming_constant_estimate` at its default sample count); c
-    defaults to exactly that half.
+    Requires c at most half the sampled estimate of the norming constant
+    (:func:`norming_constant_estimate` at its default sample count), which
+    can only overstate the constant, so this admits some c above half of
+    it; each built step is certified all the same.  c defaults to exactly
+    that half.
     """
     if depth < 1:
         raise ArgumentError("depth must be at least 1")
@@ -306,10 +308,6 @@ class SubseriesTrace:
     @property
     def final_residual(self) -> float:
         return self.residuals[-1]
-
-    @property
-    def mass_sum(self) -> float:
-        return float(sum(self.window_masses))
 
 
 def subseries_reconstruct(x, sys: BiorthSystem, r: RepresentingIndices,

@@ -19,17 +19,19 @@ a span.
 
 Functionals on l2 are identified with vectors acting by the inner product,
 so dual systems are returned as row matrices as well.
+
+:class:`ToleranceConfig` holds the package's tolerances, the one place each
+is named.  No primitive here builds a net of a sphere: the constructions
+certify their sphere conditions spectrally.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ArgumentError, NetCapError, SingularGramError
+from .errors import ArgumentError, SingularGramError
 
 __all__ = [
     "ToleranceConfig",
@@ -44,12 +46,8 @@ __all__ = [
     "span_gap",
     "span_equal",
     "directed_span_gap",
-    "unit_net",
     "dual_solve",
 ]
-
-#: default cap on generated net sizes; nets are exponential in dimension
-NET_POINT_CAP = 2_000_000
 
 
 def as_vector(x, ambient_dim: int | None = None) -> np.ndarray:
@@ -270,52 +268,6 @@ def directed_span_gap(S_sub, S_sup, rank_tol: float = 1e-10) -> float:
     return float(np.linalg.svd(R, compute_uv=False)[0])
 
 
-def unit_net(S, resolution: float, rank_tol: float = 1e-10,
-             max_points: int = NET_POINT_CAP) -> np.ndarray:
-    """A finite ``resolution``-net of the unit sphere of span(S).
-
-    Returns the net points as rows; every unit vector of the span is
-    within ``resolution`` (Euclidean) of one of them.  Built on an angle
-    grid in orthonormalized coordinates, so the size grows like
-    (1/resolution)**(dim-1); the call fails with :class:`NetCapError`
-    rather than exhaust memory when the requested net would exceed
-    ``max_points``.
-    """
-    if not (0.0 < resolution < 1.0):
-        raise ArgumentError(f"net resolution must lie in (0, 1), got {resolution}")
-    Q = orthonormal_rows(span_matrix(S), rank_tol)
-    d = Q.shape[0]
-    if d == 0:
-        raise ArgumentError("cannot build a net on the zero subspace")
-    if d == 1:
-        return np.vstack([Q, -Q])
-
-    # Per-angle step so the worst geodesic offset stays below asin(res/2),
-    # hence chord distance below the resolution.
-    h = 2.0 * math.asin(resolution / 2.0) / math.sqrt(d - 1)
-    n_polar = max(1, math.ceil(math.pi / h))
-    n_azim = max(1, math.ceil(2.0 * math.pi / h))
-    size = (n_polar + 1) ** (d - 2) * n_azim
-    if size > max_points:
-        raise NetCapError(size, max_points)
-
-    polar = np.linspace(0.0, math.pi, n_polar + 1)
-    azim = np.arange(n_azim) * (2.0 * math.pi / n_azim)
-    points = []
-    for combo in itertools.product(*([polar] * (d - 2) + [azim])):
-        coord = np.empty(d)
-        sin_prod = 1.0
-        for i, theta in enumerate(combo):
-            coord[i] = sin_prod * math.cos(theta)
-            sin_prod *= math.sin(theta)
-        coord[d - 1] = sin_prod
-        points.append(coord)
-    pts = np.asarray(points)
-    # renormalize against accumulated rounding, then map into the ambient
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts @ Q
-
-
 def dual_solve(vectors, within, rank_tol: float = 1e-10,
                biorth_tol: float = 1e-8) -> np.ndarray:
     """Biorthogonal functionals of ``vectors`` inside span(``within``).
@@ -358,24 +310,27 @@ def dual_solve(vectors, within, rank_tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical knobs shared by the diagnostics.
+    """The numerical tolerances shared by the diagnostics, each named once.
+
+    Its fields are the tolerance keys of a config file, the ``tolerances``
+    of ``run.json`` and the tolerance lines of a stored ``header.txt``, so
+    a tolerance is added or renamed here and nowhere else.  Each must be
+    strictly positive.
 
     rank_tol is Gram-Schmidt's per-row relative residual test of
     :func:`prefix_bases`: a row within rank_tol of the span of the normalized
     rows before it adds no direction.  :func:`svd_basis` and the cross-Gram
     test of :func:`dual_solve` read it relative to the largest singular
-    value instead.  The others are absolute.  net_resolution parameterizes every sphere-net argument, and
-    all net-based guarantees are stated relative to it.
+    value instead.  biorth_tol bounds the biorthogonality defects and
+    span_tol the span gaps and span distances the checks accept; both are
+    absolute.
     """
 
     rank_tol: float = 1e-10
     biorth_tol: float = 1e-8
     span_tol: float = 1e-8
-    net_resolution: float = 0.25
 
     def __post_init__(self):
-        for name in ("rank_tol", "biorth_tol", "span_tol", "net_resolution"):
-            if getattr(self, name) <= 0:
-                raise ArgumentError(f"{name} must be strictly positive")
-        if self.net_resolution >= 1.0:
-            raise ArgumentError("net_resolution must be below 1")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:  # NaN too
+                raise ArgumentError(f"{f.name} must be strictly positive")

@@ -20,6 +20,9 @@ per-row span check of ``flattened_from_duals`` and the ``tail_norms``
 distance table as they were when they formed the Q of the QR kernel;
 coordinates and distances read off the R factor of one augmented QR
 replaced them.
+The sphere nets ``unit_net``, which only the tests use, and the per-row
+uniform minimality constant, which one inverse of the kernel's R factor
+replaced, close the module.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -27,6 +30,7 @@ diagnostics and the writer are required to agree with them exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -785,3 +789,87 @@ def tail_norms(V: np.ndarray, Q: np.ndarray) -> np.ndarray:
     sq = np.concatenate([np.square(C), np.zeros((C.shape[0], 1))], axis=1)
     tails = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
     return np.sqrt(tails + np.einsum("ij,ij->i", out, out)[:, None])
+
+
+# ---------------------------------------------------------------------------
+# Sphere nets and the per-row uniform minimality constant, moved from the
+# package verbatim, except that the QR kernel's ``orthonormal_rows`` is
+# ``qr_rows`` here.  The package certifies its sphere conditions spectrally,
+# which implies the net condition at every resolution, so only the tests
+# build nets: the explicit check of the norming step property.  The per-row
+# distances are this module's Q-forming ``distance_to_span``; one
+# triangular inverse of the QR kernel's R factor replaced the n QRs.
+
+
+#: default cap on generated net sizes; nets are exponential in dimension
+NET_POINT_CAP = 2_000_000
+
+
+class NetCapError(RuntimeError):
+    """Raised when a requested sphere net would exceed the point budget."""
+
+    def __init__(self, requested: int, cap: int):
+        super().__init__(
+            f"unit net would need {requested} points, cap is {cap}; "
+            "lower the resolution demand or the span dimension"
+        )
+        self.requested = requested
+        self.cap = cap
+
+
+def unit_net(S, resolution: float, rank_tol: float = 1e-10,
+             max_points: int = NET_POINT_CAP) -> np.ndarray:
+    """A finite ``resolution``-net of the unit sphere of span(S).
+
+    Returns the net points as rows; every unit vector of the span is
+    within ``resolution`` (Euclidean) of one of them.  Built on an angle
+    grid in orthonormalized coordinates, so the size grows like
+    (1/resolution)**(dim-1); the call fails with :class:`NetCapError`
+    rather than exhaust memory when the requested net would exceed
+    ``max_points``.
+    """
+    if not (0.0 < resolution < 1.0):
+        raise ArgumentError(f"net resolution must lie in (0, 1), got {resolution}")
+    Q = qr_rows(span_matrix(S), rank_tol)
+    d = Q.shape[0]
+    if d == 0:
+        raise ArgumentError("cannot build a net on the zero subspace")
+    if d == 1:
+        return np.vstack([Q, -Q])
+
+    # Per-angle step so the worst geodesic offset stays below asin(res/2),
+    # hence chord distance below the resolution.
+    h = 2.0 * math.asin(resolution / 2.0) / math.sqrt(d - 1)
+    n_polar = max(1, math.ceil(math.pi / h))
+    n_azim = max(1, math.ceil(2.0 * math.pi / h))
+    size = (n_polar + 1) ** (d - 2) * n_azim
+    if size > max_points:
+        raise NetCapError(size, max_points)
+
+    polar = np.linspace(0.0, math.pi, n_polar + 1)
+    azim = np.arange(n_azim) * (2.0 * math.pi / n_azim)
+    points = []
+    for combo in itertools.product(*([polar] * (d - 2) + [azim])):
+        coord = np.empty(d)
+        sin_prod = 1.0
+        for i, theta in enumerate(combo):
+            coord[i] = sin_prod * math.cos(theta)
+            sin_prod *= math.sin(theta)
+        coord[d - 1] = sin_prod
+        points.append(coord)
+    pts = np.asarray(points)
+    # renormalize against accumulated rounding, then map into the ambient
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts @ Q
+
+
+def uniform_minimality_constant(sys: BiorthSystem) -> float:
+    """min over n of dist(x_n / ||x_n||, span of the other vectors)."""
+    if sys.size < 2:
+        raise ArgumentError("uniform minimality needs at least 2 vectors")
+    dists = []
+    for n in range(sys.size):
+        others = np.delete(sys.xs, n, axis=0)
+        xn = sys.xs[n]
+        dists.append(distance_to_span(xn / np.linalg.norm(xn), others, sys.tol.rank_tol))
+    return float(min(dists))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mbasis_lab.biorth import (
     BiorthSystem,
     IntervalFamily,
@@ -28,12 +29,32 @@ def e(i, n):
     return v
 
 
-@pytest.fixture
-def flattened_pair():
+def worked_flattening():
     """The worked dim-2 flattening: z1 = e1 - 10 e2, z2 = 10 e2."""
     Z = np.array([[1.0, -10.0], [0.0, 10.0]])
     Zd = np.array([[1.0, 0.0], [1.0, 0.1]])
     return BiorthSystem.from_pairs(Z, Zd)
+
+
+@pytest.fixture
+def flattened_pair():
+    return worked_flattening()
+
+
+def perturbed_system(n=5, seed=7, scale=0.3):
+    V = np.eye(n) + scale * np.random.default_rng(seed).standard_normal((n, n))
+    return BiorthSystem(V, dual_solve(V, V))
+
+
+def assert_uniform_minimality_matches_oracle(sys):
+    """The one-factorization constant against the per-row oracle, within
+    4 d u kappa of the normalized rows: both err by rounding amplified by
+    their conditioning."""
+    unit = sys.xs / np.linalg.norm(sys.xs, axis=1, keepdims=True)
+    floor = 4 * sys.ambient_dim * np.finfo(float).eps / 2 * np.linalg.cond(unit)
+    mu = uniform_minimality_constant(sys)
+    assert abs(mu - oracles.uniform_minimality_constant(sys)) <= floor
+    return mu
 
 
 class TestDefect:
@@ -81,10 +102,7 @@ class TestUniformMinimality:
         assert uniform_minimality_constant(flattened_pair) == pytest.approx(expected)
 
     def test_duality_inequality(self):
-        rng = np.random.default_rng(7)
-        V = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
-        F = dual_solve(V, V)
-        sys = BiorthSystem(V, F)
+        sys = perturbed_system()
         mu = uniform_minimality_constant(sys)
         C = boundedness_constant(sys)
         assert 1.0 / C - 1e-10 <= mu <= 1.0 + 1e-10
@@ -92,6 +110,22 @@ class TestUniformMinimality:
     def test_needs_two(self):
         with pytest.raises(ArgumentError):
             uniform_minimality_constant(BiorthSystem.canonical(1))
+
+    @pytest.mark.parametrize("make", [
+        lambda: BiorthSystem.canonical(10),
+        worked_flattening,
+        perturbed_system,
+        lambda: perturbed_system(40, seed=3, scale=0.1),
+        lambda: BiorthSystem.canonical(6, ambient_dim=9),
+    ], ids=["canonical", "worked-flattening", "perturbed-5", "perturbed-40", "canonical-in-9"])
+    def test_matches_per_row_oracle(self, make):
+        assert_uniform_minimality_matches_oracle(make())
+
+    def test_rank_deficient_reads_zero(self):
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+        sys = BiorthSystem(X, X)
+        assert uniform_minimality_constant(sys) == 0.0
+        assert oracles.uniform_minimality_constant(sys) <= 1e-15
 
 
 class TestNormingEstimate:
@@ -277,6 +311,6 @@ def test_boundedness_lower_bound_property(n, seed):
     F = dual_solve(V, np.eye(n))
     sys = BiorthSystem(V, F)
     assert boundedness_constant(sys) >= 1.0 - 1e-10
-    mu = uniform_minimality_constant(sys)
+    mu = assert_uniform_minimality_matches_oracle(sys)
     assert mu >= 1.0 / boundedness_constant(sys) - 1e-8
     assert mu <= 1.0 + 1e-10

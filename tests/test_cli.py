@@ -14,7 +14,12 @@ from mbasis_lab.biorth import BiorthSystem
 from mbasis_lab.errors import ArgumentError
 from mbasis_lab.perturbations import BlockPartition
 from mbasis_lab.representing import RepresentingIndices
+from mbasis_lab.subspace import ToleranceConfig
 from test_prefix_kernel import tilted_system
+
+#: the header.txt of a canonical 6-vector system as earlier versions wrote it
+EARLIER_HEADER = ("ambient_dim = 6\nrank_tol = 1e-10\nbiorth_tol = 1e-08\n"
+                  "span_tol = 1e-08\nnet_resolution = 0.25\n")
 
 
 class TestParseConfig:
@@ -54,15 +59,18 @@ class TestParseConfig:
             parse_config("command = unb\nseed = x")
 
     def test_lambda_schedule_is_not_a_key(self, tmp_path, capsys):
-        cfg = tmp_path / "unb.cfg"
-        cfg.write_text("command = unb\nlambda_schedule = linear\n")
-        assert main(["unb", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "unknown key 'lambda_schedule'" in capsys.readouterr().err
+        # net_resolution was a key that nothing read; both fail as unknown
+        for key, value in (("lambda_schedule", "linear"), ("net_resolution", "0.25")):
+            cfg = tmp_path / "unb.cfg"
+            cfg.write_text(f"command = unb\n{key} = {value}\n")
+            assert main(["unb", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert f"line 2: unknown key '{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line,match", [
         ("rank_tol = 0", "rank_tol must be strictly positive"),
         ("span_tol = -1e-8", "span_tol must be strictly positive"),
-        ("net_resolution = 1.0", "net_resolution must be below 1"),
+        ("biorth_tol = nan", "biorth_tol must be strictly positive"),
     ])
     def test_tolerances_checked_once(self, line, match):
         with pytest.raises(ConfigError, match=match):
@@ -78,13 +86,17 @@ class TestParseConfig:
 
 class TestRoundTrips:
     def test_system_roundtrip(self, tmp_path):
-        sys = BiorthSystem.canonical(5)
-        d = str(tmp_path / "sys")
-        mio.save_system(sys, d)
-        loaded = mio.load_system(d)
+        tol = ToleranceConfig(rank_tol=1e-11, biorth_tol=2e-9, span_tol=3e-9)
+        sys = BiorthSystem.canonical(5, tol=tol)
+        d = tmp_path / "sys"
+        mio.save_system(sys, str(d))
+        loaded = mio.load_system(str(d))
         assert np.array_equal(loaded.xs, sys.xs)
         assert np.array_equal(loaded.fs, sys.fs)
         assert loaded.ambient_dim == 5
+        assert loaded.tol == tol
+        assert (d / "header.txt").read_text() == (
+            "ambient_dim = 5\nrank_tol = 1e-11\nbiorth_tol = 2e-09\nspan_tol = 3e-09\n")
 
     def test_partition_roundtrip(self, tmp_path):
         p = BlockPartition(((1, 2, 3), (4, 5)), (2, 4), (0.5, 0.25))
@@ -94,6 +106,19 @@ class TestRoundTrips:
         assert q.blocks == p.blocks
         assert q.anchors == p.anchors
         assert q.epsilons == p.epsilons
+
+    def test_system_header_of_earlier_versions_loads(self, tmp_path, capsys):
+        # earlier versions wrote a net_resolution line, which the reader skips
+        d = tmp_path / "sys"
+        mio.save_system(BiorthSystem.canonical(6), str(d))
+        (d / "header.txt").write_text(EARLIER_HEADER)
+        loaded = mio.load_system(str(d))
+        assert loaded.ambient_dim == 6
+        assert loaded.tol == ToleranceConfig()
+        cfg = tmp_path / "represent.cfg"
+        cfg.write_text(f"command = represent\ninput_system = {d}\ndepth = 3\n")
+        assert main(["represent", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert mio.load_indices(str(tmp_path / "o" / "indices.txt")).values == (1, 2, 3)
 
     def test_indices_roundtrip(self, tmp_path):
         r = RepresentingIndices((1, 3, 6), (float("inf"), 0.5, 0.25), (1, 3, 5))
@@ -230,6 +255,12 @@ class TestMain:
     def test_help_runs(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
+        epilog = " ".join(capsys.readouterr().out.split())
+        assert epilog.endswith(
+            "Config keys and defaults: truncation=64, seed=0, out='mbasis_out', "
+            "kind='canonical', input_system='', partition='', auto_strong=False, depth=6, "
+            "blocks=2, variant='plain', c=0.0, eps=(), sizes=(64, 128, 256), cs=(1, 2, 4), "
+            "m_bound=2.0, rank_tol=1e-10, biorth_tol=1e-08, span_tol=1e-08")
 
     def test_config_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -251,6 +282,17 @@ class TestMain:
         manifest = json.load(open(tmp_path / "o" / "run.json"))
         assert manifest["seed"] == 3
         assert manifest["truncation"] == 16
+
+    def test_tolerance_keys_reach_run_json(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("command = represent\nvariant = norming\nrank_tol = 1e-11\n"
+                           "biorth_tol = 2e-9\nspan_tol = 3e-9\n")
+        assert main(["represent", "--config", str(cfgfile), "--truncation", "8",
+                     "--out", str(tmp_path / "o")]) == 0
+        manifest = json.load(open(tmp_path / "o" / "run.json"))
+        assert manifest["tolerances"] == {"rank_tol": 1e-11, "biorth_tol": 2e-9,
+                                          "span_tol": 3e-9}
+        assert manifest["truncation"] == 8
 
     def test_unknown_log_level_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MBASIS_LOG", "verbose")

@@ -36,7 +36,8 @@ GOLDEN_N400 = {
 }
 
 #: sha256 of every artifact but ``run.json`` of ``pathology --truncation 128``,
-#: as written while the permutation and T were built by per-n loops and a full SVD
+#: as written while the permutation and T were built by per-n loops and a full SVD;
+#: ``header.txt`` is those bytes less the ``net_resolution`` line, since removed
 GOLDEN_PATHOLOGY_128 = {
     "E.csv": "7860525a833b280ab39d34649abc0dcb8a18de312ac110722a15c20aa1e975dd",
     "omega_growth.csv": "b5640f20d48fef42fcee5c3d32bfc3277d326fb0fd93a20fcb2c15c6f9bceff7",
@@ -46,7 +47,7 @@ GOLDEN_PATHOLOGY_128 = {
     "permutation.txt": "f4d7021c866c22af89630f96b8185df40697008a804ee135a800d9d7f5267273",
     "system/F.csv": "15562e94fd1b82aa2098f0a163bf91891b3d87becefa279a830693b7790eb94c",
     "system/X.csv": "82483cb1ab25fbfb82c8f1f64f8b4ebb8f35d05ffe391dd19b5cbcb30165d2e7",
-    "system/header.txt": "2e275db8e8672d4e16a50016afe1f86cf6f85f14571f0ed5e6b1937c27e3007c",
+    "system/header.txt": "271de1f402668ebfeaa28a80bd8d3822bc9f008b927ce2064f5aee4549b29f91",
 }
 
 #: sha256 of every artifact but ``run.json`` of ``unb`` (sizes 64, 128, 256), as
@@ -71,7 +72,8 @@ GOLDEN_PERTURB_128 = {
 #: sha256 of every artifact but ``run.json`` of depth-8 ``represent`` (plain and
 #: norming write the same files) and ``perturb --auto-strong`` on the stored
 #: staged-coupling system at n = 512, as written while window tables,
-#: projections and span checks formed an explicit Q
+#: projections and span checks formed an explicit Q (the flattened
+#: ``header.txt`` less its ``net_resolution`` line, since removed)
 GOLDEN_STAGED_512_REPRESENT = {
     "indices.txt": "4feb8ee3a87cbb3528710c179c6bb2a14027975a47b311c492e2ef59b53f5d73",
     "indices_report.csv": "bc154c322318d4de878ce099a31e5240a77b2cddbc3c643566f1eb52ba15a59f",
@@ -80,7 +82,7 @@ GOLDEN_STAGED_512_REPRESENT = {
 GOLDEN_STAGED_512_PERTURB = {
     "flattened/F.csv": "9664ecdf2f6b3b2d938a930d14bc78115364b5700d8d19949bdbe8e2f2dca51f",
     "flattened/X.csv": "646d554930adf30c1e1dd9ba3100a09251adbc87c0ff1c9f040fe14a7915b478",
-    "flattened/header.txt": "b129a77bd7b2ffc43cd33e7baca8430dd885f479a5f15da15226aff33df0d873",
+    "flattened/header.txt": "8a535cfe735727c184bf44ab614e717573fd43f207c8d16b75ae7bec488b5a5c",
     "flattening_report.csv": "c6c1a1a8809cb7188c572063987d2d4ef856407104ce5454cb9e3a6e8f4966b5",
     "flattening_report.json": "c672c3b8e8f6bcf6cf6e42a007e2aaf2cd46ce35ac2685d79beb97e0f3b10b06",
     "partition.txt": "010a731ae6680d9cf102887326b9c6e1deb4dccda530c5c0a2da896b5009847c",

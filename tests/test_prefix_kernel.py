@@ -237,6 +237,16 @@ def test_index_searches_match_svd_oracles(case):
                 oracles.window_approximation_defect(x, head, q), abs=1e-7)
 
 
+@pytest.mark.parametrize("case", INDEX_CASES)
+def test_norming_estimate_never_understates(case):
+    # the norming constant is an infimum over unit functionals and the
+    # estimate a minimum over sampled ones, so it can only read above the
+    # exact value; 4 d u absorbs rounding (at most 3 ulps measured)
+    x = INDEX_CASES[case]()
+    exact = norming_property_minimum(x, x.size, x.size)
+    assert exact <= norming_constant_estimate(x) + 4 * x.ambient_dim * np.finfo(float).eps / 2
+
+
 def test_staged_512_known_answer():
     z, x = flattened_staged(512)
     cls = classify_perturbation(z, x)
