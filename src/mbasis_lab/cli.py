@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys as _sys
 import time
@@ -135,8 +136,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("sizes entries must be at least 4")
     if any(c < 1 for c in cfg.cs):
         raise ConfigError("cs entries must be positive")
-    if cfg.m_bound < 1:
-        raise ConfigError("m_bound must be at least 1")
+    if not 1 <= cfg.m_bound < math.inf:
+        raise ConfigError(f"m_bound must be finite and at least 1, got {cfg.m_bound}")
     return cfg
 
 

@@ -350,8 +350,12 @@ def omega_stats(spec: PermutationSpec, cs, N: int, grid_points: int = 24) -> Ome
     construction; a failure indicates corrupted data).
     """
     cs = [int(c) for c in cs]
+    if not cs:
+        raise ArgumentError("grid constants must list at least one entry")
     if min(cs) < 1:
         raise ArgumentError("grid constants must be positive integers")
+    if grid_points < 1:
+        raise ArgumentError(f"grid_points must be at least 1, got {grid_points}")
     limit = max(cs) * N
     if limit > spec.N:
         raise ArgumentError(f"spec covers 1..{spec.N}, need 1..{limit}")
@@ -543,6 +547,42 @@ class TOperator:
     norm_inv: float
 
 
+def _coordinate_blocks(E: np.ndarray) -> np.ndarray:
+    """A label per coordinate naming its connected component in the graph
+    that links each row n of ``E`` to its support and to its own index n.
+
+    Min-label propagation along the edges with pointer jumping: labels only
+    fall, each is a coordinate of its own component, and the fixed point
+    is constant on components, so the labels name them.
+    """
+    n, j = np.nonzero(E)
+    label = np.arange(E.shape[1])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, n, label[j])
+        np.minimum.at(new, j, label[n])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _block_groups(label: np.ndarray, M: int):
+    """The components of ``label`` grouped by (size k, row count r): per
+    group a (count, k) array of each component's coordinates, ascending,
+    so the r coordinates below M, the rows, come first; and r."""
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label, minlength=label.size)
+    roots = np.flatnonzero(size)
+    size = size[roots]
+    rows = np.bincount(label[:M], minlength=label.size)[roots]
+    start = np.cumsum(size) - size
+    key = size * (M + 1) + rows
+    for k, r in zip(*np.divmod(_distinct(key), M + 1)):
+        first = start[key == k * (M + 1) + r]
+        yield order[first[:, None] + np.arange(k)], int(r)
+
+
 def operator_T(e_hats, ambient: int, eps_seq=None,
                rank_tol: float = 1e-10) -> TOperator:
     """The map sending each row e_hat_n of ``e_hats`` to e_n, identity on
@@ -551,20 +591,28 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     With E the M x ambient row matrix and E_0 its first M canonical rows,
     T = I - (E - E_0)^T (E E^T)^-1 E: on span E it sends E^T c to E_0^T c,
     and it fixes every vector E annihilates.  One M x M solve on the Gram
-    matrix gives it; the rows are refused as dependent when the smallest
-    singular value of E is within ``rank_tol`` of the largest, read off the
-    R factor of E^T = QR (sigma(E) = sigma(R)).
+    matrix gives it.
 
-    The norms come from the eigenvalues of the symmetric T^T T:
-    ||T|| = sqrt(lambda_max) and ||T^-1|| = 1 / sqrt(lambda_min), and T is
-    refused as not invertible when lambda_min is not positive.  The
-    eigenvalues are within about n u ||T||^2 of exact (n = ``ambient``,
-    u = 2^-53), so ||T|| keeps the SVD's relative accuracy of a few n u,
-    while ||T^-1|| is accurate to about n u kappa(T)^2, a factor kappa(T)
-    worse than the SVD's n u kappa(T).  Every T this package builds passes
-    the eps-budget check: when the square-sum budget of ``eps_seq`` is
-    within 1/8, both norms are asserted to be at most 2, which gives
-    kappa(T) <= 4.
+    Link each row n to its support and to its own index n; the connected
+    components C of that graph on the coordinates make E, E E^T and T
+    block diagonal, with blocks E_C (rows n in C, columns C, at most as
+    many rows as columns) and T_C.  A coordinate no row reaches is a
+    block of its own on which T is 1; a dense E is one block.  The rows
+    are refused as dependent when the smallest singular value of E, the
+    least over the blocks E_C, is within ``rank_tol`` of the largest.
+    Once T is checked to vanish off the blocks, the norms come from the
+    eigenvalues of the symmetric T_C^T T_C: ||T|| = sqrt(max lambda) and
+    ||T^-1|| = 1 / sqrt(min lambda), and T is refused as not invertible
+    when the least eigenvalue is not positive.  Blocks of equal size and
+    row count share one stacked SVD and one stacked eigvalsh.  The cost is
+    the Gram-form solve plus sum_C k_C^3 (k_C = |C|).
+
+    The eigenvalues of a block are within about k_C u ||T_C||^2 of exact
+    (u = 2^-53), so ||T|| is accurate to a few k_C u relative and ||T^-1||
+    to about k_C u kappa(T_C)^2 on the block that sets it.  Every T this
+    package builds passes the eps-budget check: when the square-sum budget
+    of ``eps_seq`` is within 1/8, both norms are asserted to be at most 2,
+    which gives kappa(T) <= 4.
     """
     E = np.asarray(e_hats, dtype=float)
     if E.ndim != 2:
@@ -576,17 +624,27 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
         raise ArgumentError("e_hats is empty: T needs at least one row")
     if not np.all(np.isfinite(E)):
         raise ArgumentError("e_hats has entries that are not finite")
-    s = np.linalg.svd(np.linalg.qr(E.T, mode="r"), compute_uv=False)
-    if s.size < M or s[-1] <= rank_tol * s[0]:
+    if M > dim:
+        raise ArgumentError("e_hat vectors are linearly dependent")
+    label = _coordinate_blocks(E)
+    blocks = list(_block_groups(label, M))
+    s = np.concatenate([np.linalg.svd(E[C[:, :r, None], C[:, None, :]], compute_uv=False).ravel()
+                        for C, r in blocks if r])
+    if s.min() <= rank_tol * s.max():
         raise ArgumentError("e_hat vectors are linearly dependent")
     T = np.eye(ambient) - (E - np.eye(M, ambient)).T @ np.linalg.solve(E @ E.T, E)
-    lam = np.linalg.eigvalsh(T.T @ T)
-    if not lam[0] > 0.0:
+    # the LU solve and the product keep exact zeros off the blocks, where
+    # every term has a zero factor, so the test is exact, not a tolerance
+    if np.any((T != 0) & (label[:, None] != label)):
+        raise ConstructionError("T does not vanish off the coordinate blocks of E")
+    lam = np.concatenate([np.linalg.eigvalsh(np.swapaxes(TC, 1, 2) @ TC).ravel()
+                          for TC in (T[C[:, :, None], C[:, None, :]] for C, _ in blocks)])
+    if not lam.min() > 0.0:
         raise ArgumentError(
-            f"T is not invertible: the smallest eigenvalue of T^T T is {lam[0]:.3e}, "
+            f"T is not invertible: the smallest eigenvalue of T^T T is {lam.min():.3e}, "
             "not positive"
         )
-    norm, norm_inv = float(np.sqrt(lam[-1])), float(1.0 / np.sqrt(lam[0]))
+    norm, norm_inv = float(np.sqrt(lam.max())), float(1.0 / np.sqrt(lam.min()))
     if eps_seq is not None:
         eps = np.asarray(eps_seq, dtype=float)
         if float(np.sum(eps * eps)) <= EPS_SQ_BUDGET + 1e-15:
@@ -758,6 +816,8 @@ def rough_capacity(k: int, eps: float, M: float) -> RoughCapacity:
     """
     if not 0.0 < eps < 0.5:
         raise ArgumentError(f"eps must lie in (0, 1/2), got {eps}")
+    if not math.isfinite(M):
+        raise ArgumentError(f"M must be finite, got {M}")
     if M < 1.0:
         raise ArgumentError("M must be at least 1")
     if k < 1:
@@ -858,8 +918,8 @@ def orthonormalized_duals(system: BiorthSystem, Z: np.ndarray, p: int) -> np.nda
 
 def _lambda_table(lambdas, N: int) -> np.ndarray:
     lam = _table(lambdas, N, "lambda table of length {} shorter than {}")
-    if np.any(lam <= 0) or np.any(np.diff(lam) < 0):
-        raise ArgumentError("lambda schedule must be positive and non-decreasing")
+    if not np.all(np.isfinite(lam) & (lam > 0)) or np.any(np.diff(lam) < 0):
+        raise ArgumentError("lambda schedule must be finite, positive and non-decreasing")
     return lam
 
 
@@ -878,6 +938,8 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
     """
     tol = tol or ToleranceConfig()
     sizes = [int(s) for s in sizes]
+    if not sizes:
+        raise ArgumentError("sizes must list at least one truncation")
     if min(sizes) < 4:
         raise ArgumentError("truncations must be at least 4")
     cap = rough_capacity(1, 0.25, max(M_bound, 1.0))

@@ -76,6 +76,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(f"command = unb\n{line}")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
+    def test_m_bound_must_be_finite(self, tmp_path, capsys, value):
+        cfg = tmp_path / "unb.cfg"
+        cfg.write_text(f"command = unb\nsizes = 8\nm_bound = {value}\n")
+        assert main(["unb", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: m_bound must be finite and at least 1, got {float(value)}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command,key", [("unb", "sizes"), ("pathology", "cs")])
     def test_empty_list_refused(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "empty.cfg"
@@ -304,10 +313,11 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["pathology", "unb"])
     def test_pathology_and_unb_skip_numpy_ma(self, tmp_path, command):
-        # a fresh process: a plain np.unique imports numpy.ma (~0.02 s a run)
+        # a fresh process: a plain np.unique imports numpy.ma (~0.02 s a run),
+        # and operator_T's block labels need no scipy
         code = ("import sys; from mbasis_lab.cli import main; "
-                "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+                "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules, 'scipy' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mio.__file__))}
         proc = subprocess.run([sys.executable, "-c", code, command, "--out", str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=120)
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"], proc.stderr

@@ -157,7 +157,7 @@ def test_operator_norms_match_svd_oracle(build, N):
 
 def test_operator_norms_within_kappa_squared_when_ill_conditioned():
     """A random near-canonical E with kappa(T) near 10^2, far past the
-    kappa(T) <= 4 the eps budget gives."""
+    kappa(T) <= 4 the eps budget gives; E is dense, one coordinate block."""
     rng = np.random.default_rng(11)
     M, d = 60, 120
     E = np.eye(M, d) + 1.3 * rng.standard_normal((M, d)) / math.sqrt(d)
@@ -167,13 +167,61 @@ def test_operator_norms_within_kappa_squared_when_ill_conditioned():
     assert_norms_within_rounding(new, old, d)
 
 
+def block_system(seed, loud):
+    """Near-canonical rows 0..M-1 on 32 shuffled coordinate blocks, four of
+    each size 1..8, the rows of a block supported on it; the perturbation
+    of E from E_0 has Frobenius norm below 0.8 on block ``loud`` and below
+    0.4 on the others.  Blocks holding no row index and the coordinates
+    past the blocks' reach are untouched."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation(np.repeat(np.arange(1, 9), 4))
+    reach, M = int(sizes.sum()), 100
+    E = np.eye(M, reach + 20)
+    for i, C in enumerate(np.split(rng.permutation(reach), np.cumsum(sizes)[:-1])):
+        rows = C[C < M]
+        scale = (0.8 if i == loud else 0.4) / C.size
+        E[rows[:, None], C] += scale * rng.uniform(-1.0, 1.0, (rows.size, C.size))
+    return E, E.shape[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_block_norms_match_svd_oracle(seed):
+    # each block in turn carries the largest perturbation, so leaving any
+    # block out shows in the norms
+    for loud in range(32):
+        E, d = block_system(seed, loud)
+        new = operator_T(E, d)
+        assert np.array_equal(new.matrix, gram_form(E, d))
+        assert_norms_within_rounding(new, oracles.operator_T(E, d), d)
+
+
+def test_fill_off_the_blocks_refused(monkeypatch):
+    # E has the blocks {0, 1} and {2}; a solve that leaks the second into
+    # the first puts T[1, 2] = -2^-40 off the blocks, which no exact T has
+    E = np.array([[1.0, 0.25, 0.0], [0.0, 1.0, 0.0]])
+    solve = np.linalg.solve
+
+    def leaky_solve(G, B):
+        X = solve(G, B)
+        X[0, 2] = 2.0**-38
+        return X
+
+    monkeypatch.setattr(np.linalg, "solve", leaky_solve)
+    with pytest.raises(ConstructionError, match="T does not vanish off the coordinate blocks"):
+        operator_T(E, 3)
+
+
 @pytest.mark.parametrize("e_hats,ambient", [
     (np.array([[1.0, 0.0], [2.0, 0.0]]), 2),
     (np.eye(3), 3),
     (np.eye(3)[:2], 4),
     (np.ones(3), 3),
     (np.ones((3, 2)), 2),
-], ids=["dependent", "identity", "wrong-ambient", "one-dimensional", "too-many-rows"])
+    (np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.25]]), 4),
+    (np.array([[1.0, 0.0, 0.0, 0.5, 0.0], [2.0, 0.0, 0.0, 1.0, 0.0],
+               [0.0, 0.0, 1.0, 0.0, 0.0]]), 5),
+], ids=["dependent", "identity", "wrong-ambient", "one-dimensional", "too-many-rows",
+        "zero-row", "dependent-in-block"])
 def test_operator_T_refusals_match_oracle(e_hats, ambient):
     top, refusal = outcome(operator_T, e_hats, ambient)
     old, old_refusal = outcome(oracles.operator_T, e_hats, ambient)

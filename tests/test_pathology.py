@@ -166,6 +166,14 @@ class TestOmega:
         with pytest.raises(ArgumentError, match="need"):
             omega_stats(spec, [1, 2, 4], 128)
 
+    def test_omega_stats_needs_grid_constants(self):
+        with pytest.raises(ArgumentError, match="^grid constants must list at least one entry$"):
+            omega_stats(make_spec(64), [], 16)
+
+    def test_omega_stats_needs_grid_points(self):
+        with pytest.raises(ArgumentError, match="^grid_points must be at least 1, got 0$"):
+            omega_stats(make_spec(64), [1, 2], 16, grid_points=0)
+
 
 class TestPathologicalSystem:
     def test_identity_fixed_point(self):
@@ -535,6 +543,11 @@ class TestRoughCapacity:
         with pytest.raises(ArgumentError):
             rough_capacity(2, -0.1, 2.0)
 
+    @pytest.mark.parametrize("M", [math.nan, math.inf])
+    def test_non_finite_M_refused(self, M):
+        with pytest.raises(ArgumentError, match=f"^M must be finite, got {M}$"):
+            rough_capacity(2, 0.25, M)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_packing_never_exceeds_capacity(self, dim):
         cap = rough_capacity(dim, 0.25, 2.0)
@@ -567,6 +580,22 @@ class TestUnbExperiment:
     def test_lambda_validation(self):
         with pytest.raises(ArgumentError):
             unb_experiment([1.0, 0.5], 2.0, [8], seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda_refused(self, bad):
+        lam = np.arange(1.0, 9.0)
+        lam[5:] = bad
+        with pytest.raises(ArgumentError, match="lambda schedule must be finite, positive"):
+            unb_experiment(lam, 2.0, [8], seed=0)
+
+    def test_no_sizes_refused(self):
+        with pytest.raises(ArgumentError, match="^sizes must list at least one truncation$"):
+            unb_experiment(lambda m: float(m), 2.0, [], seed=0)
+
+    @pytest.mark.parametrize("M_bound", [math.nan, math.inf])
+    def test_non_finite_M_bound_refused(self, M_bound):
+        with pytest.raises(ArgumentError, match="^M must be finite"):
+            unb_experiment(lambda m: float(m), M_bound, [8], seed=0)
 
 
 class TestSpanningExactOracle:
