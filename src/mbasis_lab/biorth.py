@@ -79,13 +79,9 @@ class BiorthSystem:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, xs, fs, tol: ToleranceConfig | None = None,
-                   validate: bool = True) -> "BiorthSystem":
-        tol = tol or ToleranceConfig()
-        sys = cls(np.asarray(xs, dtype=float), np.asarray(fs, dtype=float), tol=tol)
-        if validate:
-            sys.validate()
-        return sys
+    def from_pairs(cls, xs, fs, tol: ToleranceConfig | None = None) -> "BiorthSystem":
+        """The system of the given pairs, validated."""
+        return cls(xs, fs, tol=tol or ToleranceConfig()).validate()
 
     @classmethod
     def canonical(cls, n: int, ambient_dim: int | None = None,
@@ -158,12 +154,16 @@ class IntervalFamily:
 # scalar diagnostics
 
 
+def _pairing_defect(xs: np.ndarray, fs: np.ndarray) -> float:
+    """max over (k, n) of |<f_k, x_n> - delta_{k,n}| over paired rows."""
+    if len(xs) == 0:
+        return 0.0
+    return float(np.max(np.abs(fs @ xs.T - np.eye(len(xs)))))
+
+
 def biorthogonality_defect(sys: BiorthSystem) -> float:
     """max over (k, n) of |<f_k, x_n> - delta_{k,n}|."""
-    if sys.size == 0:
-        return 0.0
-    gram = sys.fs @ sys.xs.T
-    return float(np.max(np.abs(gram - np.eye(sys.size))))
+    return _pairing_defect(sys.xs, sys.fs)
 
 
 def boundedness_constant(sys: BiorthSystem) -> float:
@@ -232,18 +232,19 @@ def norming_constant_estimate(sys: BiorthSystem, samples: int | None = None,
 # spanning indices
 
 
-def spanning_indices(zsys: BiorthSystem, xsys: BiorthSystem, tol: float | None = None) -> list[int]:
+def spanning_indices(zsys: BiorthSystem, xsys: BiorthSystem) -> list[int]:
     """The spanning indices q(m) of ``zsys`` relative to ``xsys``.
 
     q(m) >= m is the least q such that every z_n and z_n* with n <= m lies
-    within ``tol`` of span{x_1..x_q} resp. span{f_1..f_q} (distances taken
-    on normalized vectors); raises naming the first m no q <= |xsys| serves.
+    within ``xsys.tol.span_tol`` of span{x_1..x_q} resp. span{f_1..f_q}
+    (distances taken on normalized vectors); raises naming the first m no
+    q <= |xsys| serves.
     Per side, the distance table of :func:`prefix_coordinates` of the
     normalized z rows against the x rows (Gram-Schmidt rank semantics at
     ``xsys.tol.rank_tol``, no Q formed) tabulates dist(z_n, span{x_1..x_q})
     for all (n, q), and q(m) is a running maximum.  Cost O(d n^2).
     """
-    tol = xsys.tol.span_tol if tol is None else tol
+    tol = xsys.tol.span_tol
     if zsys.ambient_dim != xsys.ambient_dim:
         raise ArgumentError("systems live in different ambient dimensions")
     need = np.zeros(zsys.size)
@@ -284,7 +285,7 @@ class PerturbationClass:
 
 def _prefix_agreement(Z: np.ndarray, X: np.ndarray, tol: float) -> np.ndarray:
     """Boolean array: entry k - 1 is ``span_equal(Z[:k], X[:k], tol)``."""
-    rank_tol = 1e-10  # span_equal's default; the classifier's verdicts are defined at it
+    rank_tol = ToleranceConfig.rank_tol  # the classifier's verdicts are defined at it
     Qz, _, rank_z = prefix_bases(Z, rank_tol)
     _, dist, rank_x = prefix_coordinates(X, Qz.T, rank_tol)
     K = min(int(np.sum(r[1:] == np.arange(1, r.size))) for r in (rank_x, rank_z))
@@ -311,29 +312,28 @@ def _agreements(zsys: BiorthSystem, xsys: BiorthSystem, start: int, tol: float,
         width *= 4
 
 
-def classify_perturbation(zsys: BiorthSystem, xsys: BiorthSystem,
-                          tol: float | None = None) -> PerturbationClass:
+def classify_perturbation(zsys: BiorthSystem, xsys: BiorthSystem) -> PerturbationClass:
     """Classify ``zsys`` as a block or pile perturbation of ``xsys``.
 
     Row ranges agree when their vector spans and their functional spans
-    both have projector gap (:func:`span_gap`, Gram-Schmidt rank test of
-    :func:`prefix_bases` at 1e-10) within ``tol``.  Pile prefixes are all
-    agreeing prefixes; block intervals close greedily at the earliest
-    agreeing end (the maximal refinement when one exists), the first at the
-    first pile prefix.
+    both have projector gap (:func:`span_gap`, rank test of :func:`prefix_bases`
+    at ``ToleranceConfig.rank_tol``) within ``xsys.tol.span_tol``.  Pile
+    prefixes are all agreeing prefixes; block intervals close greedily at
+    the earliest agreeing end (the maximal refinement when one exists), the
+    first at the first pile prefix.
 
     For full-rank prefixes the gap is the 2-norm of the block D[k:, :k] of
     D = Q_x^T Q_z (principal angles, Bjorck & Golub 1973), with both bases
     from :func:`prefix_bases`.  The column tails of D are the distances of
     the z directions to the x prefix spans, one table read off the R factor
     of :func:`prefix_coordinates` (the x side forms no Q).  They decide most
-    k (Frobenius norm within ``tol``: equal; a column above it: unequal);
+    k (Frobenius norm within span_tol: equal; a column above it: unequal);
     the rest, and every k past the first row either side drops as
     dependent, :func:`span_equal` decides.  Start 1 factors all n rows,
     later starts windows of 16 rows, quadrupled until one closes: O(d w^2)
     per window of w rows.
     """
-    tol = xsys.tol.span_tol if tol is None else tol
+    tol = xsys.tol.span_tol
     if zsys.size != xsys.size:
         raise ArgumentError("systems must have equal length")
     n = zsys.size

@@ -117,7 +117,8 @@ def save_system(sys: BiorthSystem, directory: str):
             fh.write(f"{f.name} = {fmt(getattr(sys.tol, f.name))}\n")
 
 
-def load_system(directory: str, validate: bool = True) -> BiorthSystem:
+def load_system(directory: str) -> BiorthSystem:
+    """The stored system of ``directory``, validated as it loads."""
     X = read_matrix_csv(os.path.join(directory, "X.csv"))
     F = read_matrix_csv(os.path.join(directory, "F.csv"))
     header_path = os.path.join(directory, "header.txt")
@@ -135,10 +136,7 @@ def load_system(directory: str, validate: bool = True) -> BiorthSystem:
         raise ArgumentError(f"{header_path}: missing key {exc}")
     except ValueError as exc:
         raise ArgumentError(f"{header_path}: malformed value ({exc})")
-    sys = BiorthSystem(X, F, ambient_dim=ambient_dim, tol=tol)
-    if validate:
-        sys.validate()
-    return sys
+    return BiorthSystem(X, F, ambient_dim=ambient_dim, tol=tol).validate()
 
 
 def save_partition(p: BlockPartition, path: str):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorth import BiorthSystem
+from .biorth import BiorthSystem, _pairing_defect
 from .errors import ArgumentError, ConstructionError
 from .subspace import ToleranceConfig, directed_span_gap, prefix_bases
 
@@ -57,6 +57,7 @@ __all__ = [
     "UnbReport",
     "UnbRun",
     "EPS_SQ_BUDGET",
+    "OMEGA_GRID_POINTS",
 ]
 
 #: sentinel for permutation values that lie beyond the tabulated range
@@ -64,6 +65,9 @@ BEYOND_TABLE = -1
 
 #: square-sum budget for the near-canonical correction sequence
 EPS_SQ_BUDGET = 1.0 / 8.0
+
+#: points of each log grid of :func:`omega_stats` before duplicates merge
+OMEGA_GRID_POINTS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +346,10 @@ class OmegaStats:
     ratios: dict
 
 
-def omega_stats(spec: PermutationSpec, cs, N: int, grid_points: int = 24) -> OmegaStats:
+def omega_stats(spec: PermutationSpec, cs, N: int) -> OmegaStats:
     """Overlap growth table: |Omega(m)| on a log grid plus |Omega(cn)|/f(n).
 
+    Both log grids take OMEGA_GRID_POINTS points, merged as integers.
     Requires the spec to cover 1..max(cs)*N.  Raises if the overlap bound
     |Omega(m)| <= 2 phi(m) fails at any tabulated m (it cannot, by
     construction; a failure indicates corrupted data).
@@ -354,8 +359,6 @@ def omega_stats(spec: PermutationSpec, cs, N: int, grid_points: int = 24) -> Ome
         raise ArgumentError("grid constants must list at least one entry")
     if min(cs) < 1:
         raise ArgumentError("grid constants must be positive integers")
-    if grid_points < 1:
-        raise ArgumentError(f"grid_points must be at least 1, got {grid_points}")
     limit = max(cs) * N
     if limit > spec.N:
         raise ArgumentError(f"spec covers 1..{spec.N}, need 1..{limit}")
@@ -367,8 +370,8 @@ def omega_stats(spec: PermutationSpec, cs, N: int, grid_points: int = 24) -> Ome
         raise ConstructionError(
             f"overlap bound violated at m={m}: |Omega|={sizes[m - 1]} > {two_phi_all[m - 1]}"
         )
-    grid_m = _distinct(np.geomspace(1, limit, grid_points).astype(np.int64))
-    ratio_grid = _distinct(np.geomspace(1, N, grid_points).astype(np.int64))
+    grid_m = _distinct(np.geomspace(1, limit, OMEGA_GRID_POINTS).astype(np.int64))
+    ratio_grid = _distinct(np.geomspace(1, N, OMEGA_GRID_POINTS).astype(np.int64))
     ratios = {
         c: sizes[c * ratio_grid - 1] / spec.f[ratio_grid - 1]
         for c in cs
@@ -583,8 +586,7 @@ def _block_groups(label: np.ndarray, M: int):
         yield order[first[:, None] + np.arange(k)], int(r)
 
 
-def operator_T(e_hats, ambient: int, eps_seq=None,
-               rank_tol: float = 1e-10) -> TOperator:
+def operator_T(e_hats, ambient: int, eps_seq=None) -> TOperator:
     """The map sending each row e_hat_n of ``e_hats`` to e_n, identity on
     the complement.
 
@@ -599,7 +601,8 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     many rows as columns) and T_C.  A coordinate no row reaches is a
     block of its own on which T is 1; a dense E is one block.  The rows
     are refused as dependent when the smallest singular value of E, the
-    least over the blocks E_C, is within ``rank_tol`` of the largest.
+    least over the blocks E_C, is within ``ToleranceConfig.rank_tol`` of
+    the largest.
     Once T is checked to vanish off the blocks, the norms come from the
     eigenvalues of the symmetric T_C^T T_C: ||T|| = sqrt(max lambda) and
     ||T^-1|| = 1 / sqrt(min lambda), and T is refused as not invertible
@@ -630,7 +633,7 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
     blocks = list(_block_groups(label, M))
     s = np.concatenate([np.linalg.svd(E[C[:, :r, None], C[:, None, :]], compute_uv=False).ravel()
                         for C, r in blocks if r])
-    if s.min() <= rank_tol * s.max():
+    if s.min() <= ToleranceConfig.rank_tol * s.max():
         raise ArgumentError("e_hat vectors are linearly dependent")
     T = np.eye(ambient) - (E - np.eye(M, ambient)).T @ np.linalg.solve(E @ E.T, E)
     # the LU solve and the product keep exact zeros off the blocks, where
@@ -721,10 +724,6 @@ class RoughSystem:
     def size(self) -> int:
         return self.ys.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return len(self.support) if self.support else self.ys.shape[1]
-
     def tail(self, n0: int) -> "RoughSystem":
         """The subsystem with the first n0 pairs dropped."""
         return RoughSystem(self.ys[n0:], self.gs[n0:], self.eps, self.bound_M,
@@ -747,10 +746,7 @@ class RoughSystem:
 
 def rough_defect(rs: RoughSystem) -> float:
     """max over (k, n) of |<g_k, y_n> - delta_{k,n}|."""
-    if rs.size == 0:
-        return 0.0
-    gram = rs.gs @ rs.ys.T
-    return float(np.max(np.abs(gram - np.eye(rs.size))))
+    return _pairing_defect(rs.ys, rs.gs)
 
 
 def rough_separation(rs: RoughSystem) -> float:
@@ -763,14 +759,14 @@ def rough_separation(rs: RoughSystem) -> float:
 
 
 def extract_rough_system(zsys: BiorthSystem, xsys: BiorthSystem, T: np.ndarray,
-                         spec: PermutationSpec, m: int, p_of_m: int,
-                         r_of_m: int, eps: float = 0.25) -> RoughSystem:
-    """Project the first p pairs onto the overlap coordinates Omega(r).
+                         spec: PermutationSpec, p_of_m: int, r_of_m: int) -> RoughSystem:
+    """Project the first p(m) pairs onto the overlap coordinates Omega(r(m)).
 
     Requires the support inclusions: the z-vector prefix inside the
     x-vector prefix span up to r, and likewise for the functionals (both
     within span_tol).  The result is bounded by twice the product of the
-    operator norm bound and the functional bound of the input.
+    operator norm bound and the functional bound of the input; its eps is
+    the 1/4 that :func:`unb_experiment`'s capacities take.
     """
     tol = xsys.tol
     if not 1 <= p_of_m <= zsys.size:
@@ -797,7 +793,7 @@ def extract_rough_system(zsys: BiorthSystem, xsys: BiorthSystem, T: np.ndarray,
     ys = np.where(mask[None, :], ys, 0.0)
     gs = np.where(mask[None, :], zsys.fs[:p_of_m], 0.0)
     bound_M = float(np.max(np.linalg.norm(gs, axis=1))) if p_of_m else 0.0
-    return RoughSystem(ys, gs, eps, bound_M, tuple(omega))
+    return RoughSystem(ys, gs, 0.25, bound_M, tuple(omega))
 
 
 @dataclass(frozen=True)
@@ -934,15 +930,19 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
     (a pile perturbation with exact prefix spans), measure the spanning
     indices q(m) from the dual side, and tabulate q(m)/lambda_m next to
     the two overlap brackets.  A control run with the identity permutation
-    must give q(m) = m.
+    must give q(m) = m.  ``M_bound`` must be finite and at least 1: it is
+    the functional bound of the capacities and sets the decay threshold
+    1 / (4 M_bound).
     """
     tol = tol or ToleranceConfig()
+    if not 1 <= M_bound < math.inf:
+        raise ArgumentError(f"M must be finite and at least 1, got M_bound = {M_bound}")
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ArgumentError("sizes must list at least one truncation")
     if min(sizes) < 4:
         raise ArgumentError("truncations must be at least 4")
-    cap = rough_capacity(1, 0.25, max(M_bound, 1.0))
+    cap = rough_capacity(1, 0.25, M_bound)
     runs = []
     for N in sizes:
         lam = _lambda_table(lambdas, N)
@@ -989,8 +989,7 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
         monotone = all(b >= a - 1e-12 for a, b in zip(jump_ratios, jump_ratios[1:]))
         bracket_ok = all(r[4] <= r[5] for r in rows)
         capacity_ok = all(
-            max(r[0] - n0, 0) <= rough_capacity(max(r[4], 1), 0.25,
-                                                max(M_bound, 1.0)).p_max
+            max(r[0] - n0, 0) <= rough_capacity(max(r[4], 1), 0.25, M_bound).p_max
             for r in rows
         )
         runs.append(UnbRun(N, tuple(rows), n0, first_jump, tuple(jump_ms),

@@ -80,9 +80,9 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class PartitionReport:
+    # no anchor verdict: BlockPartition refuses an anchor outside its block
     disjoint: bool
     covers: bool
-    anchors_ok: bool
     block_kind: bool
     #: groups of block indices j whose unions form successive intervals
     interval_witness: tuple | None
@@ -90,11 +90,11 @@ class PartitionReport:
 
     @property
     def valid(self) -> bool:
-        return self.disjoint and self.covers and self.anchors_ok
+        return self.disjoint and self.covers
 
 
 def validate_block_partition(p: BlockPartition, range_end: int) -> PartitionReport:
-    """Report disjointness, coverage of 1..range_end, anchors and block-kind.
+    """Report disjointness, coverage of 1..range_end and block-kind.
 
     The block-kind witness groups consecutive j's so that the union of
     each group's sets is a successive interval of integers; the greedy
@@ -115,7 +115,6 @@ def validate_block_partition(p: BlockPartition, range_end: int) -> PartitionRepo
         missing = sorted(set(range(1, range_end + 1)) - seen)[:8]
         extra = sorted(seen - set(range(1, range_end + 1)))[:8]
         failures.append(f"coverage failure: missing {missing}, extraneous {extra}")
-    anchors_ok = all(a in blk for a, blk in zip(p.anchors, p.blocks))
 
     witness = None
     if disjoint and covers:
@@ -134,8 +133,7 @@ def validate_block_partition(p: BlockPartition, range_end: int) -> PartitionRepo
         if start_j == p.count + 1 and groups:
             witness = tuple(groups)
     block_kind = witness is not None
-    return PartitionReport(disjoint, covers, anchors_ok, block_kind, witness,
-                           tuple(failures))
+    return PartitionReport(disjoint, covers, block_kind, witness, tuple(failures))
 
 
 def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
@@ -180,11 +178,13 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
     span orthogonally to the anchor, and scaled to 0.9 * eps_j /
     ||x_{n(j)}|| (strict inequality leaves tolerance headroom).  The
     vectors are recovered by blockwise dual solves.  Deterministic given
-    (sys, p, seed), independent of block processing order.
+    (sys, p, seed), independent of block processing order.  Refuses with
+    the failures of :func:`validate_block_partition` for 1..|sys|.
     """
-    covered = p.covered
-    if covered != set(range(1, sys.size + 1)):
-        raise ArgumentError("partition must cover 1..|sys| exactly")
+    report = validate_block_partition(p, sys.size)
+    if not report.valid:
+        raise ArgumentError(f"partition of 1..{sys.size} is invalid: "
+                            + "; ".join(report.failures))
     tol = sys.tol
     D = np.array(sys.fs, dtype=float, copy=True)
     for j, (blk, anchor, eps_j) in enumerate(
@@ -211,21 +211,9 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
             raise ConstructionError(
                 f"anchor complement of block {j} is rank deficient"
             )
-        rng = np.random.default_rng([seed, j])
-        directions = None
-        scale = 1.0
-        for _ in range(8):
-            raw = rng.standard_normal((b - 1, comp.shape[0]))
-            q, r = np.linalg.qr(raw.T)
-            if np.min(np.abs(np.diag(r))) > tol.rank_tol * max(1.0, np.max(np.abs(r))):
-                directions = (q.T * scale) @ comp
-                break
-            scale *= 0.5
-        if directions is None:
-            raise ConstructionError(
-                f"could not draw independent perturbation directions for block {j}; "
-                f"use a smaller block or a larger eps_{j}"
-            )
+        # the Q of a Householder QR is orthonormal whatever the draw
+        raw = np.random.default_rng([seed, j]).standard_normal((b - 1, comp.shape[0]))
+        directions = np.linalg.qr(raw.T)[0].T @ comp
         others = [n for n in blk if n != anchor]
         for i, n in enumerate(others):
             D[n - 1] = anchor_f + radius * directions[i]

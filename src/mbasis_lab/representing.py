@@ -27,7 +27,7 @@ import numpy as np
 
 from .biorth import BiorthSystem, norming_constant_estimate
 from .errors import ArgumentError
-from .perturbations import BlockPartition
+from .perturbations import BlockPartition, validate_block_partition
 from .subspace import as_vector, distance_to_span, prefix_bases, prefix_coordinates, project
 
 __all__ = [
@@ -297,13 +297,12 @@ class SubseriesTrace:
     checkpoints[k] is r(m_k); residuals[k] the distance from x to the
     partial sum up to that index; window_masses[k] the norm of the
     immediate next window's contribution (the series whose summability the
-    hypothesis controls); coeff_masses[k] its coefficient l2 mass.
+    hypothesis controls).
     """
 
     checkpoints: tuple
     residuals: tuple
     window_masses: tuple
-    coeff_masses: tuple
 
     @property
     def final_residual(self) -> float:
@@ -324,7 +323,7 @@ def subseries_reconstruct(x, sys: BiorthSystem, r: RepresentingIndices,
         raise ArgumentError(f"need r({mks[-1] + 1}); depth is {r.depth}")
     xv = as_vector(x, sys.ambient_dim)
     coeffs = sys.fs @ xv
-    checkpoints, residuals, masses, cmasses = [], [], [], []
+    checkpoints, residuals, masses = [], [], []
     for mk in mks:
         end = r.r_at(mk)
         partial = coeffs[:end] @ sys.xs[:end]
@@ -333,9 +332,7 @@ def subseries_reconstruct(x, sys: BiorthSystem, r: RepresentingIndices,
         checkpoints.append(end)
         residuals.append(float(np.linalg.norm(xv - partial)))
         masses.append(float(np.linalg.norm(window_vec)))
-        cmasses.append(float(np.linalg.norm(coeffs[end:nxt])))
-    return SubseriesTrace(tuple(checkpoints), tuple(residuals), tuple(masses),
-                          tuple(cmasses))
+    return SubseriesTrace(tuple(checkpoints), tuple(residuals), tuple(masses))
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +411,6 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
         j0 += r_m1 - r_m
         m = m_next
 
-    # structural guarantees of the induction, verified rather than assumed:
-    # disjoint sets, per-round union an interval, tails ordered left to right
-    flat: set = set()
-    for E in blocks_list:
-        if flat.intersection(E):
-            raise ArgumentError("constructed blocks overlap; inconsistent indices")
-        flat.update(E)
-    if flat != set(range(1, bounds[-1] + 1)):
-        raise ArgumentError("constructed blocks do not tile an initial segment")
-    for a, b in zip(blocks_list, blocks_list[1:]):
-        if max(a) > max(b):
-            raise ArgumentError("block tails are not ordered left to right")
-
     if eps is None:
         eps = [2.0 ** (-j) for j in range(1, len(blocks_list) + 1)]
     eps = [float(e) for e in eps]
@@ -434,6 +418,16 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
         raise ArgumentError(f"need {len(blocks_list)} epsilons, got {len(eps)}")
     partition = BlockPartition(tuple(blocks_list), tuple(anchors),
                                tuple(eps[: len(blocks_list)]))
+
+    # structural guarantees of the induction, verified rather than assumed:
+    # disjoint sets tiling 1..r(last bound), tails ordered left to right
+    report = validate_block_partition(partition, bounds[-1])
+    if not report.valid:
+        raise ArgumentError("constructed blocks do not partition an initial segment: "
+                            + "; ".join(report.failures))
+    for a, b in zip(blocks_list, blocks_list[1:]):
+        if max(a) > max(b):
+            raise ArgumentError("block tails are not ordered left to right")
     return StrongPartitionTrace(partition, tuple(bounds), tuple(starts),
                                 tuple(intervals), d_map, j_of_n)
 

@@ -21,8 +21,9 @@ Functionals on l2 are identified with vectors acting by the inner product,
 so dual systems are returned as row matrices as well.
 
 :class:`ToleranceConfig` holds the package's tolerances, the one place each
-is named.  No primitive here builds a net of a sphere: the constructions
-certify their sphere conditions spectrally.
+is named: every ``rank_tol`` and ``biorth_tol`` default reads it.  No
+primitive here builds a net of a sphere: the constructions certify their
+sphere conditions spectrally.
 """
 
 from __future__ import annotations
@@ -48,6 +49,35 @@ __all__ = [
     "directed_span_gap",
     "dual_solve",
 ]
+
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """The numerical tolerances shared by the diagnostics, each named once.
+
+    Its fields are the tolerance keys of a config file, the ``tolerances``
+    of ``run.json`` and the tolerance lines of a stored ``header.txt``, so
+    a tolerance is added or renamed here and nowhere else.  Each must be
+    strictly positive.
+
+    rank_tol is Gram-Schmidt's per-row relative residual test of
+    :func:`prefix_bases`: a row within rank_tol of the span of the normalized
+    rows before it adds no direction.  :func:`svd_basis` and the cross-Gram
+    test of :func:`dual_solve` read it relative to the largest singular
+    value instead.  biorth_tol bounds the biorthogonality defects and
+    span_tol the span gaps and span distances the checks accept; both are
+    absolute.  Every ``rank_tol`` and ``biorth_tol`` parameter of the
+    package defaults to the class attribute of that name.
+    """
+
+    rank_tol: float = 1e-10
+    biorth_tol: float = 1e-8
+    span_tol: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:  # NaN too
+                raise ArgumentError(f"{f.name} must be strictly positive")
 
 
 def as_vector(x, ambient_dim: int | None = None) -> np.ndarray:
@@ -87,13 +117,13 @@ def span_matrix(S, ambient_dim: int | None = None) -> np.ndarray:
     return M
 
 
-def orthonormal_rows(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def orthonormal_rows(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of ``M``: the transposed
     Q of :func:`prefix_bases`, with its Gram-Schmidt rank test."""
     return prefix_bases(M, rank_tol)[0].T
 
 
-def svd_basis(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.ndarray:
     """Right singular vectors (as rows) of the normalized rows of ``M``, rank
     relative to the largest one: the basis in which the seeded draws of the
     flattening and the norming estimate, and :func:`dual_solve`, combine."""
@@ -148,7 +178,7 @@ def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     return None if Q is None else Q * signs, R, kept[:r]
 
 
-def prefix_bases(M: np.ndarray, rank_tol: float = 1e-10):
+def prefix_bases(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol):
     """Orthonormal bases of every row prefix of ``M`` from one Householder QR.
 
     Factors the normalized rows as M_hat^T = Q R (``numpy.linalg.qr``) with
@@ -165,7 +195,7 @@ def prefix_bases(M: np.ndarray, rank_tol: float = 1e-10):
     return Q, R, np.searchsorted(kept, np.arange(len(M) + 1))
 
 
-def prefix_coordinates(M: np.ndarray, V: np.ndarray, rank_tol: float = 1e-10):
+def prefix_coordinates(M: np.ndarray, V: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol):
     """Coordinates of the rows of ``V`` on the prefix directions of ``M``,
     and their distances to every prefix span, from the R factor of one QR.
 
@@ -202,14 +232,14 @@ def _span_rows(S, x: np.ndarray) -> np.ndarray:
     return span_matrix(S, ambient_dim=x.size).reshape(-1, x.size)
 
 
-def distance_to_span(x, S, rank_tol: float = 1e-10) -> float:
+def distance_to_span(x, S, rank_tol: float = ToleranceConfig.rank_tol) -> float:
     """Distance from ``x`` to the span of ``S``: the norm of R22 in
     :func:`prefix_coordinates`, without forming a basis of the span."""
     xv = as_vector(x)
     return float(prefix_coordinates(_span_rows(S, xv), xv[None], rank_tol)[1][0, -1])
 
 
-def project(x, S, rank_tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def project(x, S, rank_tol: float = ToleranceConfig.rank_tol) -> tuple[np.ndarray, float]:
     """Orthogonal projection of ``x`` onto span(S) and the residual norm.
 
     From the QR of :func:`prefix_coordinates`: the kept normalized rows
@@ -225,14 +255,23 @@ def project(x, S, rank_tol: float = 1e-10) -> tuple[np.ndarray, float]:
     return unit.T @ np.linalg.solve(R[:r, :r], R[:r, r]), float(np.linalg.norm(R[r:, r]))
 
 
-def span_gap(S1, S2, rank_tol: float = 1e-10) -> float:
+def _residual_norm(Q: np.ndarray, Qs: np.ndarray) -> float:
+    """||Q - (Q Qs^T) Qs||_2 for orthonormal rows: the largest distance from
+    a unit vector of span(Q) to span(Qs)."""
+    return float(np.linalg.norm(Q - (Q @ Qs.T) @ Qs, 2))
+
+
+def span_gap(S1, S2, rank_tol: float = ToleranceConfig.rank_tol) -> float:
     """Spectral norm of the projector difference between the two spans.
 
     Equals the larger of the two one-sided maxima of the distance from a
     unit vector of one span to the other span (the Hausdorff gap between
     unit balls): 1 when the ranks differ, else the sine of the largest
     principal angle, ||Q1 - (Q1 Q2^T) Q2||_2 on the :func:`orthonormal_rows`
-    bases (Davis & Kahan 1970), exactly 0 for bitwise-equal bases.
+    bases (Davis & Kahan 1970), exactly 0 for bitwise-equal bases.  Past
+    those two exact cases the ranks are equal, so the one-sided maxima
+    agree, and the value is ``directed_span_gap(S1, S2)`` bit for bit: both
+    read one residual-norm core.
     """
     M1 = span_matrix(S1)
     M2 = span_matrix(S2)
@@ -244,15 +283,15 @@ def span_gap(S1, S2, rank_tol: float = 1e-10) -> float:
         return 1.0
     if Q1.shape[0] == 0 or np.array_equal(Q1, Q2):
         return 0.0
-    return float(np.linalg.norm(Q1 - (Q1 @ Q2.T) @ Q2, 2))
+    return _residual_norm(Q1, Q2)
 
 
-def span_equal(S1, S2, tol: float, rank_tol: float = 1e-10) -> bool:
+def span_equal(S1, S2, tol: float, rank_tol: float = ToleranceConfig.rank_tol) -> bool:
     """True iff the two spans agree within ``tol`` (projector difference norm)."""
     return span_gap(S1, S2, rank_tol) <= tol
 
 
-def directed_span_gap(S_sub, S_sup, rank_tol: float = 1e-10) -> float:
+def directed_span_gap(S_sub, S_sup, rank_tol: float = ToleranceConfig.rank_tol) -> float:
     """Max distance from a unit vector of span(S_sub) to span(S_sup).
 
     Zero iff span(S_sub) is contained in span(S_sup) up to rank_tol.
@@ -264,12 +303,11 @@ def directed_span_gap(S_sub, S_sup, rank_tol: float = 1e-10) -> float:
     Qs = orthonormal_rows(span_matrix(S_sup, ambient_dim=Q.shape[1]), rank_tol)
     if Qs.shape[0] == 0:
         return 1.0
-    R = Q - (Q @ Qs.T) @ Qs
-    return float(np.linalg.svd(R, compute_uv=False)[0])
+    return _residual_norm(Q, Qs)
 
 
-def dual_solve(vectors, within, rank_tol: float = 1e-10,
-               biorth_tol: float = 1e-8) -> np.ndarray:
+def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
+               biorth_tol: float = ToleranceConfig.biorth_tol) -> np.ndarray:
     """Biorthogonal functionals of ``vectors`` inside span(``within``).
 
     Returns the k x d matrix of rows f_1..f_k in span(within), with
@@ -306,31 +344,3 @@ def dual_solve(vectors, within, rank_tol: float = 1e-10,
             "the pairing is too ill-conditioned"
         )
     return F
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The numerical tolerances shared by the diagnostics, each named once.
-
-    Its fields are the tolerance keys of a config file, the ``tolerances``
-    of ``run.json`` and the tolerance lines of a stored ``header.txt``, so
-    a tolerance is added or renamed here and nowhere else.  Each must be
-    strictly positive.
-
-    rank_tol is Gram-Schmidt's per-row relative residual test of
-    :func:`prefix_bases`: a row within rank_tol of the span of the normalized
-    rows before it adds no direction.  :func:`svd_basis` and the cross-Gram
-    test of :func:`dual_solve` read it relative to the largest singular
-    value instead.  biorth_tol bounds the biorthogonality defects and
-    span_tol the span gaps and span distances the checks accept; both are
-    absolute.
-    """
-
-    rank_tol: float = 1e-10
-    biorth_tol: float = 1e-8
-    span_tol: float = 1e-8
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not getattr(self, f.name) > 0:  # NaN too
-                raise ArgumentError(f"{f.name} must be strictly positive")

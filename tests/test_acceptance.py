@@ -185,7 +185,7 @@ def test_criterion_5_rough_capacity():
     duals = orthonormalized_duals(system, Z, p)
     zsys = BiorthSystem(Z[:p], duals, ambient_dim=system.ambient_dim).validate()
     systems.append(extract_rough_system(zsys, system, top.matrix, spec,
-                                        m=1, p_of_m=p, r_of_m=int(q[p - 1])))
+                                        p_of_m=p, r_of_m=int(q[p - 1])))
     ident = BiorthSystem.canonical(6)
     from mbasis_lab.pathology import RoughSystem
 

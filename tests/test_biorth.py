@@ -136,7 +136,7 @@ class TestNormingEstimate:
     def test_angled_singleton(self):
         xs = np.array([e(1, 2)])
         fs = np.array([(e(1, 2) + e(2, 2)) / math.sqrt(2)])
-        sys = BiorthSystem.from_pairs(xs, fs, validate=False)
+        sys = BiorthSystem(xs, fs)
         est = norming_constant_estimate(sys, samples=16, seed=0)
         assert est == pytest.approx(1 / math.sqrt(2))
 

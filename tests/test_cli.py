@@ -218,6 +218,17 @@ class TestPipelines:
         record = json.load(open(tmp_path / "out" / "failure.json"))
         assert f"cannot read {tmp_path / 'none.txt'}" in record["invariant"]
 
+    def test_overlapping_partition_file_refused_by_name(self, tmp_path, capsys):
+        part = tmp_path / "overlap.txt"
+        part.write_text("A 1: 1 | 1 2 | 0.5\nA 2: 3 | 2 3 4 | 0.5\n")
+        out = tmp_path / "out"
+        assert main(["perturb", "--partition", str(part), "--truncation", "4",
+                     "--out", str(out)]) == 1
+        record = json.load(open(out / "failure.json"))
+        assert "block 2 overlaps earlier blocks at [2]" in record["invariant"]
+        assert not (out / "run.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_build_system(self, tmp_path):
         cfg = ExperimentConfig(command="build-system", truncation=6,
                                out=str(tmp_path))

@@ -170,10 +170,6 @@ class TestOmega:
         with pytest.raises(ArgumentError, match="^grid constants must list at least one entry$"):
             omega_stats(make_spec(64), [], 16)
 
-    def test_omega_stats_needs_grid_points(self):
-        with pytest.raises(ArgumentError, match="^grid_points must be at least 1, got 0$"):
-            omega_stats(make_spec(64), [1, 2], 16, grid_points=0)
-
 
 class TestPathologicalSystem:
     def test_identity_fixed_point(self):
@@ -440,7 +436,7 @@ class TestRoughSystems:
         system, e_hats = build_pathological_system(spec, np.zeros(N), N, N)
         top = operator_T(e_hats, N)
         rs = extract_rough_system(system, system, top.matrix, spec,
-                                  m=1, p_of_m=6, r_of_m=8)
+                                  p_of_m=6, r_of_m=8)
         assert rough_defect(rs) <= 1e-12
         assert rs.support == tuple(range(1, 9))
 
@@ -464,7 +460,7 @@ class TestRoughSystems:
         n0 = int(above[-1]) + 1 if above.size else 0
         assert n0 < p
         rs = extract_rough_system(zsys, system, top.matrix, spec,
-                                  m=1, p_of_m=p, r_of_m=r)
+                                  p_of_m=p, r_of_m=r)
         tail = rs.tail(n0)
         assert rough_defect(tail) <= 0.25 + 1e-12
         assert rs.support  # Omega(r) nonempty
@@ -481,7 +477,7 @@ class TestRoughSystems:
         top = operator_T(e_hats, N)
         with pytest.raises(ArgumentError, match="empty"):
             extract_rough_system(system, system, top.matrix, spec,
-                                 m=1, p_of_m=4, r_of_m=4)
+                                 p_of_m=4, r_of_m=4)
 
     def test_separation_bound(self):
         spec, system, e_hats, eps = build_small(30)
@@ -493,7 +489,7 @@ class TestRoughSystems:
         duals = orthonormalized_duals(system, Z, p)
         zsys = BiorthSystem(Z[:p], duals, ambient_dim=system.ambient_dim).validate()
         rs = extract_rough_system(zsys, system, top.matrix, spec,
-                                  m=1, p_of_m=p, r_of_m=r)
+                                  p_of_m=p, r_of_m=r)
         defect = rough_defect(rs)
         assert defect < 0.5
         expected = (1.0 - 2.0 * defect) / rs.bound_M
@@ -595,6 +591,13 @@ class TestUnbExperiment:
     @pytest.mark.parametrize("M_bound", [math.nan, math.inf])
     def test_non_finite_M_bound_refused(self, M_bound):
         with pytest.raises(ArgumentError, match="^M must be finite"):
+            unb_experiment(lambda m: float(m), M_bound, [8], seed=0)
+
+    @pytest.mark.parametrize("M_bound", [0.5, math.nan, math.inf])
+    def test_M_bound_below_one_or_non_finite_refused(self, M_bound):
+        # the capacities and the decay threshold 1 / (4 M_bound) read one M
+        with pytest.raises(ArgumentError, match=rf"^M must be finite and at least 1, "
+                                                rf"got M_bound = {M_bound}$"):
             unb_experiment(lambda m: float(m), M_bound, [8], seed=0)
 
 

@@ -142,6 +142,13 @@ class TestConstructFlattened:
         with pytest.raises(ArgumentError):
             construct_flattened(sys, singleton_partition(3), seed=0)
 
+    def test_overlapping_partition_refused_by_name(self):
+        # {1, 2} and {2, 3, 4} cover 1..4, so a coverage check alone lets
+        # them through to a misleading dual-span refusal
+        p = BlockPartition(((1, 2), (2, 3, 4)), (1, 3), (0.5, 0.5))
+        with pytest.raises(ArgumentError, match=r"block 2 overlaps earlier blocks at \[2\]"):
+            construct_flattened(BiorthSystem.canonical(4), p, seed=0)
+
     def test_closeness_bound_strict(self):
         sys = BiorthSystem.canonical(6)
         p = BlockPartition(((1, 2, 3), (4, 5, 6)), (1, 4), (0.25, 0.25))

@@ -41,6 +41,7 @@ from mbasis_lab.representing import (
 )
 from mbasis_lab.subspace import (
     ToleranceConfig,
+    directed_span_gap,
     distance_to_span,
     orthonormal_rows,
     prefix_bases,
@@ -319,6 +320,23 @@ def test_span_gap_is_one_when_ranks_differ():
     assert span_gap([a, 2.0 * a], [a, b]) == 1.0
     assert span_gap([a, a + 1e-12 * b], [a, b]) == 1.0
     assert span_gap([a, b], [a + 1e-12 * b]) == 1.0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_span_gap_shares_the_directed_core(case):
+    # past its exact 1.0 (ranks differ) and 0.0 (bitwise-equal bases),
+    # span_gap is directed_span_gap's residual norm, bit for bit
+    z, x = CASES[case]()
+    for Z, X in ((z.xs, x.xs), (z.fs, x.fs)):
+        for k in _prefix_lengths(z.size):
+            Q1, Q2 = orthonormal_rows(Z[:k]), orthonormal_rows(X[:k])
+            gap = span_gap(Z[:k], X[:k])
+            if Q1.shape[0] != Q2.shape[0]:
+                assert gap == 1.0
+            elif np.array_equal(Q1, Q2):
+                assert gap == 0.0
+            else:
+                assert gap == directed_span_gap(Z[:k], X[:k])
 
 
 def test_prefix_bases_keep_rows_after_a_dropped_one():
