@@ -220,9 +220,12 @@ def norming_constant_estimate(sys: BiorthSystem, samples: int | None = None,
     The constant is an infimum over unit functionals, and this is the
     minimum over sampled ones, so it can only overstate the constant.
     Deterministic given the seed; non-increasing in ``samples`` in
-    expectation (it is a minimum over a growing sample set).  The default,
-    max(64, 2n) samples for n pairs, is the estimate the norming refinement
-    admits its level c against.
+    expectation (it is a minimum over a growing sample set).  The default
+    is max(64, 2n) samples for n pairs.  The norming refinement admits its
+    level c against the exact constant instead
+    (``representing.norming_property_minimum(sys, N, N)``); this estimate is
+    kept for the benchmark harness and the tests, which still call it,
+    until the benchmark reads the exact constant (ROADMAP item 4).
     """
     samples = max(64, 2 * sys.size) if samples is None else samples
     return float(norming_estimate_envelope(sys, samples, seed)[-1])

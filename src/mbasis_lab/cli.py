@@ -136,6 +136,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("sizes entries must be at least 4")
     if any(c < 1 for c in cfg.cs):
         raise ConfigError("cs entries must be positive")
+    if not 0 <= cfg.c < math.inf:
+        raise ConfigError(f"c must be finite and nonnegative (0 for the default), got {cfg.c}")
     if not 1 <= cfg.m_bound < math.inf:
         raise ConfigError(f"m_bound must be finite and at least 1, got {cfg.m_bound}")
     return cfg
@@ -242,7 +244,8 @@ def _cmd_represent(cfg: ExperimentConfig, out: str) -> dict:
     rows = [(m, v, p, d) for m, (v, p, d) in enumerate(
         zip(indices.values, indices.interim_p, indices.deltas), start=1)]
     emit_report(rows, ("m", "r", "p", "delta"), out, "indices_report")
-    return {"depth": indices.depth, "r_max": indices.values[-1]}
+    return {"depth": indices.depth, "r_max": indices.values[-1],
+            "norming_c": indices.norming_c}
 
 
 def _cmd_pathology(cfg: ExperimentConfig, out: str) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorth import BiorthSystem, norming_constant_estimate
+from .biorth import BiorthSystem
 from .errors import ArgumentError
 from .perturbations import BlockPartition, validate_block_partition
 from .subspace import as_vector, distance_to_span, prefix_bases, prefix_coordinates, project
@@ -164,19 +164,17 @@ def _cross_minimum(QH: np.ndarray, QF: np.ndarray) -> float:
     return float(np.linalg.svd(QF.T @ QH, compute_uv=False)[-1])
 
 
-def _index_search(sys: BiorthSystem, depth: int, c: float | None) -> RepresentingIndices:
+def _index_search(sys: BiorthSystem, depth: int, c: float | None = None,
+                  level=None) -> RepresentingIndices:
     """r(1..depth) from r(0) = 0: r(1) = 1, and each later interim p is the
     least window end within delta_m = 1 / (m * sum_{n <= r(m)} ||f_n|| ||x_n||).
 
-    With ``c`` set, each r is widened from p until the norming property holds
-    at level c; the head and functional bases of every step are column
-    prefixes of one :func:`prefix_bases` factorization per side.
+    With ``c`` set, each r is widened from p until ``level(p, r)``, the
+    norming property minimum of head x_1..x_p against f_1..f_r, is at
+    least c.
     """
     N = sys.size
     sums = _pair_norm_sums(sys)
-    if c is not None:
-        Qx, _, rank_x = prefix_bases(sys.xs, sys.tol.rank_tol)
-        Qf, _, rank_f = prefix_bases(sys.fs, sys.tol.rank_tol)
     steps = []  # (r, delta, interim p) per step
     r_prev = 0
     for m in range(depth):
@@ -188,7 +186,7 @@ def _index_search(sys: BiorthSystem, depth: int, c: float | None) -> Representin
         delta = 1.0 / (m * sums[r_prev]) if m else math.inf
         p = _least_window_end(sys, r_prev, delta) if m else 1
         rho = p
-        while c is not None and _cross_minimum(Qx[:, :rank_x[p]], Qf[:, :rank_f[rho]]) < c:
+        while c is not None and level(p, rho) < c:
             rho += 1
             if rho > N:
                 raise ArgumentError(
@@ -211,7 +209,7 @@ def build_representing_indices(sys: BiorthSystem, depth: int) -> RepresentingInd
         raise ArgumentError("depth must be at least 1")
     if sys.size < 1:
         raise ArgumentError("empty system")
-    return _index_search(sys, depth, None)
+    return _index_search(sys, depth)
 
 
 def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
@@ -219,9 +217,12 @@ def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
 
     Equals the smallest singular value of the cross matrix between the
     orthonormalized functional prefix f_1..f_rho and the orthonormalized
-    head x_1..x_p; at least c here certifies the norming property for
-    every unit v of the head, hence for every point of any net of it.
-    Both prefixes must lie in 1..N.
+    head x_1..x_p (the cosine of the largest principal angle; Bjorck &
+    Golub 1973); at least c here certifies the norming property for every
+    unit v of the head, hence for every point of any net of it.  At
+    (N, N) it is the norming constant sigma_min(Q_F^T Q_X) of the system,
+    which :func:`build_norming_indices` admits its level against.  Both
+    prefixes must lie in 1..N.
     """
     N = sys.size
     if not (1 <= p <= N and 1 <= rho <= N):
@@ -237,23 +238,37 @@ def build_norming_indices(sys: BiorthSystem, depth: int,
     After finding the interim window end p(m+1), the index r(m+1) >= p(m+1)
     is widened until every unit v of span{x_1..x_{p(m+1)}} admits a unit
     functional in span{f_1..f_{r(m+1)}} with action at least ``c``.
-    Requires c at most half the sampled estimate of the norming constant
-    (:func:`norming_constant_estimate` at its default sample count), which
-    can only overstate the constant, so this admits some c above half of
-    it; each built step is certified all the same.  c defaults to exactly
-    that half.
+    Requires 0 < c <= const/2 + 1e-12 for the norming constant const =
+    sigma_min(Q_F^T Q_X), read off the one :func:`prefix_bases`
+    factorization per side that also serves every step (bit for bit
+    ``norming_property_minimum(sys, N, N)``).  The slack keeps a c derived
+    from another rounding of the constant admitted when that rounding reads
+    a few ulps high.  c defaults to const/2.
     """
     if depth < 1:
         raise ArgumentError("depth must be at least 1")
-    est = norming_constant_estimate(sys)
-    c = est / 2.0 if c is None else c
-    if c <= 0:
-        raise ArgumentError("c must be positive")
-    if c > est / 2.0 + 1e-12:
+    tol = sys.tol.rank_tol
+    Qx, _, rank_x = prefix_bases(sys.xs, tol)
+    Qf, _, rank_f = prefix_bases(sys.fs, tol)
+    const = _cross_minimum(Qx, Qf)
+    c = const / 2.0 if c is None else c
+    if not c > 0:
+        raise ArgumentError(f"c must be positive, got {c}")
+    if c > const / 2.0 + 1e-12:
         raise ArgumentError(
-            f"c = {c} exceeds half the measured norming constant {est:.6f}"
+            f"c = {c} exceeds half the measured norming constant {const:.6f}"
         )
-    return _index_search(sys, depth, c)
+    full = (rank_x[-1], rank_f[-1])
+
+    def level(p: int, rho: int) -> float:
+        # the step bases are column prefixes of the two factorizations; at
+        # full ranks they are the factors themselves, whose minimum is const
+        ranks = (rank_x[p], rank_f[rho])
+        if ranks == full:
+            return const
+        return _cross_minimum(Qx[:, :ranks[0]], Qf[:, :ranks[1]])
+
+    return _index_search(sys, depth, c, level)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from mbasis_lab.biorth import (
     BiorthSystem,
     IntervalFamily,
     PerturbationClass,
-    norming_constant_estimate,
 )
 from mbasis_lab.errors import ArgumentError, ConstructionError
 from mbasis_lab.io import fmt
@@ -325,15 +324,16 @@ def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
 
 def build_norming_indices(sys: BiorthSystem, depth: int, c: float) -> RepresentingIndices:
     """Representing indices widened, one SVD pair per candidate rho, until
-    the norming property holds at level ``c``."""
+    the norming property holds at level ``c``; c is admitted against half
+    the SVD-pair norming constant ``norming_property_minimum(sys, N, N)``."""
     if depth < 1:
         raise ArgumentError("depth must be at least 1")
     if c <= 0:
         raise ArgumentError("c must be positive")
-    est = norming_constant_estimate(sys, samples=max(64, 2 * sys.size), seed=0)
-    if c > est / 2.0 + 1e-12:
+    const = norming_property_minimum(sys, sys.size, sys.size)
+    if c > const / 2.0 + 1e-12:
         raise ArgumentError(
-            f"c = {c} exceeds half the measured norming constant {est:.6f}"
+            f"c = {c} exceeds half the measured norming constant {const:.6f}"
         )
     N = sys.size
     sums = _pair_norm_sums(sys)

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,17 @@ class TestParseConfig:
         assert main(["unb", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert (f"config error: m_bound must be finite and at least 1, got {float(value)}"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_c_must_be_finite_and_nonnegative(self, tmp_path, capsys, value):
+        cfg = tmp_path / "norming.cfg"
+        cfg.write_text(f"command = represent\nvariant = norming\nc = {value}\n")
+        assert main(["represent", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: c must be finite and nonnegative (0 for the default), "
+                f"got {float(value)}" in err)
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,key", [("unb", "sizes"), ("pathology", "cs")])
@@ -184,14 +196,36 @@ class TestPipelines:
         assert rows[0].split() == ["1", "1", "1", "inf"]
 
     def test_represent_norming_default_c_is_admissible(self, tmp_path):
-        # a 128-sample estimate reads above the builder's own on this system,
-        # so the default c must come from the builder's estimate
+        # the default c is half the builder's own norming constant
         sys_dir = tmp_path / "input"
         mio.save_system(tilted_system(), str(sys_dir))
         cfg = ExperimentConfig(command="represent", input_system=str(sys_dir),
                                variant="norming", depth=4, out=str(tmp_path / "out"))
         assert run(cfg) == 0
         assert mio.load_indices(str(tmp_path / "out" / "indices.txt")).values == (1, 2, 3, 4)
+
+    def test_represent_records_norming_c(self, tmp_path):
+        sys_dir = tmp_path / "input"
+        mio.save_system(tilted_system(), str(sys_dir))
+        base = ExperimentConfig(command="represent", input_system=str(sys_dir), depth=4)
+        for variant, c, expected in (("plain", 0.0, None), ("norming", 0.0, 0.11550326142),
+                                     ("norming", 0.1, 0.1)):
+            out = tmp_path / f"{variant}-{c}"
+            assert run(replace(base, variant=variant, c=c, out=str(out))) == 0
+            summary = json.loads((out / "run.json").read_text())["summary"]
+            assert summary["norming_c"] == expected
+
+    def test_represent_norming_c_above_half_the_constant_refused(self, tmp_path):
+        # the tilted system's norming constant is 0.231; a sampled estimate
+        # reads 0.953 and used to admit c = 0.3
+        sys_dir = tmp_path / "input"
+        mio.save_system(tilted_system(), str(sys_dir))
+        cfg = ExperimentConfig(command="represent", input_system=str(sys_dir),
+                               variant="norming", c=0.3, out=str(tmp_path / "out"))
+        assert run(cfg) == 1
+        failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+        assert "exceeds half the measured norming constant 0.231007" in failure["invariant"]
+        assert not (tmp_path / "out" / "run.json").exists()
 
     @pytest.mark.parametrize("damage,match", [
         (lambda d: (d / "X.csv").write_text("1,0\n0,abc\n"), r"X\.csv:2: malformed matrix row"),

@@ -14,15 +14,16 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+import mbasis_lab
 import oracles
-from mbasis_lab import representing
+from mbasis_lab import biorth, representing
 from mbasis_lab.biorth import (
     BiorthSystem,
     classify_perturbation,
     norming_constant_estimate,
     spanning_indices,
 )
-from mbasis_lab.errors import ConstructionError
+from mbasis_lab.errors import ArgumentError, ConstructionError
 from mbasis_lab.pathology import (
     _cascade,
     _certify,
@@ -246,6 +247,37 @@ def test_norming_estimate_never_understates(case):
     x = INDEX_CASES[case]()
     exact = norming_property_minimum(x, x.size, x.size)
     assert exact <= norming_constant_estimate(x) + 4 * x.ambient_dim * np.finfo(float).eps / 2
+
+
+@pytest.mark.parametrize("case", INDEX_CASES)
+def test_default_c_is_half_the_norming_constant(case):
+    # the builder reads the constant off the factorizations its widening
+    # uses, the same calls norming_property_minimum makes at (N, N)
+    x = INDEX_CASES[case]()
+    assert build_norming_indices(x, 1).norming_c == norming_property_minimum(
+        x, x.size, x.size) / 2
+
+
+def test_norming_admits_against_the_exact_constant():
+    # the sampled estimate reads 0.953 on the tilted system and 0.226 on the
+    # pathological pair, against exact constants 0.231 and 3.5e-18
+    with pytest.raises(ArgumentError, match="exceeds half the measured norming constant 0.231007"):
+        build_norming_indices(tilted_system(), 8, 0.3)
+    assert build_norming_indices(tilted_system(), 8).norming_c == pytest.approx(
+        0.11550326142000820, abs=1e-15)
+    x = INDEX_CASES["pathological-40-vs-canonical-z"]()
+    assert build_norming_indices(x, 2).norming_c <= 1.8e-18
+
+
+def test_norming_indices_take_no_sampled_estimate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("norming_constant_estimate called")
+
+    for module in (biorth, representing, mbasis_lab):
+        monkeypatch.setattr(module, "norming_constant_estimate", refuse, raising=False)
+    for case in ("tilted", "widening", "staged-384"):
+        x = INDEX_CASES[case]()
+        assert build_norming_indices(x, 2).norming_c > 0
 
 
 def test_staged_512_known_answer():

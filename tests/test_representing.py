@@ -137,9 +137,9 @@ class TestNormingIndices:
             for v in unit_net(sys.xs[:p], 0.2):
                 assert np.linalg.norm(QF @ v) >= c
 
-    def test_default_c_is_half_the_estimate(self):
+    def test_default_c_is_half_the_norming_constant(self):
         sys = widening_system()
-        c = norming_constant_estimate(sys) / 2.0
+        c = norming_property_minimum(sys, sys.size, sys.size) / 2.0
         r = build_norming_indices(sys, 2)
         assert r.norming_c == c
         assert r == build_norming_indices(sys, 2, c)
@@ -150,19 +150,26 @@ class TestNormingIndices:
             build_norming_indices(sys, 2, c=0.99)
 
     def test_unattainable_inside_truncation(self):
-        # one functional tilted nearly out of the ambient the vectors see:
-        # the sampled norming estimate misses the needle direction, but the
-        # widening scan hits it and must run out of prefix
+        # the last functional tilted almost wholly out of the ambient the
+        # vectors see puts the norming constant near 1e-13; a c inside the
+        # 1e-12 admission slack but above the constant passes the up-front
+        # check, and the widening scan must run out of prefix at the last step
         n = 12
         X = np.eye(n + 1)[:n]
         F = np.eye(n + 1)[:n].copy()
-        F[n - 1] = X[n - 1] + 1e3 * np.eye(n + 1)[n]
+        F[n - 1] = X[n - 1] + 1e13 * np.eye(n + 1)[n]
         sys = BiorthSystem.from_pairs(X, F)
-        est = norming_constant_estimate(sys, samples=max(64, 2 * sys.size), seed=0)
-        c = min(0.3, 0.45 * est)
-        assert c > 2e-3  # well above the true prefix minimum
-        with pytest.raises(ArgumentError, match="unattainable"):
+        const = norming_property_minimum(sys, n, n)
+        assert const < 2e-12
+        c = const / 2.0 + 0.5e-12
+        assert const < c <= const / 2.0 + 1e-12
+        with pytest.raises(ArgumentError, match=f"unattainable.*step {n} "):
             build_norming_indices(sys, n, c=c)
+
+    @pytest.mark.parametrize("c", [float("nan"), -0.1, 0.0])
+    def test_non_positive_or_nan_c_refused(self, c):
+        with pytest.raises(ArgumentError, match="c must be positive"):
+            build_norming_indices(BiorthSystem.canonical(8), 4, c)
 
 
 class TestReconstruct:
