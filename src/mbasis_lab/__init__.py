@@ -13,10 +13,8 @@ from .biorth import (  # noqa: F401
     BiorthSystem,
     IntervalFamily,
     biorthogonality_defect,
-    block_duality_check,
     boundedness_constant,
     classify_perturbation,
-    intersection_defect,
     norming_constant_estimate,
     spanning_indices,
     uniform_minimality_constant,
@@ -36,21 +34,16 @@ from .representing import (  # noqa: F401
     reconstruct,
     strong_partition,
     strongness_diagnostic,
-    subseries_reconstruct,
 )
 from .pathology import (  # noqa: F401
     PermutationSpec,
-    RoughSystem,
     build_pathological_system,
     build_permutation,
     build_phi,
-    extract_rough_system,
-    greedy_rough_packing,
     identity_permutation,
     omega_stats,
     operator_T,
     rough_capacity,
-    rough_defect,
     t_asymptotics_check,
     unb_experiment,
 )

@@ -4,8 +4,7 @@ A system is a paired finite family (x_n, f_n) of vectors and functionals
 (functionals act by the l2 inner product).  The diagnostics quantify, at
 truncation scale, the classical notions: biorthogonality defect,
 C-boundedness, uniform minimality, norming constants, spanning indices of
-a spanned system, block/pile perturbation structure, and the intersection
-identity used to characterize strongness.
+a spanned system and block/pile perturbation structure.
 
 All index sets exposed by this module are 1-based, matching the usual
 mathematical indexing; raw array rows are 0-based.
@@ -24,8 +23,6 @@ from .subspace import (
     prefix_bases,
     prefix_coordinates,
     span_equal,
-    span_gap,
-    span_matrix,
     svd_basis,
 )
 
@@ -40,8 +37,6 @@ __all__ = [
     "norming_estimate_envelope",
     "spanning_indices",
     "classify_perturbation",
-    "block_duality_check",
-    "intersection_defect",
 ]
 
 
@@ -143,27 +138,16 @@ class IntervalFamily:
                 raise ArgumentError(f"malformed interval ({lo}, {hi})")
         object.__setattr__(self, "intervals", ivs)
 
-    def covers(self, n: int) -> bool:
-        seen = set()
-        for lo, hi in self.intervals:
-            seen.update(range(lo, hi + 1))
-        return seen == set(range(1, n + 1))
-
 
 # ---------------------------------------------------------------------------
 # scalar diagnostics
 
 
-def _pairing_defect(xs: np.ndarray, fs: np.ndarray) -> float:
-    """max over (k, n) of |<f_k, x_n> - delta_{k,n}| over paired rows."""
-    if len(xs) == 0:
-        return 0.0
-    return float(np.max(np.abs(fs @ xs.T - np.eye(len(xs)))))
-
-
 def biorthogonality_defect(sys: BiorthSystem) -> float:
     """max over (k, n) of |<f_k, x_n> - delta_{k,n}|."""
-    return _pairing_defect(sys.xs, sys.fs)
+    if sys.size == 0:
+        return 0.0
+    return float(np.max(np.abs(sys.fs @ sys.xs.T - np.eye(sys.size))))
 
 
 def boundedness_constant(sys: BiorthSystem) -> float:
@@ -354,68 +338,3 @@ def classify_perturbation(zsys: BiorthSystem, xsys: BiorthSystem) -> Perturbatio
         rights = tuple((1, m) for m in prefixes)
         return PerturbationClass("pile", IntervalFamily(rights), prefixes)
     return PerturbationClass("neither", None, ())
-
-
-def block_duality_check(zsys: BiorthSystem, xsys: BiorthSystem,
-                        intervals: IntervalFamily) -> bool:
-    """Check the dual span equalities of a block family through complements.
-
-    For each interval I(m), the functional span over I(m) of a block
-    perturbation equals the orthogonal complement, inside the total vector
-    span, of the span of the other blocks' vectors.  Both sides are
-    computed that way from the vectors alone and compared within span_tol.
-    """
-    n = zsys.size
-    if not intervals.covers(n):
-        raise ArgumentError(f"interval family does not cover 1..{n}")
-    tol = xsys.tol
-    ok = True
-    for lo, hi in intervals.intervals:
-        inside = list(range(lo - 1, hi))
-        outside = [i for i in range(n) if not lo - 1 <= i <= hi - 1]
-        sides = []
-        for sys in (zsys, xsys):
-            total = orthonormal_rows(sys.xs, tol.rank_tol)
-            others = orthonormal_rows(sys.xs[outside], tol.rank_tol) if outside else None
-            if others is None or others.shape[0] == 0:
-                comp = total
-            else:
-                resid = total - (total @ others.T) @ others
-                # rows fully inside the other blocks' span project to zero
-                # and carry no complement direction
-                keep = np.linalg.norm(resid, axis=1) > tol.span_tol
-                comp = orthonormal_rows(resid[keep], tol.rank_tol)
-            sides.append(comp)
-        ok = ok and span_equal(sides[0], sides[1], tol.span_tol)
-        # cross-check against the actual functionals of each system
-        for sys, comp in zip((zsys, xsys), sides):
-            ok = ok and span_equal(sys.fs[inside], comp, tol.span_tol)
-    return bool(ok)
-
-
-def intersection_defect(sys: BiorthSystem, A, B) -> float:
-    """Gap between the computed intersection span and span over A&B (1-based index sets).
-
-    The intersection subspace is computed from principal vectors at angle
-    near zero.  A zero value means the intersection identity holds for
-    this pair, as it always does for linearly independent finite systems;
-    the check is therefore a diagnostic, not a strongness proof.
-    """
-    A = sorted(set(int(a) for a in A))
-    B = sorted(set(int(b) for b in B))
-    for idx in (*A, *B):
-        if not 1 <= idx <= sys.size:
-            raise ArgumentError(f"index {idx} out of range 1..{sys.size}")
-    tol = sys.tol
-    QA = orthonormal_rows(sys.xs[[a - 1 for a in A]], tol.rank_tol) if A else np.zeros((0, sys.ambient_dim))
-    QB = orthonormal_rows(sys.xs[[b - 1 for b in B]], tol.rank_tol) if B else np.zeros((0, sys.ambient_dim))
-    if QA.shape[0] == 0 or QB.shape[0] == 0:
-        inter = np.zeros((0, sys.ambient_dim))
-    else:
-        U, s, Vt = np.linalg.svd(QA @ QB.T)
-        keep = s >= 1.0 - tol.span_tol
-        principal = U[:, : s.size].T[keep]
-        inter = principal @ QA if principal.shape[0] else np.zeros((0, sys.ambient_dim))
-    both = sorted(set(A) & set(B))
-    target = sys.xs[[i - 1 for i in both]] if both else np.zeros((0, sys.ambient_dim))
-    return span_gap(inter, span_matrix(target, sys.ambient_dim), tol.rank_tol)

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorth import BiorthSystem, _pairing_defect
+from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError
-from .subspace import ToleranceConfig, directed_span_gap, prefix_bases
+from .subspace import ToleranceConfig, prefix_bases
 
 __all__ = [
     "PhiTable",
     "PermutationSpec",
-    "RoughSystem",
     "RoughCapacity",
     "build_phi",
     "build_permutation",
@@ -48,14 +47,12 @@ __all__ = [
     "TOperator",
     "t_asymptotics_check",
     "DecayTable",
-    "extract_rough_system",
-    "rough_defect",
-    "rough_separation",
+    "default_eps_sequence",
     "rough_capacity",
-    "greedy_rough_packing",
     "unb_experiment",
     "UnbReport",
     "UnbRun",
+    "BEYOND_TABLE",
     "EPS_SQ_BUDGET",
     "OMEGA_GRID_POINTS",
 ]
@@ -191,20 +188,6 @@ class PermutationSpec:
     Gamma: np.ndarray
     pi: np.ndarray
     injective_verified: bool = False
-
-    def pi_value(self, n: int) -> int | None:
-        """Exact pi(n), or None when it lies beyond the table."""
-        if not 1 <= n <= self.N:
-            raise ArgumentError(f"pi({n}) outside table 1..{self.N}")
-        v = int(self.pi[n - 1])
-        return None if v == BEYOND_TABLE else v
-
-    def omega_set(self, k: int) -> set:
-        """Omega(k) = {1..k} intersected with {pi(1)..pi(k)} (exact)."""
-        if not 1 <= k <= self.N:
-            raise ArgumentError(f"Omega({k}) outside table 1..{self.N}")
-        vals = self.pi[:k]
-        return set(int(v) for v in vals[(vals != BEYOND_TABLE) & (vals <= k)])
 
     def omega_sizes(self, upto: int) -> np.ndarray:
         """|Omega(m)| for m = 1..upto in one cumulative pass.
@@ -706,97 +689,6 @@ def t_asymptotics_check(T: np.ndarray, zs, eps_seq, strict: bool = True) -> Deca
 
 
 @dataclass(frozen=True)
-class RoughSystem:
-    """Vectors and functionals that are biorthogonal up to ``eps``.
-
-    ``support`` lists the 1-based canonical coordinates the system lives
-    on (its effective dimension); ``bound_M`` is the largest functional
-    norm, the constant entering the separation bound.
-    """
-
-    ys: np.ndarray
-    gs: np.ndarray
-    eps: float
-    bound_M: float
-    support: tuple = ()
-
-    @property
-    def size(self) -> int:
-        return self.ys.shape[0]
-
-    def tail(self, n0: int) -> "RoughSystem":
-        """The subsystem with the first n0 pairs dropped."""
-        return RoughSystem(self.ys[n0:], self.gs[n0:], self.eps, self.bound_M,
-                           self.support)
-
-    def normalized(self) -> "RoughSystem":
-        """Pairs rescaled to unit vectors, functionals scaled inversely.
-
-        Keeps the diagonal pairings; off-diagonal entries change by norm
-        ratios, so the rough defect of the result is recomputed by callers.
-        """
-        norms = np.linalg.norm(self.ys, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise ArgumentError("cannot normalize a zero vector")
-        ys = self.ys / norms
-        gs = self.gs * norms
-        return RoughSystem(ys, gs, self.eps,
-                           float(np.max(np.linalg.norm(gs, axis=1))), self.support)
-
-
-def rough_defect(rs: RoughSystem) -> float:
-    """max over (k, n) of |<g_k, y_n> - delta_{k,n}|."""
-    return _pairing_defect(rs.ys, rs.gs)
-
-
-def rough_separation(rs: RoughSystem) -> float:
-    """Minimum pairwise distance ||y_i - y_j||, infinity for size < 2."""
-    if rs.size < 2:
-        return math.inf
-    ys = rs.ys
-    return float(np.min([np.min(np.linalg.norm(ys[i + 1:] - ys[i], axis=1))
-                         for i in range(rs.size - 1)]))
-
-
-def extract_rough_system(zsys: BiorthSystem, xsys: BiorthSystem, T: np.ndarray,
-                         spec: PermutationSpec, p_of_m: int, r_of_m: int) -> RoughSystem:
-    """Project the first p(m) pairs onto the overlap coordinates Omega(r(m)).
-
-    Requires the support inclusions: the z-vector prefix inside the
-    x-vector prefix span up to r, and likewise for the functionals (both
-    within span_tol).  The result is bounded by twice the product of the
-    operator norm bound and the functional bound of the input; its eps is
-    the 1/4 that :func:`unb_experiment`'s capacities take.
-    """
-    tol = xsys.tol
-    if not 1 <= p_of_m <= zsys.size:
-        raise ArgumentError(f"p(m) = {p_of_m} outside 1..{zsys.size}")
-    if not 1 <= r_of_m <= xsys.size:
-        raise ArgumentError(f"r(m) = {r_of_m} outside 1..{xsys.size}")
-    gap_v = directed_span_gap(zsys.xs[:p_of_m], xsys.xs[:r_of_m], tol.rank_tol)
-    if gap_v > tol.span_tol:
-        raise ArgumentError(
-            f"vector support condition fails: prefix gap {gap_v:.3e} at r={r_of_m}"
-        )
-    gap_f = directed_span_gap(zsys.fs[:p_of_m], xsys.fs[:r_of_m], tol.rank_tol)
-    if gap_f > tol.span_tol:
-        raise ArgumentError(
-            f"functional support condition fails: prefix gap {gap_f:.3e} at r={r_of_m}"
-        )
-    omega = sorted(spec.omega_set(r_of_m))
-    if not omega:
-        raise ArgumentError(f"Omega({r_of_m}) is empty; enlarge r")
-    keep = np.array([w - 1 for w in omega], dtype=int)
-    mask = np.zeros(zsys.ambient_dim, dtype=bool)
-    mask[keep] = True
-    ys = zsys.xs[:p_of_m] @ T.T
-    ys = np.where(mask[None, :], ys, 0.0)
-    gs = np.where(mask[None, :], zsys.fs[:p_of_m], 0.0)
-    bound_M = float(np.max(np.linalg.norm(gs, axis=1))) if p_of_m else 0.0
-    return RoughSystem(ys, gs, 0.25, bound_M, tuple(omega))
-
-
-@dataclass(frozen=True)
 class RoughCapacity:
     delta: float
     p_max: float
@@ -822,27 +714,6 @@ def rough_capacity(k: int, eps: float, M: float) -> RoughCapacity:
     p_max = (1.0 + 2.0 / delta) ** k
     c1 = 1.0 / math.log(1.0 + 2.0 / delta)
     return RoughCapacity(delta, p_max, c1)
-
-
-def greedy_rough_packing(dim: int, delta: float, trials: int, seed: int) -> np.ndarray:
-    """Greedy delta-separated packing of random unit vectors (the oracle).
-
-    Samples ``trials`` unit candidates and keeps each one whose distance
-    to every kept point is at least delta; returns the kept points.
-    """
-    if dim < 1 or trials < 1 or delta <= 0:
-        raise ArgumentError("need dim >= 1, trials >= 1, delta > 0")
-    rng = np.random.default_rng(seed)
-    kept: list[np.ndarray] = []
-    for _ in range(trials):
-        v = rng.standard_normal(dim)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            continue
-        v /= nrm
-        if all(np.linalg.norm(v - w) >= delta for w in kept):
-            kept.append(v)
-    return np.vstack(kept) if kept else np.zeros((0, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -894,22 +765,6 @@ def _prefix_dual_spanning(X: np.ndarray) -> np.ndarray:
     nonzero = (X @ X.T) != 0
     reach = np.where(nonzero.any(axis=0), M - np.argmax(nonzero[::-1], axis=0), 0)
     return np.maximum(np.maximum.accumulate(reach), np.arange(1, M + 1))
-
-
-def orthonormalized_duals(system: BiorthSystem, Z: np.ndarray, p: int) -> np.ndarray:
-    """First p biorthogonal functionals of the orthonormalized sequence.
-
-    Solved inside the span of the annihilator basis g_j = sum_k
-    <x_k, x_j> f_k (j <= p), which is orthogonal to every z_k with k > p
-    by construction; only the leading p-by-p pairing is inverted, so the
-    conditioning reflects the leading structure alone.
-    """
-    if not 1 <= p <= system.size:
-        raise ArgumentError(f"p must lie in 1..{system.size}")
-    gram = system.xs @ system.xs.T
-    g = gram[:, :p].T @ system.fs
-    pairing = g @ Z[:p].T  # lower triangular: g_j annihilates z_k for k > j
-    return np.linalg.solve(pairing, g)
 
 
 def _lambda_table(lambdas, N: int) -> np.ndarray:

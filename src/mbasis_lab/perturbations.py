@@ -72,11 +72,6 @@ class BlockPartition:
             out.update(blk)
         return out
 
-    @property
-    def eps_sum(self) -> float:
-        """Partial sum of the eps_j over the truncation (recorded invariant)."""
-        return float(sum(self.epsilons))
-
 
 @dataclass(frozen=True)
 class PartitionReport:

@@ -34,7 +34,6 @@ __all__ = [
     "RepresentingIndices",
     "StrongPartitionTrace",
     "ReconstructResult",
-    "SubseriesTrace",
     "BoundVerdict",
     "StrongnessReport",
     "build_representing_indices",
@@ -42,7 +41,6 @@ __all__ = [
     "window_approximation_defect",
     "norming_property_minimum",
     "reconstruct",
-    "subseries_reconstruct",
     "strong_partition",
     "strongness_diagnostic",
 ]
@@ -303,51 +301,6 @@ def reconstruct(x, sys: BiorthSystem, r: RepresentingIndices, m: int) -> Reconst
     v, _ = project(xv - partial, window, sys.tol.rank_tol)
     approx = partial + v
     return ReconstructResult(approx, v, float(np.linalg.norm(xv - approx)))
-
-
-@dataclass(frozen=True)
-class SubseriesTrace:
-    """Checkpoint partial sums of the expansion along a subsequence of m's.
-
-    checkpoints[k] is r(m_k); residuals[k] the distance from x to the
-    partial sum up to that index; window_masses[k] the norm of the
-    immediate next window's contribution (the series whose summability the
-    hypothesis controls).
-    """
-
-    checkpoints: tuple
-    residuals: tuple
-    window_masses: tuple
-
-    @property
-    def final_residual(self) -> float:
-        return self.residuals[-1]
-
-
-def subseries_reconstruct(x, sys: BiorthSystem, r: RepresentingIndices,
-                          mks) -> SubseriesTrace:
-    """Partial sums of the expansion at the checkpoints r(m_k).
-
-    ``mks`` must be strictly increasing with m_k + 1 within depth (the
-    window just after each checkpoint is part of the report).
-    """
-    mks = [int(m) for m in mks]
-    if not mks or any(b <= a for a, b in zip(mks, mks[1:])) or mks[0] < 1:
-        raise ArgumentError(f"mks must be strictly increasing positive integers: {mks}")
-    if mks[-1] + 1 > r.depth:
-        raise ArgumentError(f"need r({mks[-1] + 1}); depth is {r.depth}")
-    xv = as_vector(x, sys.ambient_dim)
-    coeffs = sys.fs @ xv
-    checkpoints, residuals, masses = [], [], []
-    for mk in mks:
-        end = r.r_at(mk)
-        partial = coeffs[:end] @ sys.xs[:end]
-        nxt = r.r_at(mk + 1)
-        window_vec = coeffs[end:nxt] @ sys.xs[end:nxt]
-        checkpoints.append(end)
-        residuals.append(float(np.linalg.norm(xv - partial)))
-        masses.append(float(np.linalg.norm(window_vec)))
-    return SubseriesTrace(tuple(checkpoints), tuple(residuals), tuple(masses))
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,12 @@ from mbasis_lab.pathology import (
     build_permutation,
     build_phi,
     default_eps_sequence,
-    greedy_rough_packing,
     operator_T,
-    orthonormalized_duals,
     rough_capacity,
-    rough_defect,
-    rough_separation,
     t_asymptotics_check,
     unb_experiment,
     verify_injective,
     verify_phi_count_identity,
-    extract_rough_system,
     _gram_schmidt_rows,
     _prefix_dual_spanning,
 )
@@ -46,7 +41,15 @@ from mbasis_lab.representing import (
 )
 from mbasis_lab.biorth import classify_perturbation
 from mbasis_lab.subspace import orthonormal_rows
-from oracles import unit_net
+from oracles import (
+    RoughSystem,
+    extract_rough_system,
+    greedy_rough_packing,
+    orthonormalized_duals,
+    rough_defect,
+    rough_separation,
+    unit_net,
+)
 
 
 def verdict(num, ok, text):
@@ -187,8 +190,6 @@ def test_criterion_5_rough_capacity():
     systems.append(extract_rough_system(zsys, system, top.matrix, spec,
                                         p_of_m=p, r_of_m=int(q[p - 1])))
     ident = BiorthSystem.canonical(6)
-    from mbasis_lab.pathology import RoughSystem
-
     systems.append(RoughSystem(ident.xs, ident.fs, 0.25, 1.0,
                                tuple(range(1, 7))))
     sep_ok = True

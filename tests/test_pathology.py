@@ -15,16 +15,10 @@ from mbasis_lab.pathology import (
     build_permutation,
     build_phi,
     default_eps_sequence,
-    extract_rough_system,
-    greedy_rough_packing,
     identity_permutation,
     omega_stats,
     operator_T,
     rough_capacity,
-    rough_defect,
-    rough_separation,
-    RoughSystem,
-    orthonormalized_duals,
     t_asymptotics_check,
     unb_experiment,
     verify_injective,
@@ -33,6 +27,15 @@ from mbasis_lab.pathology import (
     _prefix_dual_spanning,
 )
 from mbasis_lab.subspace import directed_span_gap
+from oracles import (
+    RoughSystem,
+    extract_rough_system,
+    greedy_rough_packing,
+    omega_set,
+    orthonormalized_duals,
+    rough_defect,
+    rough_separation,
+)
 
 
 def make_spec(N, table_factor=4):
@@ -83,7 +86,7 @@ class TestBuildPhi:
 class TestBuildPermutation:
     def test_prefix_values(self):
         spec = make_spec(64)
-        prefix = [spec.pi_value(n) for n in range(1, 9)]
+        prefix = spec.pi[:8].tolist()
         assert prefix == [1, 2, 7, 3, 31, 63, 127, 4]
         assert len(set(prefix)) == 8
         assert set(prefix) == {1, 2, 3, 4, 7, 31, 63, 127}
@@ -100,15 +103,17 @@ class TestBuildPermutation:
     def test_identity_excluded(self):
         # the permutation moves some index whenever phi(m) < m somewhere
         spec = make_spec(64)
-        moved = [n for n in range(1, 65) if spec.pi_value(n) != n]
+        moved = [n for n in range(1, 65) if spec.pi[n - 1] != n]
         assert moved
 
     def test_beyond_table_semantics(self):
         spec = make_spec(64)
         sentinel = np.nonzero(spec.pi == BEYOND_TABLE)[0]
         assert sentinel.size  # saturation does occur at this size
-        # a sentinel value is known to exceed the table length
-        assert spec.pi_value(int(sentinel[0]) + 1) is None
+        # a sentinel value is known to exceed the table length: it sits off
+        # Gamma, where pi is Phi, and Phi is beyond the table there too
+        assert spec.Phi[sentinel[0]] == BEYOND_TABLE
+        assert int(sentinel[0]) + 1 not in spec.Gamma
 
     def test_longer_staircase_table_stores_large_phi_as_sentinel(self):
         # Phi(6) = 63 is known from a table of 64 but exceeds N = 32; it is
@@ -131,14 +136,14 @@ class TestBuildPermutation:
 class TestOmega:
     def test_small_sets(self):
         spec = make_spec(64)
-        assert spec.omega_set(3) == {1, 2}
-        assert spec.omega_set(4) == {1, 2, 3}
+        assert omega_set(spec, 3) == {1, 2}
+        assert omega_set(spec, 4) == {1, 2, 3}
 
     def test_sizes_match_sets(self):
         spec = make_spec(64)
         sizes = spec.omega_sizes(64)
         for k in (1, 2, 3, 5, 8, 13, 21, 34, 55, 64):
-            assert sizes[k - 1] == len(spec.omega_set(k))
+            assert sizes[k - 1] == len(omega_set(spec, k))
 
     def test_overlap_bound(self):
         spec = make_spec(256)
@@ -506,7 +511,7 @@ class TestRoughSystems:
     ], ids=["empty", "single", "pair", "duplicate", "nan", "random", "tiny"])
     def test_separation_matches_oracle(self, ys):
         rs = RoughSystem(ys, ys, 0.25, 1.0)
-        new, old = rough_separation(rs), oracles.rough_separation(rs)
+        new, old = rough_separation(rs), oracles.rough_separation_tensor(rs)
         assert new == old or (math.isnan(new) and math.isnan(old))
 
     def test_separation_memory_is_one_row_of_differences(self):

@@ -37,10 +37,6 @@ class TestBlockPartitionType:
         with pytest.raises(ArgumentError):
             BlockPartition(((1,),), (1,), (0.0,))
 
-    def test_eps_sum_recorded(self):
-        p = BlockPartition(((1,), (2,)), (1, 2), (0.5, 0.25))
-        assert p.eps_sum == pytest.approx(0.75)
-
 
 class TestValidatePartition:
     def test_singletons(self):

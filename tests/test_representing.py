@@ -13,7 +13,6 @@ from mbasis_lab.representing import (
     reconstruct,
     strong_partition,
     strongness_diagnostic,
-    subseries_reconstruct,
     window_approximation_defect,
     RepresentingIndices,
 )
@@ -241,54 +240,6 @@ class TestReconstruct:
                 assert d_true - 1e-12 <= res.error <= d_true * (1.0 + S_m) + 1e-12
 
 
-class TestSubseries:
-    def test_canonical_projections(self):
-        sys = BiorthSystem.canonical(12)
-        r = build_representing_indices(sys, 8)
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(12)
-        trace = subseries_reconstruct(x, sys, r, [2, 4, 6])
-        for cp, resid in zip(trace.checkpoints, trace.residuals):
-            assert resid == pytest.approx(np.linalg.norm(x[cp:]), abs=1e-12)
-
-    def test_zero_skipped_coefficients_exact(self):
-        sys = BiorthSystem.canonical(12)
-        r = build_representing_indices(sys, 9)
-        mks = [3, 6, 8]
-        x = np.zeros(12)
-        x[:3] = [1.0, -2.0, 0.5]
-        x[4:6] = [0.3, 0.7]  # inside (r(3), r(6)] but outside the windows
-        trace = subseries_reconstruct(x, sys, r, mks)
-        # coefficients vanish on the windows after the last two checkpoints
-        assert trace.window_masses[1] == pytest.approx(0.0, abs=1e-14)
-        assert trace.final_residual == pytest.approx(0.0, abs=1e-14)
-
-    def test_norming_residual_bound(self):
-        rng = np.random.default_rng(8)
-        A = np.eye(30) + 0.1 * np.diag(np.ones(29), -1)
-        sys = BiorthSystem.from_pairs(A, np.linalg.inv(A).T)
-        c = norming_constant_estimate(sys, samples=64, seed=0) / 2.0
-        r = build_norming_indices(sys, 12, c=c)
-        x = rng.standard_normal(30)
-        x /= np.linalg.norm(x)
-        # zero out coefficients beyond the last checkpoint's next window so
-        # the tail mass entering the bound is exactly the reported one
-        coeffs = sys.fs @ x
-        cutoff = r.r_at(11)
-        x = x - coeffs[cutoff:] @ sys.xs[cutoff:]
-        x /= np.linalg.norm(x)
-        trace = subseries_reconstruct(x, sys, r, [4, 7, 10])
-        rec = reconstruct(x, sys, r, 10)
-        bound = rec.error + trace.window_masses[-1] / c + 1e-9
-        assert trace.final_residual <= bound
-
-    def test_malformed_mks(self):
-        sys = BiorthSystem.canonical(8)
-        r = build_representing_indices(sys, 5)
-        with pytest.raises(ArgumentError):
-            subseries_reconstruct(e(1, 8), sys, r, [3, 2])
-
-
 class TestStrongPartition:
     def test_worked_example(self):
         r = RepresentingIndices(
@@ -395,8 +346,7 @@ class TestStrongnessDiagnostic:
         assert report.residual <= 10 * 0.25
 
 
-@pytest.mark.parametrize("call", ["reconstruct", "subseries_reconstruct",
-                                  "strongness_diagnostic"])
+@pytest.mark.parametrize("call", ["reconstruct", "strongness_diagnostic"])
 @pytest.mark.parametrize("x,match", [
     (np.where(np.arange(16) == 3, np.nan, 1.0), "finite"),
     (np.ones(15), "dimension mismatch"),
@@ -407,7 +357,6 @@ def test_invalid_input_vector_refused(call, x, match):
     trace = strong_partition(r, 2)
     run = {
         "reconstruct": lambda: reconstruct(x, sys, r, 2),
-        "subseries_reconstruct": lambda: subseries_reconstruct(x, sys, r, [1, 2]),
         "strongness_diagnostic": lambda: strongness_diagnostic(
             x, sys, sys, trace, trace.partition.epsilons),
     }[call]
