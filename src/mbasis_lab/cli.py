@@ -259,7 +259,7 @@ def _cmd_pathology(cfg: ExperimentConfig, out: str) -> dict:
     emit_report(rows, ("m", "omega", "two_phi"), out, "omega_growth")
     eps = np.asarray(cfg.eps, dtype=float) if cfg.eps else default_eps_sequence(N)
     system, E = build_pathological_system(spec, eps, N, tol=cfg.tol)
-    top = operator_T(E, system.ambient_dim, eps_seq=eps)
+    top = operator_T(E, system.ambient_dim, eps_seq=eps, tol=cfg.tol)
     mio.save_system(system, os.path.join(out, "system"))
     mio.write_matrix_csv(E, os.path.join(out, "E.csv"))
     emit_report(

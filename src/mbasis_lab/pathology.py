@@ -29,7 +29,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError
-from .subspace import ToleranceConfig, prefix_bases
+from .subspace import ToleranceConfig
 
 __all__ = [
     "PhiTable",
@@ -533,16 +533,16 @@ class TOperator:
     norm_inv: float
 
 
-def _coordinate_blocks(E: np.ndarray) -> np.ndarray:
-    """A label per coordinate naming its connected component in the graph
-    that links each row n of ``E`` to its support and to its own index n.
+def _coordinate_blocks(n: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
+    """A label per coordinate 0..size-1 naming its connected component in
+    the graph with the edges (n, j): the nonzeros of a row matrix, which
+    link each row n to its support and to its own index n.
 
     Min-label propagation along the edges with pointer jumping: labels only
     fall, each is a coordinate of its own component, and the fixed point
     is constant on components, so the labels name them.
     """
-    n, j = np.nonzero(E)
-    label = np.arange(E.shape[1])
+    label = np.arange(size)
     while True:
         new = label.copy()
         np.minimum.at(new, n, label[j])
@@ -553,10 +553,19 @@ def _coordinate_blocks(E: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _block_groups(label: np.ndarray, M: int):
-    """The components of ``label`` grouped by (size k, row count r): per
-    group a (count, k) array of each component's coordinates, ascending,
-    so the r coordinates below M, the rows, come first; and r."""
+def _block_groups(E: np.ndarray) -> list:
+    """The coordinate components of ``E`` grouped by (size k, row count r):
+    per group a (count, k) array of each component's coordinates,
+    ascending, so the r coordinates below M, the rows, come first; and r.
+
+    E is refused when a nonzero E[n, j] joins two components, the premise
+    every block computation rests on; the check is O(nnz).
+    """
+    M, d = E.shape
+    n, j = np.nonzero(E)
+    label = _coordinate_blocks(n, j, d)
+    if np.any(label[n] != label[j]):
+        raise ConstructionError("E has nonzero entries off its coordinate blocks")
     order = np.argsort(label, kind="stable")
     size = np.bincount(label, minlength=label.size)
     roots = np.flatnonzero(size)
@@ -564,34 +573,36 @@ def _block_groups(label: np.ndarray, M: int):
     rows = np.bincount(label[:M], minlength=label.size)[roots]
     start = np.cumsum(size) - size
     key = size * (M + 1) + rows
-    for k, r in zip(*np.divmod(_distinct(key), M + 1)):
-        first = start[key == k * (M + 1) + r]
-        yield order[first[:, None] + np.arange(k)], int(r)
+    return [(order[start[key == k * (M + 1) + r][:, None] + np.arange(k)], int(r))
+            for k, r in zip(*np.divmod(_distinct(key), M + 1))]
 
 
-def operator_T(e_hats, ambient: int, eps_seq=None) -> TOperator:
+def operator_T(e_hats, ambient: int, eps_seq=None,
+               tol: ToleranceConfig | None = None) -> TOperator:
     """The map sending each row e_hat_n of ``e_hats`` to e_n, identity on
     the complement.
 
     With E the M x ambient row matrix and E_0 its first M canonical rows,
     T = I - (E - E_0)^T (E E^T)^-1 E: on span E it sends E^T c to E_0^T c,
-    and it fixes every vector E annihilates.  One M x M solve on the Gram
-    matrix gives it.
+    and it fixes every vector E annihilates.
 
     Link each row n to its support and to its own index n; the connected
     components C of that graph on the coordinates make E, E E^T and T
     block diagonal, with blocks E_C (rows n in C, columns C, at most as
-    many rows as columns) and T_C.  A coordinate no row reaches is a
-    block of its own on which T is 1; a dense E is one block.  The rows
-    are refused as dependent when the smallest singular value of E, the
-    least over the blocks E_C, is within ``ToleranceConfig.rank_tol`` of
-    the largest.
-    Once T is checked to vanish off the blocks, the norms come from the
-    eigenvalues of the symmetric T_C^T T_C: ||T|| = sqrt(max lambda) and
-    ||T^-1|| = 1 / sqrt(min lambda), and T is refused as not invertible
-    when the least eigenvalue is not positive.  Blocks of equal size and
-    row count share one stacked SVD and one stacked eigvalsh.  The cost is
-    the Gram-form solve plus sum_C k_C^3 (k_C = |C|).
+    many rows as columns) and T_C = I - (E_C - E_0C)^T (E_C E_C^T)^-1 E_C.
+    E is refused when a nonzero E[n, j] joins two components, the premise
+    the blocks rest on (an O(nnz) check).  A coordinate no row reaches is a block of its own
+    on which T is 1; a dense E is one block.  The rows are refused as
+    dependent when the smallest singular value of E, the least over the
+    blocks E_C, is within the caller's ``tol.rank_tol`` (the
+    ``ToleranceConfig`` default when ``tol`` is None) of the largest.
+    The norms come from the eigenvalues of the symmetric T_C^T T_C:
+    ||T|| = sqrt(max lambda) and ||T^-1|| = 1 / sqrt(min lambda), and T is
+    refused as not invertible when the least eigenvalue is not positive.
+    Blocks of equal size and row count share one stacked SVD, solve,
+    product and eigvalsh, and the dense T is the T_C scattered into the
+    identity.  The cost is sum_C k_C^3 (k_C = |C|) plus the O(d^2)
+    assembly of T.
 
     The eigenvalues of a block are within about k_C u ||T_C||^2 of exact
     (u = 2^-53), so ||T|| is accurate to a few k_C u relative and ||T^-1||
@@ -600,6 +611,7 @@ def operator_T(e_hats, ambient: int, eps_seq=None) -> TOperator:
     of ``eps_seq`` is within 1/8, both norms are asserted to be at most 2,
     which gives kappa(T) <= 4.
     """
+    tol = tol or ToleranceConfig()
     E = np.asarray(e_hats, dtype=float)
     if E.ndim != 2:
         raise ArgumentError(f"e_hats must be a row matrix of shape (M, {ambient}), got {E.shape}")
@@ -612,19 +624,21 @@ def operator_T(e_hats, ambient: int, eps_seq=None) -> TOperator:
         raise ArgumentError("e_hats has entries that are not finite")
     if M > dim:
         raise ArgumentError("e_hat vectors are linearly dependent")
-    label = _coordinate_blocks(E)
-    blocks = list(_block_groups(label, M))
-    s = np.concatenate([np.linalg.svd(E[C[:, :r, None], C[:, None, :]], compute_uv=False).ravel()
-                        for C, r in blocks if r])
-    if s.min() <= ToleranceConfig.rank_tol * s.max():
+    blocks = [(C, r, E[C[:, :r, None], C[:, None, :]]) for C, r in _block_groups(E)]
+    s = np.concatenate([np.linalg.svd(EC, compute_uv=False).ravel() for _, _, EC in blocks])
+    if s.min() <= tol.rank_tol * s.max():
         raise ArgumentError("e_hat vectors are linearly dependent")
-    T = np.eye(ambient) - (E - np.eye(M, ambient)).T @ np.linalg.solve(E @ E.T, E)
-    # the LU solve and the product keep exact zeros off the blocks, where
-    # every term has a zero factor, so the test is exact, not a tolerance
-    if np.any((T != 0) & (label[:, None] != label)):
-        raise ConstructionError("T does not vanish off the coordinate blocks of E")
-    lam = np.concatenate([np.linalg.eigvalsh(np.swapaxes(TC, 1, 2) @ TC).ravel()
-                          for TC in (T[C[:, :, None], C[:, None, :]] for C, _ in blocks)])
+    # a coordinate no row reaches is a 1 x 1 block with r = 0: the empty
+    # solve leaves T_C = 1 there, whose eigenvalue 1 the norms must see
+    T = np.eye(ambient)
+    lam = []
+    for C, r, EC in blocks:
+        k = C.shape[1]
+        ECt = np.swapaxes(EC, 1, 2)
+        TC = np.eye(k) - (ECt - np.eye(k, r)) @ np.linalg.solve(EC @ ECt, EC)
+        T[C[:, :, None], C[:, None, :]] = TC
+        lam.append(np.linalg.eigvalsh(np.swapaxes(TC, 1, 2) @ TC).ravel())
+    lam = np.concatenate(lam)
     if not lam.min() > 0.0:
         raise ArgumentError(
             f"T is not invertible: the smallest eigenvalue of T^T T is {lam.min():.3e}, "
@@ -741,11 +755,33 @@ class UnbReport:
 
 
 def _gram_schmidt_rows(X: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal rows with the prefix spans of ``X``; refuses dependent rows."""
-    Q, _, rank = prefix_bases(X, rank_tol)
-    if rank[-1] < X.shape[0]:
+    """Orthonormal rows with the prefix spans of ``X``; refuses dependent rows.
+
+    Rows of different coordinate components (see :func:`operator_T`) have
+    disjoint supports, so Gram-Schmidt over all rows splits into one per
+    component.  Per group of equal (size, row count) one stacked Householder
+    QR of the normalized block rows, transposed, gives the directions; a
+    row with |R_jj| <= ``rank_tol``, the distance of the normalized row to
+    the span before it, or a zero row, is dependent, as in
+    :func:`prefix_bases`.  Signs are fixed so that diag R > 0 and the
+    directions are scattered into the rows' coordinates.  Like T, it
+    refuses an E with a nonzero entry between two components.  The cost
+    is sum_C k_C r_C^2 plus the O(M d) output.
+    """
+    M, d = X.shape
+    norms = np.linalg.norm(X, axis=1)
+    if M > d or not np.all(norms > 0):
         raise ConstructionError("orthonormalization hit a dependent vector")
-    return Q.T
+    Z = np.zeros_like(X)
+    for C, r in _block_groups(X):
+        rows = C[:, :r, None]
+        Q, R = np.linalg.qr(np.swapaxes(X[rows, C[:, None, :]] / norms[rows], 1, 2))
+        diag = np.diagonal(R, axis1=1, axis2=2)
+        if np.any(np.abs(diag) <= rank_tol):
+            raise ConstructionError("orthonormalization hit a dependent vector")
+        signs = np.where(diag < 0, -1.0, 1.0)[:, None, :]
+        Z[rows, C[:, None, :]] = np.swapaxes(Q * signs, 1, 2)
+    return Z
 
 
 def _prefix_dual_spanning(X: np.ndarray) -> np.ndarray:
@@ -808,7 +844,7 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
         spec = build_permutation(phi, L)
         eps = default_eps_sequence(N)
         system, E = build_pathological_system(spec, eps, N, tol=tol)
-        top = operator_T(E, system.ambient_dim, eps_seq=eps)
+        top = operator_T(E, system.ambient_dim, eps_seq=eps, tol=tol)
         # orthonormalize the e_hat rows: they carry the same prefix spans as
         # the vectors (a pile perturbation) but are numerically tame, while
         # the raw vectors mix scales across hundreds of binary orders

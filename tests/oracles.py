@@ -11,9 +11,11 @@ replaced, and the SVD-per-prefix representing and norming index
 builders, which the orthonormal-prefix kernel replaced, and the per-cell
 matrix CSV writer, which the once-per-distinct-value writer replaced.
 The per-n staircase, permutation, relabelling and permutation-table loops,
-the full-SVD operator T, the difference-tensor rough separation and the
-per-row distortion bounds follow; array expressions over the jump points,
-the Gram form of T with its norms from the eigenvalues of T^T T, and a
+the full-SVD operator T, the dense orthonormalization of the e_hat rows,
+the Gram form of T one component at a time, the difference-tensor rough
+separation and the per-row distortion bounds follow; array expressions over
+the jump points, T and its norms from stacked per-block solves and
+eigenvalues, the same QR one stacked call per block group, and a
 row-by-row minimum replaced them.
 Last come the window table, ``distance_to_span``, ``project``, the
 per-row span check of ``flattened_from_duals`` and the ``tail_norms``
@@ -700,6 +702,49 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
                     "despite the eps budget"
                 )
     return TOperator(T, norm, norm_inv)
+
+
+def gram_schmidt_rows(X: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal rows with the prefix spans of ``X`` from one dense
+    ``prefix_bases`` factorization; refuses dependent rows."""
+    Q, _, rank = prefix_bases(X, rank_tol)
+    if rank[-1] < X.shape[0]:
+        raise ConstructionError("orthonormalization hit a dependent vector")
+    return Q.T
+
+
+def block_gram_form(E: np.ndarray, d: int) -> np.ndarray:
+    """The Gram form of T, one connected component at a time: the
+    coordinates are linked through each row n's support and its index n,
+    found by a search over the nonzero entries, and on each component C
+    T_C = I - (E_C - E_0C)^T (E_C E_C^T)^-1 E_C with 2-D numpy calls."""
+    M = E.shape[0]
+    adjacent = [set() for _ in range(d)]
+    for n, j in zip(*np.nonzero(E)):
+        adjacent[n].add(j)
+        adjacent[j].add(n)
+    T = np.eye(d)
+    seen = np.zeros(d, dtype=bool)
+    for root in range(d):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack, component = [root], []
+        while stack:
+            c = stack.pop()
+            component.append(c)
+            for j in adjacent[c]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        C = np.array(sorted(component))
+        rows = C[C < M]
+        if not rows.size:
+            continue
+        EC = E[np.ix_(rows, C)]
+        T[np.ix_(C, C)] = (np.eye(C.size)
+                           - (EC - np.eye(rows.size, C.size)).T @ np.linalg.solve(EC @ EC.T, EC))
+    return T
 
 
 def rough_separation_tensor(rs) -> float:

@@ -348,6 +348,18 @@ class TestMain:
                                           "span_tol": 3e-9}
         assert manifest["truncation"] == 8
 
+    def test_configured_rank_tol_reaches_operator_T(self, tmp_path, capsys):
+        # the smallest block singular-value ratio of E at truncation 64 is
+        # 0.966, so an independence test at rank_tol = 0.99 refuses
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("command = pathology\ntruncation = 64\nrank_tol = 0.99\n")
+        out = tmp_path / "o"
+        assert main(["pathology", "--config", str(cfgfile), "--out", str(out)]) == 1
+        record = json.load(open(out / "failure.json"))
+        assert record["invariant"] == "e_hat vectors are linearly dependent"
+        assert not (out / "run.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_log_level_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MBASIS_LOG", "verbose")
         assert main(["unb", "--out", str(tmp_path / "o")]) == 2
