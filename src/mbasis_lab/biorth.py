@@ -270,9 +270,9 @@ class PerturbationClass:
     pile_prefixes: tuple
 
 
-def _prefix_agreement(Z: np.ndarray, X: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean array: entry k - 1 is ``span_equal(Z[:k], X[:k], tol)``."""
-    rank_tol = ToleranceConfig.rank_tol  # the classifier's verdicts are defined at it
+def _prefix_agreement(Z: np.ndarray, X: np.ndarray, tol: float,
+                      rank_tol: float) -> np.ndarray:
+    """Boolean array: entry k - 1 is ``span_equal(Z[:k], X[:k], tol, rank_tol)``."""
     Qz, _, rank_z = prefix_bases(Z, rank_tol)
     _, dist, rank_x = prefix_coordinates(X, Qz.T, rank_tol)
     K = min(int(np.sum(r[1:] == np.arange(1, r.size))) for r in (rank_x, rank_z))
@@ -289,11 +289,13 @@ def _prefix_agreement(Z: np.ndarray, X: np.ndarray, tol: float) -> np.ndarray:
 def _agreements(zsys: BiorthSystem, xsys: BiorthSystem, start: int, tol: float,
                 width: int = 16) -> np.ndarray:
     """Offsets k - 1 at which rows start..start+k-1 (1-based) agree on both
-    sides, over windows of ``width`` rows quadrupled until one agrees."""
+    sides, over windows of ``width`` rows quadrupled until one agrees; ranks
+    are decided at ``xsys.tol.rank_tol``."""
+    rank_tol = xsys.tol.rank_tol
     while True:
         rows = slice(start - 1, min(zsys.size, start - 1 + width))
-        hits = np.flatnonzero(_prefix_agreement(zsys.xs[rows], xsys.xs[rows], tol)
-                              & _prefix_agreement(zsys.fs[rows], xsys.fs[rows], tol))
+        hits = np.flatnonzero(_prefix_agreement(zsys.xs[rows], xsys.xs[rows], tol, rank_tol)
+                              & _prefix_agreement(zsys.fs[rows], xsys.fs[rows], tol, rank_tol))
         if hits.size or rows.stop == zsys.size:
             return hits
         width *= 4
@@ -304,7 +306,7 @@ def classify_perturbation(zsys: BiorthSystem, xsys: BiorthSystem) -> Perturbatio
 
     Row ranges agree when their vector spans and their functional spans
     both have projector gap (:func:`span_gap`, rank test of :func:`prefix_bases`
-    at ``ToleranceConfig.rank_tol``) within ``xsys.tol.span_tol``.  Pile
+    at ``xsys.tol.rank_tol``) within ``xsys.tol.span_tol``.  Pile
     prefixes are all agreeing prefixes; block intervals close greedily at
     the earliest agreeing end (the maximal refinement when one exists), the
     first at the first pile prefix.

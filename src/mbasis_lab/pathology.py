@@ -121,6 +121,12 @@ def build_phi(f, N: int) -> PhiTable:
     phi(2n) <= 2 phi(n); the threshold keeps phi(n)^2 <= 4 f(n) from the
     second jump on, so phi/f decays like 4/phi.  For f(n) = n the
     threshold never binds and the staircase is floor(log2 n) + 1.
+
+    Cost: O(N) only to read f (tabulation, finiteness, monotonicity and
+    its running maximum) and to write ``values``, one ``np.repeat`` over
+    the at most bit_length(N) plateaus; the jumps and the four conditions
+    of :func:`_check_phi_conditions` take O(log N) work besides one
+    plateau minimum of f.
     """
     if N < 1:
         raise ArgumentError("table length must be at least 1")
@@ -141,27 +147,38 @@ def build_phi(f, N: int) -> PhiTable:
     scale = np.ldexp(1.0, k)
     jumps = (np.maximum.accumulate(first / scale) * scale).astype(np.int64)
     jumps = jumps[jumps <= N]
-    values = np.searchsorted(jumps, np.arange(1, N + 1), side="right")
-    table = PhiTable(values, tuple(jumps.tolist()), fv)
-    _check_phi_conditions(table)
-    return table
+    _check_phi_conditions(jumps, fv)
+    values = np.repeat(np.arange(1, jumps.size + 1), np.diff(jumps, append=N + 1))
+    return PhiTable(values, tuple(jumps.tolist()), fv)
 
 
-def _check_phi_conditions(t: PhiTable):
-    v = t.values
-    n = np.arange(1, t.N + 1)
-    if np.any(v > n):
+def _check_phi_conditions(jumps: np.ndarray, f: np.ndarray):
+    """The staircase conditions of phi(n) = #{k : j_k <= n} on 1..N,
+    N = f.size, read off the non-decreasing jumps j_k in 1..N.
+
+    Each side of a condition is a step function of n, so it is compared
+    only where one side changes; the refusals and their order are those
+    of the same conditions checked at every n.
+    """
+    N = f.size
+    k = np.arange(1, jumps.size + 1)
+    # phi(j_k) >= k, and any n with phi(n) > n has j_phi(n) <= n < phi(n)
+    if np.any(k > jumps):
         raise ConstructionError("phi(n) <= n violated")
-    half = t.N // 2
-    if half and np.any(v[1:2 * half:2] > 2 * v[:half]):
+    # phi(n) changes at each j_k and phi(2n) at each ceil(j_k / 2); below
+    # the least of these both sides are 0
+    n = np.concatenate((jumps, (jumps + 1) // 2))
+    n = n[n <= N // 2]
+    if np.any(np.searchsorted(jumps, 2 * n, side="right")
+              > 2 * np.searchsorted(jumps, n, side="right")):
         raise ConstructionError("phi(2n) <= 2 phi(n) violated")
-    diffs = np.diff(v)
-    if np.any((diffs != 0) & (diffs != 1)) or v[0] != 1:
+    if jumps.size == 0 or jumps[0] != 1 or np.any(np.diff(jumps) <= 0):
         raise ConstructionError("phi must be onto with unit jumps from 1")
-    if len(t.jump_points) >= 2:
-        n2 = t.jump_points[1]
-        tail = slice(n2 - 1, t.N)
-        if np.any(v[tail].astype(float) ** 2 > 4.0 * t.f[tail] + 1e-9):
+    if jumps.size >= 2:
+        # phi is k on [j_k, j_{k+1}); x -> 4x + 1e-9 is monotone in float64,
+        # so the least f of each plateau decides it
+        low = np.minimum.reduceat(f[jumps[1] - 1:], jumps[1:] - jumps[1])
+        if np.any(k[1:].astype(float) ** 2 > 4.0 * low + 1e-9):
             raise ConstructionError("phi^2 <= 4 f violated beyond the second jump")
 
 
@@ -190,18 +207,22 @@ class PermutationSpec:
     injective_verified: bool = False
 
     def omega_sizes(self, upto: int) -> np.ndarray:
-        """|Omega(m)| for m = 1..upto in one cumulative pass.
+        """|Omega(m)| for m = 1..upto from the exact entries of pi.
 
         An index j contributes to Omega(m) exactly when max(j, pi(j)) <= m;
-        sentinel values exceed the table and never contribute.
+        sentinel values exceed the table and never contribute.  The sizes
+        are a step function with a unit step at each sorted key
+        max(j, pi(j)) <= upto.  Cost: O(upto) only to find the exact entries
+        of pi and to write the result; the staircase permutation has at
+        most 2 bit_length(N) of them.
         """
         if not 1 <= upto <= self.N:
             raise ArgumentError(f"omega sizes need upto within 1..{self.N}")
-        idx = np.arange(1, upto + 1)
         vals = self.pi[:upto]
-        keys = np.where(vals == BEYOND_TABLE, self.N + 1, np.maximum(idx, vals))
-        counts = np.bincount(np.minimum(keys, upto + 1), minlength=upto + 2)
-        return np.cumsum(counts)[1:upto + 1]
+        j = np.flatnonzero(vals != BEYOND_TABLE)
+        keys = np.sort(np.maximum(j + 1, vals[j]))
+        keys = keys[:np.searchsorted(keys, upto, side="right")]
+        return np.repeat(np.arange(keys.size + 1), np.diff(keys, prepend=1, append=upto + 1))
 
     def compactified(self, M: int, keep_below: int | None = None) -> np.ndarray:
         """pi(1..M) with values above ``keep_below`` relabeled just above it.
@@ -246,7 +267,7 @@ def build_permutation(phi: PhiTable, N: int) -> PermutationSpec:
 
     pi = Phi.copy()
     pi[gamma - 1] = BEYOND_TABLE
-    used = set(pi[pi != BEYOND_TABLE].tolist())
+    used = set(pi[:known.size].tolist())  # Phi is the sentinel past known
     free_cursor = 1
     for n in gamma.tolist():
         while free_cursor in used:
@@ -309,15 +330,21 @@ def verify_phi_count_identity(spec: PermutationSpec, upto: int) -> bool:
     """Two-point count identity: |{n : Phi(n) <= m}| in {phi(m)-1, phi(m)}.
 
     Counts use exact Phi entries only; beyond-table entries exceed every
-    m <= N and never contribute.
+    m <= N and never contribute.  Both sides are step functions of m: the
+    count changes only at exact Phi values and phi only where
+    ``spec.phi`` steps, so the identity is compared at those m and m = 1.
+    Cost: O(N) only to find the exact entries of Phi and the steps of phi;
+    the staircase permutation has at most bit_length(N) of each.
     """
     if not 1 <= upto <= spec.N:
         raise ArgumentError(f"upto must be within 1..{spec.N}")
-    vals = spec.Phi[spec.Phi != BEYOND_TABLE]
-    vals = vals[vals <= upto]
-    counts = np.cumsum(np.bincount(vals, minlength=upto + 1))[1:upto + 1]
+    vals = np.sort(spec.Phi[spec.Phi != BEYOND_TABLE])
     phi = spec.phi[:upto]
-    return bool(np.all((counts == phi - 1) | (counts == phi)))
+    m = np.concatenate(([1], np.flatnonzero(phi[1:] != phi[:-1]) + 2,
+                        vals[(vals >= 1) & (vals <= upto)]))
+    counts = np.searchsorted(vals, m, side="right")
+    at = phi[m - 1]
+    return bool(np.all((counts == at - 1) | (counts == at)))
 
 
 @dataclass(frozen=True)
@@ -333,9 +360,10 @@ def omega_stats(spec: PermutationSpec, cs, N: int) -> OmegaStats:
     """Overlap growth table: |Omega(m)| on a log grid plus |Omega(cn)|/f(n).
 
     Both log grids take OMEGA_GRID_POINTS points, merged as integers.
-    Requires the spec to cover 1..max(cs)*N.  Raises if the overlap bound
-    |Omega(m)| <= 2 phi(m) fails at any tabulated m (it cannot, by
-    construction; a failure indicates corrupted data).
+    Requires the spec to cover 1..max(cs)*N and f to be nonzero on the
+    ratio grid.  Raises if the overlap bound |Omega(m)| <= 2 phi(m) fails
+    at any tabulated m (it cannot, by construction; a failure indicates
+    corrupted data).
     """
     cs = [int(c) for c in cs]
     if not cs:
@@ -346,6 +374,12 @@ def omega_stats(spec: PermutationSpec, cs, N: int) -> OmegaStats:
     if limit > spec.N:
         raise ArgumentError(f"spec covers 1..{spec.N}, need 1..{limit}")
     sizes = spec.omega_sizes(limit)
+    ratio_grid = _distinct(np.geomspace(1, N, OMEGA_GRID_POINTS).astype(np.int64))
+    f = spec.f[ratio_grid - 1]
+    zero = ratio_grid[f == 0]
+    if zero.size:
+        raise ArgumentError(f"f vanishes at n={zero[0]} on the ratio grid; "
+                            "|Omega(cn)|/f(n) is undefined there")
     two_phi_all = 2 * spec.phi[:limit]
     bad = np.nonzero(sizes > two_phi_all)[0]
     if bad.size:
@@ -354,11 +388,7 @@ def omega_stats(spec: PermutationSpec, cs, N: int) -> OmegaStats:
             f"overlap bound violated at m={m}: |Omega|={sizes[m - 1]} > {two_phi_all[m - 1]}"
         )
     grid_m = _distinct(np.geomspace(1, limit, OMEGA_GRID_POINTS).astype(np.int64))
-    ratio_grid = _distinct(np.geomspace(1, N, OMEGA_GRID_POINTS).astype(np.int64))
-    ratios = {
-        c: sizes[c * ratio_grid - 1] / spec.f[ratio_grid - 1]
-        for c in cs
-    }
+    ratios = {c: sizes[c * ratio_grid - 1] / f for c in cs}
     return OmegaStats(grid_m, sizes[grid_m - 1], two_phi_all[grid_m - 1],
                       ratio_grid, ratios)
 

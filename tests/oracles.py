@@ -11,12 +11,15 @@ replaced, and the SVD-per-prefix representing and norming index
 builders, which the orthonormal-prefix kernel replaced, and the per-cell
 matrix CSV writer, which the once-per-distinct-value writer replaced.
 The per-n staircase, permutation, relabelling and permutation-table loops,
-the full-SVD operator T, the dense orthonormalization of the e_hat rows,
+the staircase conditions, count identity and overlap sizes checked at every
+n, the full-SVD operator T, the dense orthonormalization of the e_hat rows,
 the Gram form of T one component at a time, the difference-tensor rough
 separation and the per-row distortion bounds follow; array expressions over
 the jump points, T and its norms from stacked per-block solves and
 eigenvalues, the same QR one stacked call per block group, and a
-row-by-row minimum replaced them.
+row-by-row minimum replaced them; the every-n checks gave way to the same
+checks where a step function changes, at the jump points and the exact
+entries of Phi and pi.
 Last come the window table, ``distance_to_span``, ``project``, the
 per-row span check of ``flattened_from_duals`` and the ``tail_norms``
 distance table as they were when they formed the Q of the QR kernel;
@@ -61,7 +64,6 @@ from mbasis_lab.pathology import (
     TOperator,
     _as_f_table,
     _check_eps_budget,
-    _check_phi_conditions,
     verify_injective,
 )
 from mbasis_lab.representing import RepresentingIndices
@@ -583,8 +585,62 @@ def build_phi(f, N: int) -> PhiTable:
     for k, n_k in enumerate(jumps, start=1):
         values[n_k - 1:] = k
     table = PhiTable(values, tuple(jumps), fv)
-    _check_phi_conditions(table)
+    check_phi_conditions(table)
     return table
+
+
+# The staircase conditions, the count identity and the overlap sizes at
+# every n, moved from the package verbatim except for their names and that
+# ``omega_sizes`` is a function of the spec; the package reads them off the
+# jump points and the exact entries.
+
+
+def check_phi_conditions(t: PhiTable):
+    v = t.values
+    n = np.arange(1, t.N + 1)
+    if np.any(v > n):
+        raise ConstructionError("phi(n) <= n violated")
+    half = t.N // 2
+    if half and np.any(v[1:2 * half:2] > 2 * v[:half]):
+        raise ConstructionError("phi(2n) <= 2 phi(n) violated")
+    diffs = np.diff(v)
+    if np.any((diffs != 0) & (diffs != 1)) or v[0] != 1:
+        raise ConstructionError("phi must be onto with unit jumps from 1")
+    if len(t.jump_points) >= 2:
+        n2 = t.jump_points[1]
+        tail = slice(n2 - 1, t.N)
+        if np.any(v[tail].astype(float) ** 2 > 4.0 * t.f[tail] + 1e-9):
+            raise ConstructionError("phi^2 <= 4 f violated beyond the second jump")
+
+
+def omega_sizes(spec: PermutationSpec, upto: int) -> np.ndarray:
+    """|Omega(m)| for m = 1..upto in one cumulative pass.
+
+    An index j contributes to Omega(m) exactly when max(j, pi(j)) <= m;
+    sentinel values exceed the table and never contribute.
+    """
+    if not 1 <= upto <= spec.N:
+        raise ArgumentError(f"omega sizes need upto within 1..{spec.N}")
+    idx = np.arange(1, upto + 1)
+    vals = spec.pi[:upto]
+    keys = np.where(vals == BEYOND_TABLE, spec.N + 1, np.maximum(idx, vals))
+    counts = np.bincount(np.minimum(keys, upto + 1), minlength=upto + 2)
+    return np.cumsum(counts)[1:upto + 1]
+
+
+def phi_count_identity(spec: PermutationSpec, upto: int) -> bool:
+    """Two-point count identity: |{n : Phi(n) <= m}| in {phi(m)-1, phi(m)}.
+
+    Counts use exact Phi entries only; beyond-table entries exceed every
+    m <= N and never contribute.
+    """
+    if not 1 <= upto <= spec.N:
+        raise ArgumentError(f"upto must be within 1..{spec.N}")
+    vals = spec.Phi[spec.Phi != BEYOND_TABLE]
+    vals = vals[vals <= upto]
+    counts = np.cumsum(np.bincount(vals, minlength=upto + 1))[1:upto + 1]
+    phi = spec.phi[:upto]
+    return bool(np.all((counts == phi - 1) | (counts == phi)))
 
 
 def build_permutation(phi: PhiTable, N: int, exact: bool = False):

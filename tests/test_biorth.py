@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mbasis_lab import biorth
 from mbasis_lab.biorth import (
     BiorthSystem,
     IntervalFamily,
@@ -20,7 +22,7 @@ from mbasis_lab.biorth import (
 from mbasis_lab.errors import ArgumentError
 from mbasis_lab.perturbations import construct_flattened
 from mbasis_lab.representing import build_representing_indices, strong_partition
-from mbasis_lab.subspace import dual_solve
+from mbasis_lab.subspace import ToleranceConfig, dual_solve
 from oracles import block_duality_check
 from test_acceptance import staged_coupling_system
 
@@ -250,6 +252,24 @@ class TestClassify:
         x = BiorthSystem.canonical(2, ambient_dim=3)
         z = BiorthSystem(np.array([e(3, 3), e(1, 3)]), np.array([e(3, 3), e(1, 3)]))
         assert classify_perturbation(z, x).kind == "neither"
+
+    def test_configured_rank_tol_reaches_every_rank_test(self, monkeypatch):
+        # the normalized rows (1, 1, 0) and (0, 1, 1) keep 0.71 and 0.82 of
+        # their norm off the earlier rows, so rank_tol = 0.75 drops the
+        # second as dependent and span_equal decides the prefixes past it
+        X = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        x = BiorthSystem(X, dual_solve(X, np.eye(3)), tol=ToleranceConfig(rank_tol=0.75))
+        seen = {}
+        for name in ("prefix_bases", "prefix_coordinates", "span_equal"):
+            def spy(*args, fn=getattr(biorth, name), name=name, **kwargs):
+                bound = inspect.signature(fn).bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen.setdefault(name, []).append(bound.arguments["rank_tol"])
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(biorth, name, spy)
+        classify_perturbation(BiorthSystem.canonical(3), x)
+        assert sorted(seen) == ["prefix_bases", "prefix_coordinates", "span_equal"]
+        assert {tol for calls in seen.values() for tol in calls} == {0.75}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_flattened_staged_block_verdict(self, seed):
