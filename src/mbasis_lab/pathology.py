@@ -360,10 +360,11 @@ def omega_stats(spec: PermutationSpec, cs, N: int) -> OmegaStats:
     """Overlap growth table: |Omega(m)| on a log grid plus |Omega(cn)|/f(n).
 
     Both log grids take OMEGA_GRID_POINTS points, merged as integers.
-    Requires the spec to cover 1..max(cs)*N and f to be nonzero on the
-    ratio grid.  Raises if the overlap bound |Omega(m)| <= 2 phi(m) fails
-    at any tabulated m (it cannot, by construction; a failure indicates
-    corrupted data).
+    Requires the spec to cover 1..max(cs)*N and f to be positive on the
+    ratio grid; a zero or negative f there is refused by name with its n.
+    Raises if the overlap bound |Omega(m)| <= 2 phi(m) fails at any
+    tabulated m (it cannot, by construction; a failure indicates corrupted
+    data).
     """
     cs = [int(c) for c in cs]
     if not cs:
@@ -380,6 +381,10 @@ def omega_stats(spec: PermutationSpec, cs, N: int) -> OmegaStats:
     if zero.size:
         raise ArgumentError(f"f vanishes at n={zero[0]} on the ratio grid; "
                             "|Omega(cn)|/f(n) is undefined there")
+    negative = ratio_grid[f < 0]
+    if negative.size:
+        raise ArgumentError(f"f is negative at n={negative[0]} on the ratio grid; "
+                            "|Omega(cn)|/f(n) is no growth ratio there")
     two_phi_all = 2 * spec.phi[:limit]
     bad = np.nonzero(sizes > two_phi_all)[0]
     if bad.size:

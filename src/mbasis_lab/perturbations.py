@@ -16,7 +16,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError, SingularGramError
-from .subspace import dual_solve, prefix_coordinates, span_gap, svd_basis
+from .subspace import dual_solve, prefix_bases, prefix_coordinates, span_gap
 
 __all__ = [
     "BlockPartition",
@@ -131,6 +131,17 @@ def validate_block_partition(p: BlockPartition, range_end: int) -> PartitionRepo
     return PartitionReport(disjoint, covers, block_kind, witness, tuple(failures))
 
 
+def _block_columns(*row_sets) -> np.ndarray:
+    """The columns S where any row of the given row blocks is nonzero.
+
+    Rows that vanish off S have the spans, gaps, distances and dual solves
+    of their restrictions to S, so a block is worked on S and its results
+    are scattered back into the zero columns.  A dense block's S is all d
+    columns.
+    """
+    return np.flatnonzero(np.any(np.concatenate(row_sets) != 0, axis=0))
+
+
 def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
                          new_duals: np.ndarray) -> BiorthSystem:
     """Build the system whose functionals are ``new_duals``, blockwise.
@@ -138,7 +149,10 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
     ``new_duals`` rows replace the f_n; each row must stay inside its
     block's functional span (checked).  The vectors are recovered by a
     dual solve inside each block's vector span, which enforces both span
-    equalities of a block perturbation on every A(j).
+    equalities of a block perturbation on every A(j).  Block j's span
+    check and dual solve run on the columns S_j where its f, replacement
+    and x rows are nonzero, so a block of b rows costs O(|S_j| b^2), not
+    O(d b^2).
     """
     D = np.asarray(new_duals, dtype=float)
     if D.shape != sys.fs.shape:
@@ -147,15 +161,17 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
     Z = np.zeros_like(sys.xs)
     for j, blk in enumerate(p.blocks, start=1):
         rows = [n - 1 for n in blk]
-        outside = prefix_coordinates(sys.fs[rows], D[rows], tol.rank_tol)[1][:, -1]
-        leaving = outside > tol.span_tol * np.maximum(1.0, np.linalg.norm(D[rows], axis=1))
+        block = np.ix_(rows, _block_columns(sys.fs[rows], D[rows], sys.xs[rows]))
+        Dj = D[block]
+        outside = prefix_coordinates(sys.fs[block], Dj, tol.rank_tol)[1][:, -1]
+        leaving = outside > tol.span_tol * np.maximum(1.0, np.linalg.norm(Dj, axis=1))
         if leaving.any():
             raise ArgumentError(
                 f"replacement functional {rows[np.argmax(leaving)] + 1} leaves the span "
                 f"of block {j}"
             )
         try:
-            Z[rows] = dual_solve(D[rows], sys.xs[rows], tol.rank_tol, tol.biorth_tol)
+            Z[block] = dual_solve(Dj, sys.xs[block], tol.rank_tol, tol.biorth_tol)
         except SingularGramError as exc:
             raise ConstructionError(
                 f"block {j} cross-Gram is singular; use a smaller block or a "
@@ -168,13 +184,21 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
     """Flattened perturbation of ``sys`` with respect to the partition.
 
     Within each block the anchor functional is kept exactly and the other
-    functionals become f_{n(j)} + eta_n with the eta_n drawn from a seeded
-    per-block substream, orthonormalized inside the block's functional
-    span orthogonally to the anchor, and scaled to 0.9 * eps_j /
-    ||x_{n(j)}|| (strict inequality leaves tolerance headroom).  The
-    vectors are recovered by blockwise dual solves.  Deterministic given
-    (sys, p, seed), independent of block processing order.  Refuses with
-    the failures of :func:`validate_block_partition` for 1..|sys|.
+    functionals become f_{n(j)} + radius * eta_n, radius = 0.9 * eps_j /
+    ||x_{n(j)}|| (strict inequality leaves tolerance headroom).  The eta_n
+    are defined as follows.  One :func:`prefix_bases` QR factors the
+    block's functional rows, anchor first and the others in index order,
+    on the columns S_j where they are nonzero; since a QR with positive
+    diagonal is unique, its directions Q[:, 1:] are the Gram-Schmidt
+    complement of the anchor inside the block's functional span, a
+    function of the ordered rows.  A seeded draw ``default_rng([seed,
+    j]).standard_normal((b - 1, b - 1))``, orthonormalized by a Householder
+    QR, rotates them: eta = ``qr(raw.T)[0].T @ Q[:, 1:].T``, one unit row
+    per non-anchor index in order.  The vectors are recovered by blockwise
+    dual solves (:func:`flattened_from_duals`).  Deterministic given (sys,
+    p, seed), independent of block processing order.  Refuses with the
+    failures of :func:`validate_block_partition` for 1..|sys|, and when a
+    block's functional rows have rank below b under the rank test.
     """
     report = validate_block_partition(p, sys.size)
     if not report.valid:
@@ -184,34 +208,19 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
     D = np.array(sys.fs, dtype=float, copy=True)
     for j, (blk, anchor, eps_j) in enumerate(
             zip(p.blocks, p.anchors, p.epsilons), start=1):
-        rows = [n - 1 for n in blk]
-        b = len(rows)
-        anchor_f = sys.f(anchor)
-        anchor_x_norm = float(np.linalg.norm(sys.x(anchor)))
-        radius = 0.9 * eps_j / anchor_x_norm
-        D[anchor - 1] = anchor_f
-        if b == 1:
+        others = [n - 1 for n in blk if n != anchor]
+        if not others:
             continue
-        Qf = svd_basis(sys.fs[rows], tol.rank_tol)
-        if Qf.shape[0] < b:
+        rows = [anchor - 1] + others
+        cols = _block_columns(sys.fs[rows])
+        radius = 0.9 * eps_j / float(np.linalg.norm(sys.x(anchor)))
+        Q, _, rank = prefix_bases(sys.fs[np.ix_(rows, cols)], tol.rank_tol)
+        if rank[-1] < len(rows):
             raise ConstructionError(f"functional span of block {j} is rank deficient")
-        # orthonormal complement of the anchor inside the block dual span;
-        # the basis row parallel to the anchor projects to noise and is
-        # dropped before orthonormalizing
-        a_unit = anchor_f / np.linalg.norm(anchor_f)
-        proj = Qf - np.outer(Qf @ a_unit, a_unit)
-        keep = np.linalg.norm(proj, axis=1) > tol.span_tol
-        comp = svd_basis(proj[keep], tol.rank_tol)
-        if comp.shape[0] < b - 1:
-            raise ConstructionError(
-                f"anchor complement of block {j} is rank deficient"
-            )
         # the Q of a Householder QR is orthonormal whatever the draw
-        raw = np.random.default_rng([seed, j]).standard_normal((b - 1, comp.shape[0]))
-        directions = np.linalg.qr(raw.T)[0].T @ comp
-        others = [n for n in blk if n != anchor]
-        for i, n in enumerate(others):
-            D[n - 1] = anchor_f + radius * directions[i]
+        raw = np.random.default_rng([seed, j]).standard_normal((len(others), len(others)))
+        directions = np.linalg.qr(raw.T)[0].T @ Q[:, 1:].T
+        D[np.ix_(others, cols)] = sys.fs[anchor - 1, cols] + radius * directions
     return flattened_from_duals(sys, p, D)
 
 
@@ -247,10 +256,20 @@ def verify_flattened(zsys: BiorthSystem, xsys: BiorthSystem,
     Reports, per block, the span-equality defects for vectors and
     functionals and the worst slack of the anchor-closeness inequality.
     Passing means every defect is within span_tol and no slack is
-    negative (up to a 1e-12 headroom for exactly tight budgets).
+    negative (up to a 1e-12 headroom for exactly tight budgets).  Both
+    gaps of block j are taken on the columns where any of its four row
+    sets (z and x vectors, z and x functionals) is nonzero, which leaves
+    them unchanged: a z row that leaks outside the x rows' columns is
+    still inside them.  Systems of different length or ambient dimension
+    are refused by name.
     """
     if zsys.size != xsys.size:
         raise ArgumentError("systems must have equal length")
+    if zsys.ambient_dim != xsys.ambient_dim:
+        raise ArgumentError(
+            f"systems must have equal ambient dimension, got {zsys.ambient_dim} "
+            f"and {xsys.ambient_dim}"
+        )
     if p.covered and max(p.covered) > zsys.size:
         raise ArgumentError(
             f"partition reaches index {max(p.covered)} beyond the systems"
@@ -260,12 +279,11 @@ def verify_flattened(zsys: BiorthSystem, xsys: BiorthSystem,
     for j, (blk, anchor, eps_j) in enumerate(
             zip(p.blocks, p.anchors, p.epsilons), start=1):
         rows = [n - 1 for n in blk]
-        vec_gap = span_gap(zsys.xs[rows], xsys.xs[rows], tol.rank_tol)
-        dual_gap = span_gap(zsys.fs[rows], xsys.fs[rows], tol.rank_tol)
+        cols = _block_columns(zsys.xs[rows], xsys.xs[rows], zsys.fs[rows], xsys.fs[rows])
+        block = np.ix_(rows, cols)
+        vec_gap = span_gap(zsys.xs[block], xsys.xs[block], tol.rank_tol)
+        dual_gap = span_gap(zsys.fs[block], xsys.fs[block], tol.rank_tol)
         bound = eps_j / float(np.linalg.norm(xsys.x(anchor)))
-        slack = min(
-            bound - float(np.linalg.norm(zsys.f(n) - xsys.f(anchor)))
-            for n in blk
-        )
-        checks.append(BlockCheck(j, vec_gap, dual_gap, slack))
+        spread = np.linalg.norm(zsys.fs[block] - xsys.fs[anchor - 1, cols], axis=1)
+        checks.append(BlockCheck(j, vec_gap, dual_gap, bound - float(np.max(spread))))
     return FlatteningReport(tuple(checks), tol.span_tol)

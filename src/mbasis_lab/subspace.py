@@ -10,7 +10,8 @@ rows together with some vectors and reads, off the R factor alone and
 without forming Q, their coordinates on the prefix directions and one
 table of their distances to every prefix span; :func:`distance_to_span`,
 :func:`project` and the rank check of :func:`dual_solve` use it.
-:func:`svd_basis` serves only outputs defined in its basis.
+:func:`svd_basis` serves only the sampled norming estimate, whose draw is
+defined in its basis.
 
 Arrays in, arrays out: a point is a 1-d array, a family of points a row
 matrix, and a ``(0, d)`` array is the zero subspace of dimension d.
@@ -125,8 +126,8 @@ def orthonormal_rows(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) 
 
 def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.ndarray:
     """Right singular vectors (as rows) of the normalized rows of ``M``, rank
-    relative to the largest one: the basis in which the seeded draws of the
-    flattening and the norming estimate, and :func:`dual_solve`, combine."""
+    relative to the largest one: the basis in which the sampled norming
+    estimate draws its functionals."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or 0 in M.shape:
         return np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
@@ -315,12 +316,13 @@ def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
     dim(within) == len(vectors) and an invertible cross-Gram matrix;
     otherwise the vectors are not minimal relative to the given span and a
     :class:`SingularGramError` is raised.  The rows are combined in the
-    :func:`svd_basis` of ``within``.
+    :func:`orthonormal_rows` basis of ``within``, so dim(within) is its rank
+    under Gram-Schmidt's test, as everywhere else in the package.
     """
     V = span_matrix(vectors)
     if V.shape[0] == 0:
         return np.zeros((0, V.shape[1] or span_matrix(within).shape[1]))
-    W = svd_basis(span_matrix(within, ambient_dim=V.shape[1]), rank_tol)
+    W = orthonormal_rows(span_matrix(within, ambient_dim=V.shape[1]), rank_tol)
     k = V.shape[0]
     if W.shape[0] != k:
         raise ArgumentError(

@@ -36,6 +36,10 @@ criterion 5 and the tests use: the rough-system chain (``RoughSystem``,
 ``PermutationSpec.omega_sizes`` is checked against, and
 ``block_duality_check``, which cross-checks the block verdicts of
 ``classify_perturbation`` through complements.
+After them come the flattening by plain loops (modified Gram-Schmidt of
+each block's functional rows, the anchor first, and a full-width dual
+solve), which the per-block QR on the block's own columns replaced, and
+the full-width ``verify_flattened``.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -76,6 +80,7 @@ from mbasis_lab.subspace import (
 )
 from mbasis_lab.subspace import orthonormal_rows as qr_rows
 from mbasis_lab.subspace import span_equal as qr_span_equal
+from mbasis_lab.subspace import span_gap as qr_span_gap
 
 
 def orthonormal_rows(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -1172,3 +1177,71 @@ def block_duality_check(zsys: BiorthSystem, xsys: BiorthSystem,
         for sys, comp in zip((zsys, xsys), sides):
             ok = ok and qr_span_equal(sys.fs[inside], comp, tol.span_tol)
     return bool(ok)
+
+
+# ---------------------------------------------------------------------------
+# The flattening by plain loops, and the full-width verifier.  The package
+# factors each block on its own columns with one QR of the anchor-first
+# functional rows; here the anchor complement comes from modified
+# Gram-Schmidt over all d columns, the rotation is the same seeded draw,
+# and the vectors come from one full-width dual solve per block in the SVD
+# basis of the block's vectors.  ``verify_flattened`` is the verifier as it
+# was when it took both span gaps over all d columns and the slack in a
+# Python loop.
+
+
+def flattened_duals(sys: BiorthSystem, p, seed: int) -> np.ndarray:
+    """The replacement functionals of ``construct_flattened``: per block,
+    modified Gram-Schmidt of the functional rows with the anchor first,
+    its complement of the anchor rotated by ``default_rng([seed, j])``."""
+    D = np.array(sys.fs, dtype=float, copy=True)
+    for j, (blk, anchor, eps_j) in enumerate(
+            zip(p.blocks, p.anchors, p.epsilons), start=1):
+        others = [n for n in blk if n != anchor]
+        if not others:
+            continue
+        basis = []
+        for n in [anchor] + others:
+            v = sys.f(n) / np.linalg.norm(sys.f(n))
+            for q in basis:
+                v = v - (q @ v) * q
+            basis.append(v / np.linalg.norm(v))
+        raw = np.random.default_rng([seed, j]).standard_normal((len(others), len(others)))
+        rotation = np.linalg.qr(raw.T)[0].T
+        radius = 0.9 * eps_j / np.linalg.norm(sys.x(anchor))
+        for i, n in enumerate(others):
+            eta = np.zeros(sys.ambient_dim)
+            for k, q in enumerate(basis[1:]):
+                eta += rotation[i, k] * q
+            D[n - 1] = sys.f(anchor) + radius * eta
+    return D
+
+
+def flattened_vectors(sys: BiorthSystem, p, D: np.ndarray) -> np.ndarray:
+    """The vectors of the flattening with functionals ``D``: per block, the
+    rows of span(x_n : n in A(j)) biorthogonal to D's rows there, solved
+    over all d columns in the SVD basis W of the block's vectors."""
+    Z = np.zeros_like(sys.xs)
+    for blk in p.blocks:
+        rows = [n - 1 for n in blk]
+        W = orthonormal_rows(sys.xs[rows], sys.tol.rank_tol)
+        Z[rows] = np.linalg.solve((D[rows] @ W.T).T, W)
+    return Z
+
+
+def verify_flattened(zsys: BiorthSystem, xsys: BiorthSystem, p) -> list:
+    """Both flattening conditions with the span gaps over all d columns:
+    per block, (vector gap, dual gap, worst slack)."""
+    tol = xsys.tol
+    checks = []
+    for blk, anchor, eps_j in zip(p.blocks, p.anchors, p.epsilons):
+        rows = [n - 1 for n in blk]
+        vec_gap = qr_span_gap(zsys.xs[rows], xsys.xs[rows], tol.rank_tol)
+        dual_gap = qr_span_gap(zsys.fs[rows], xsys.fs[rows], tol.rank_tol)
+        bound = eps_j / float(np.linalg.norm(xsys.x(anchor)))
+        slack = min(
+            bound - float(np.linalg.norm(zsys.f(n) - xsys.f(anchor)))
+            for n in blk
+        )
+        checks.append((vec_gap, dual_gap, slack))
+    return checks

@@ -63,28 +63,33 @@ GOLDEN_UNB = {
 }
 
 #: sha256 of the flattened system of ``perturb --auto-strong --truncation 128``,
-#: as written before span gaps and bases moved to the QR kernel
+#: as written since each block's anchor complement is the Gram-Schmidt
+#: complement of one QR of its functional rows, anchor first, on the block's
+#: own columns (the SVD bases it replaced left the draw to LAPACK's choice
+#: inside a degenerate singular subspace)
 GOLDEN_PERTURB_128 = {
-    "flattened/X.csv": "464be08346eba2bdbc35977a390be5cf2c0e785c3a675e5e6f92fc2fd724d869",
-    "flattened/F.csv": "d6c973a983c1753d52a5483ca68fe5971b8c77608b8e5dd0447b8211fd4ca7a0",
+    "flattened/X.csv": "6b418ac36d72f4753a6a21c3d182ee8beefbf038229127bb70af4aa1bf121fe2",
+    "flattened/F.csv": "c0f178cd725879eeb50a82bb2b71f77b1d021dc89a3c71772d97a66ddd348f56",
 }
 
 #: sha256 of every artifact but ``run.json`` of depth-8 ``represent`` (plain and
 #: norming write the same files) and ``perturb --auto-strong`` on the stored
 #: staged-coupling system at n = 512, as written while window tables,
 #: projections and span checks formed an explicit Q (the flattened
-#: ``header.txt`` less its ``net_resolution`` line, since removed)
+#: ``header.txt`` less its ``net_resolution`` line, since removed); the
+#: flattened X, F and the flattening report as written since the draw of
+#: ``GOLDEN_PERTURB_128``
 GOLDEN_STAGED_512_REPRESENT = {
     "indices.txt": "4feb8ee3a87cbb3528710c179c6bb2a14027975a47b311c492e2ef59b53f5d73",
     "indices_report.csv": "bc154c322318d4de878ce099a31e5240a77b2cddbc3c643566f1eb52ba15a59f",
     "indices_report.json": "1c50ee913e55d11c04f3bb07d3ffb5d63a6a70126594a19ddcddf93da4930669",
 }
 GOLDEN_STAGED_512_PERTURB = {
-    "flattened/F.csv": "9664ecdf2f6b3b2d938a930d14bc78115364b5700d8d19949bdbe8e2f2dca51f",
-    "flattened/X.csv": "646d554930adf30c1e1dd9ba3100a09251adbc87c0ff1c9f040fe14a7915b478",
+    "flattened/F.csv": "3e67680d25a1abebff4e0b26ce74688cb46262c8099f2638e82c068aedac2ddc",
+    "flattened/X.csv": "e869006f74b2b01cdf0895caf1d9cd7d0c33c5ad6c33aacbb401ae4c8b6fe83f",
     "flattened/header.txt": "8a535cfe735727c184bf44ab614e717573fd43f207c8d16b75ae7bec488b5a5c",
-    "flattening_report.csv": "c6c1a1a8809cb7188c572063987d2d4ef856407104ce5454cb9e3a6e8f4966b5",
-    "flattening_report.json": "c672c3b8e8f6bcf6cf6e42a007e2aaf2cd46ce35ac2685d79beb97e0f3b10b06",
+    "flattening_report.csv": "77d79c8e2ef4a0b1fcc50b7e69891ea8658967c5611b0bb2b339f633624eed6a",
+    "flattening_report.json": "183d9dd362b9e93e3f08bd5619053f90e855abc7d1e3b0e96012d05a8bf78a37",
     "partition.txt": "010a731ae6680d9cf102887326b9c6e1deb4dccda530c5c0a2da896b5009847c",
 }
 

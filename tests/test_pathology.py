@@ -177,6 +177,12 @@ class TestOmega:
         with pytest.raises(ArgumentError, match=r"^f vanishes at n=1 on the ratio grid"):
             omega_stats(build_permutation(phi, 32), [1, 2], 16)
 
+    def test_omega_stats_refuses_negative_f_on_the_ratio_grid(self):
+        # build_phi accepts f(n) = log2 n - 1.5, which is negative at n = 1, 2
+        phi = build_phi(lambda n: math.log2(n) - 1.5, 32)
+        with pytest.raises(ArgumentError, match=r"^f is negative at n=1 on the ratio grid"):
+            omega_stats(build_permutation(phi, 32), [1, 2], 16)
+
     def test_omega_stats_needs_grid_constants(self):
         with pytest.raises(ArgumentError, match="^grid constants must list at least one entry$"):
             omega_stats(make_spec(64), [], 16)

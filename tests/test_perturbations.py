@@ -10,7 +10,7 @@ from mbasis_lab.biorth import (
     classify_perturbation,
     uniform_minimality_constant,
 )
-from mbasis_lab.errors import ArgumentError
+from mbasis_lab.errors import ArgumentError, ConstructionError
 from mbasis_lab.perturbations import (
     BlockPartition,
     construct_flattened,
@@ -18,6 +18,7 @@ from mbasis_lab.perturbations import (
     validate_block_partition,
     verify_flattened,
 )
+from mbasis_lab.subspace import ToleranceConfig
 
 
 def singleton_partition(n, eps=0.5):
@@ -145,6 +146,16 @@ class TestConstructFlattened:
         with pytest.raises(ArgumentError, match=r"block 2 overlaps earlier blocks at \[2\]"):
             construct_flattened(BiorthSystem.canonical(4), p, seed=0)
 
+    def test_near_parallel_functionals_refused_at_configured_rank_tol(self):
+        # the normalized f_2 = f_1 + 0.1 e_2 lies 0.0995 from span(f_1), below rank_tol
+        X = np.array([[1.0, -10.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 1.0]])
+        F = np.array([[1.0, 0.0, 0.0], [1.0, 0.1, 0.0], [0.0, 0.0, 1.0]])
+        sys = BiorthSystem(X, F, tol=ToleranceConfig(rank_tol=0.75)).validate()
+        p = BlockPartition(((1, 2), (3,)), (1, 3), (0.5, 0.5))
+        with pytest.raises(ConstructionError,
+                           match="^functional span of block 1 is rank deficient$"):
+            construct_flattened(sys, p, seed=0)
+
     def test_closeness_bound_strict(self):
         sys = BiorthSystem.canonical(6)
         p = BlockPartition(((1, 2, 3), (4, 5, 6)), (1, 4), (0.25, 0.25))
@@ -180,6 +191,24 @@ class TestVerifyFlattened:
         assert verify_flattened(z, sys, p).passed
         z2 = BiorthSystem(sys.xs[[0, 2, 1, 3]], sys.fs[[0, 2, 1, 3]])
         report = verify_flattened(z2, sys, p)
+        assert not report.passed
+        assert report.blocks[0].vector_gap > sys.tol.span_tol
+
+    def test_different_ambient_dimensions_refused_by_name(self):
+        p = BlockPartition(((1, 2), (3, 4)), (1, 3), (1.5, 1.5))
+        with pytest.raises(ArgumentError,
+                           match="^systems must have equal ambient dimension, got 4 and 5$"):
+            verify_flattened(BiorthSystem.canonical(4),
+                             BiorthSystem.canonical(4, ambient_dim=5), p)
+
+    def test_leak_outside_the_block_columns_detected(self):
+        # x rows 1, 2 touch only columns 1, 2; z_2 leaks 1e-6 into column 4
+        sys = BiorthSystem.canonical(4)
+        p = BlockPartition(((1, 2), (3, 4)), (1, 3), (1.5, 1.5))
+        X = np.array(sys.xs, copy=True)
+        X[1, 3] = 1e-6
+        z = BiorthSystem(X, sys.fs)
+        report = verify_flattened(z, sys, p)
         assert not report.passed
         assert report.blocks[0].vector_gap > sys.tol.span_tol
 
