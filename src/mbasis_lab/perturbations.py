@@ -180,6 +180,14 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
     return BiorthSystem(Z, D, tol=tol).validate()
 
 
+def _rotation(seed: int, j: int, k: int) -> np.ndarray:
+    """The seeded k x k rotation of block j (:func:`construct_flattened`),
+    orthogonal whatever the draw; a function, so the draw and its factors
+    are freed before the blocks' dual solves."""
+    Q, R = np.linalg.qr(np.random.default_rng([seed, j]).standard_normal((k, k)).T)
+    return Q * np.where(np.diagonal(R) < 0, -1.0, 1.0)
+
+
 def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> BiorthSystem:
     """Flattened perturbation of ``sys`` with respect to the partition.
 
@@ -192,13 +200,16 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
     diagonal is unique, its directions Q[:, 1:] are the Gram-Schmidt
     complement of the anchor inside the block's functional span, a
     function of the ordered rows.  A seeded draw ``default_rng([seed,
-    j]).standard_normal((b - 1, b - 1))``, orthonormalized by a Householder
-    QR, rotates them: eta = ``qr(raw.T)[0].T @ Q[:, 1:].T``, one unit row
-    per non-anchor index in order.  The vectors are recovered by blockwise
-    dual solves (:func:`flattened_from_duals`).  Deterministic given (sys,
-    p, seed), independent of block processing order.  Refuses with the
-    failures of :func:`validate_block_partition` for 1..|sys|, and when a
-    block's functional rows have rank below b under the rank test.
+    j]).standard_normal((b - 1, b - 1))`` rotates them: with raw^T = Q_r R_r
+    its Householder QR, the rotation is Q_r diag(sign(diag R_r)), the
+    Haar-distributed orthogonal matrix at every block size (Mezzadri,
+    *Notices AMS* 54, 2007), so a 2-row block's rotation is the sign of its
+    1 x 1 draw; eta = rotation^T @ Q[:, 1:].T, one unit row per non-anchor
+    index in order.  The vectors are recovered by blockwise dual solves
+    (:func:`flattened_from_duals`).  Deterministic given (sys, p, seed),
+    independent of block processing order.  Refuses with the failures of
+    :func:`validate_block_partition` for 1..|sys|, and when a block's
+    functional rows have rank below b under the rank test.
     """
     report = validate_block_partition(p, sys.size)
     if not report.valid:
@@ -217,9 +228,7 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
         Q, _, rank = prefix_bases(sys.fs[np.ix_(rows, cols)], tol.rank_tol)
         if rank[-1] < len(rows):
             raise ConstructionError(f"functional span of block {j} is rank deficient")
-        # the Q of a Householder QR is orthonormal whatever the draw
-        raw = np.random.default_rng([seed, j]).standard_normal((len(others), len(others)))
-        directions = np.linalg.qr(raw.T)[0].T @ Q[:, 1:].T
+        directions = _rotation(seed, j, len(others)).T @ Q[:, 1:].T
         D[np.ix_(others, cols)] = sys.fs[anchor - 1, cols] + radius * directions
     return flattened_from_duals(sys, p, D)
 

@@ -5,6 +5,11 @@ arrays.  Subspaces are given by row matrices of spanning vectors and
 factored by one kernel: a Householder QR of the normalized rows with
 Gram-Schmidt's rank test, which keeps distances and span comparisons
 stable on the ill-conditioned systems produced elsewhere in this package.
+The systems here are finite perturbations of the unit-vector basis, so
+most rows of a truncation are isolated unit rows, multiples of some e_j
+whose column j no other row touches; each is its own direction, and the
+QR factors only the other, coupled rows on the other columns, at cost
+O(d' r'^2) for d' such columns and r' such rows.
 :func:`prefix_bases` forms its Q.  :func:`prefix_coordinates` factors the
 rows together with some vectors and reads, off the R factor alone and
 without forming Q, their coordinates on the prefix directions and one
@@ -139,7 +144,85 @@ def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.n
     return vt[:int(np.sum(s > rank_tol * s[0]))]
 
 
+def _isolated_units(M: np.ndarray, rank_tol: float):
+    """The isolated unit rows of ``M`` and their columns: the rows with one
+    nonzero, in a column j that no other row touches.
+
+    Such a row is orthogonal to every other row, so its Gram-Schmidt
+    residual against the rows before it is the whole row, of normalized
+    length 1, which the rank test keeps when ``rank_tol`` < 1.  One nonzero
+    scan: with each row's first nonzero set aside, a row is single when
+    nothing is left of it, and a column is alone when it is the first
+    nonzero of one row and nothing is left of it.
+    """
+    n, d = M.shape
+    none = np.zeros(0, dtype=np.intp)
+    if not (rank_tol < 1 and M.size):
+        return none, none
+    nz = M != 0
+    rows = np.arange(n)
+    first = nz.argmax(axis=1)
+    lead = nz[rows, first]
+    nz[rows, first] = False
+    single = lead & ~nz.any(axis=1)
+    if not single.any():
+        return none, none
+    alone = (np.bincount(first[lead], minlength=d) == 1) & ~nz.any(axis=0)
+    units = np.flatnonzero(single & alone[first])
+    return units, first[units]
+
+
 def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
+    """[M_hat^T | V^T] = Q [[R11, R12], [0, R22]] under Gram-Schmidt's rank
+    test, with the isolated unit rows of M split off.
+
+    M_hat is M with normalized rows.  An isolated unit row
+    (:func:`_isolated_units`) is kept, and its direction is sign * e_j: its
+    column of R11 is 1 on the diagonal and 0 elsewhere, V's coordinate on it
+    is exactly ``V[:, j] * sign``, and V's part outside span(M) has no
+    component in column j.  The other rows are factored by
+    :func:`_householder_qr` on the columns that are no unit row's column,
+    with V on the same columns, and the results merge back in prefix order,
+    with R22 the remainder's.  With no isolated unit row the split is empty
+    and M is factored whole.
+
+    Returns ``(Q, R, kept)`` as :func:`_householder_qr` does: ``kept`` the r
+    rows of M that add a direction, diag(R11) > 0, and Q the d x r
+    directions when V is None, else None.
+    """
+    M = np.asarray(M, dtype=float)
+    units, cols = _isolated_units(M, rank_tol)
+    if not units.size:
+        return _householder_qr(M, V, rank_tol)
+    coupled = np.ones(M.shape[0], dtype=bool)
+    coupled[units] = False
+    other = np.ones(M.shape[1], dtype=bool)
+    other[cols] = False
+    Qc, Rc, kc = _householder_qr(M[coupled][:, other],
+                                 None if V is None else V[:, other], rank_tol)
+    kc = np.flatnonzero(coupled)[kc]
+    is_kept = ~coupled
+    is_kept[kc] = True
+    at = np.cumsum(is_kept) - 1
+    pu, pc = at[units], at[kc]
+    r, rc = pu.size + pc.size, kc.size
+    R = np.zeros((r + Rc.shape[0] - rc, r + Rc.shape[1] - rc))
+    R[pu, pu] = 1.0
+    R[pc[:, None], pc] = Rc[:rc, :rc]
+    R[pc, r:] = Rc[:rc, rc:]
+    R[r:, r:] = Rc[rc:, rc:]
+    signs = np.sign(M[units, cols])
+    kept = np.flatnonzero(is_kept)
+    if V is not None:
+        R[pu, r:] = V[:, cols].T * signs[:, None]
+        return None, R, kept
+    Q = np.zeros((M.shape[1], r))
+    Q[cols, pu] = signs
+    Q[np.flatnonzero(other)[:, None], pc] = Qc
+    return Q, R, kept
+
+
+def _householder_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     """Householder QR of [M_hat^T | V^T] under Gram-Schmidt's rank test.
 
     M_hat is M with normalized rows.  A row of M within ``rank_tol`` of the
@@ -155,12 +238,11 @@ def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     and R22 the part of V outside their span.  Q is those d x r directions
     when V is None; given V, the QR runs with ``mode="r"`` and Q is None.
     """
-    M = np.asarray(M, dtype=float)
     norms = np.linalg.norm(M, axis=1)
     kept = np.flatnonzero(norms > 0)
     while True:
-        # built in one piece, so no second copy of the unit rows stays alive
-        # through the QR: this bounds the peak memory of a large V
+        # built in one piece, so no second copy of the normalized rows stays
+        # alive through the QR: this bounds the peak memory of a large V
         A = np.concatenate([M[kept] / norms[kept, None], M[:0] if V is None else V]).T
         if V is None:
             Q, R = np.linalg.qr(A)
@@ -190,7 +272,9 @@ def prefix_bases(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol):
 
     Returns ``(Q, R, rank)``: Q (d x r) orthonormal columns, R the r x r
     factor of the kept rows, and ``Q[:, :rank[k]]`` spans the first k rows
-    (k = 0..n).  Cost O(d r^2) per factorization.
+    (k = 0..n).  An isolated unit row is its own direction sign * e_j
+    (:func:`_prefix_qr`), so the cost is O(d' r'^2) for the r' coupled rows
+    on their d' columns, plus one O(n d) nonzero scan.
     """
     Q, R, kept = _prefix_qr(M, None, rank_tol)
     return Q, R, np.searchsorted(kept, np.arange(len(M) + 1))
@@ -209,7 +293,10 @@ def prefix_coordinates(M: np.ndarray, V: np.ndarray, rank_tol: float = Tolerance
     the first j directions adds the squares of the coordinate tail
     C[i, j:], summed from the end so small distances stay accurate.  Q is
     never formed, which halves the cost of a QR that forms it when V has
-    few rows.  Cost O(d (n + k)^2).
+    few rows.  An isolated unit row of M is its own direction sign * e_j,
+    on which V's coordinates are exactly ``V[:, j] * sign``, so the cost is
+    O(d' (r' + k)^2) for the r' coupled rows on their d' columns, plus one
+    O(n d) nonzero scan.
 
     Returns ``(C, dist, rank)``: C (k x r) the coordinates, ``dist``
     (k x (r + 1)) with ``dist[i, j]`` the distance from V[i] to the span of

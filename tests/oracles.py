@@ -39,7 +39,10 @@ criterion 5 and the tests use: the rough-system chain (``RoughSystem``,
 After them come the flattening by plain loops (modified Gram-Schmidt of
 each block's functional rows, the anchor first, and a full-width dual
 solve), which the per-block QR on the block's own columns replaced, and
-the full-width ``verify_flattened``.
+the full-width ``verify_flattened``.  Last is the QR kernel ``_prefix_qr``
+as it was when every row went through the Householder QR; the kernel now
+keeps each isolated unit row as its own direction and factors only the
+coupled rows.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -1207,7 +1210,8 @@ def flattened_duals(sys: BiorthSystem, p, seed: int) -> np.ndarray:
                 v = v - (q @ v) * q
             basis.append(v / np.linalg.norm(v))
         raw = np.random.default_rng([seed, j]).standard_normal((len(others), len(others)))
-        rotation = np.linalg.qr(raw.T)[0].T
+        Qr, Rr = np.linalg.qr(raw.T)
+        rotation = (Qr * np.sign(np.diagonal(Rr))).T
         radius = 0.9 * eps_j / np.linalg.norm(sys.x(anchor))
         for i, n in enumerate(others):
             eta = np.zeros(sys.ambient_dim)
@@ -1245,3 +1249,49 @@ def verify_flattened(zsys: BiorthSystem, xsys: BiorthSystem, p) -> list:
         )
         checks.append((vec_gap, dual_gap, slack))
     return checks
+
+
+# ---------------------------------------------------------------------------
+# The QR kernel as it was when every row of M went through the Householder
+# QR, copied verbatim.  The package splits off the isolated unit rows, each
+# its own direction, and factors only the coupled rows on their columns.
+
+
+def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
+    """Householder QR of [M_hat^T | V^T] under Gram-Schmidt's rank test.
+
+    M_hat is M with normalized rows.  A row of M within ``rank_tol`` of the
+    span before it (|R_jj|), or a zero row, adds no direction: the QR is
+    redone without the first such row and every later row within
+    ``rank_tol`` of the directions before it (its column of R below them),
+    which Gram-Schmidt drops too.  Rows past a basis of the whole space are
+    dependent.  V's columns come last, so they never change the rank.
+
+    Returns ``(Q, R, kept)`` with ``kept`` the r rows of M that add a
+    direction and R = [[R11, R12], [0, R22]], diag(R11) > 0: R11 (r x r)
+    factors the kept rows, R12 holds V's coordinates on the r directions
+    and R22 the part of V outside their span.  Q is those d x r directions
+    when V is None; given V, the QR runs with ``mode="r"`` and Q is None.
+    """
+    M = np.asarray(M, dtype=float)
+    norms = np.linalg.norm(M, axis=1)
+    kept = np.flatnonzero(norms > 0)
+    while True:
+        # built in one piece, so no second copy of the unit rows stays alive
+        # through the QR: this bounds the peak memory of a large V
+        A = np.concatenate([M[kept] / norms[kept, None], M[:0] if V is None else V]).T
+        if V is None:
+            Q, R = np.linalg.qr(A)
+        else:
+            Q, R = None, np.linalg.qr(A, mode="r")
+        n = kept.size
+        bad = np.flatnonzero(np.abs(np.diagonal(R[:, :n])) <= rank_tol)
+        if not bad.size:
+            break
+        b = bad[0]
+        kept = np.delete(kept, b + np.flatnonzero(np.linalg.norm(R[b:, b:n], axis=0) <= rank_tol))
+    r = min(n, M.shape[1])
+    signs = np.where(np.diagonal(R)[:r] < 0, -1.0, 1.0)
+    R = np.concatenate([R[:, :r], R[:, n:]], axis=1)
+    R[:r] *= signs[:, None]
+    return None if Q is None else Q * signs, R, kept[:r]

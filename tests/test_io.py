@@ -66,10 +66,11 @@ GOLDEN_UNB = {
 #: as written since each block's anchor complement is the Gram-Schmidt
 #: complement of one QR of its functional rows, anchor first, on the block's
 #: own columns (the SVD bases it replaced left the draw to LAPACK's choice
-#: inside a degenerate singular subspace)
+#: inside a degenerate singular subspace), rotated by the Haar draw
+#: Q diag(sign(diag R)), so that the seed reaches 2-row blocks too
 GOLDEN_PERTURB_128 = {
-    "flattened/X.csv": "6b418ac36d72f4753a6a21c3d182ee8beefbf038229127bb70af4aa1bf121fe2",
-    "flattened/F.csv": "c0f178cd725879eeb50a82bb2b71f77b1d021dc89a3c71772d97a66ddd348f56",
+    "flattened/X.csv": "415f68af0e24e518aa42301a16e84bcf719050a4a39e6818a945eecdb627ab7e",
+    "flattened/F.csv": "eaba407880d4f0ec6a1317a4886a993b5b9a6f8359755ddb889ea23a5b0589dc",
 }
 
 #: sha256 of every artifact but ``run.json`` of depth-8 ``represent`` (plain and
@@ -78,18 +79,19 @@ GOLDEN_PERTURB_128 = {
 #: projections and span checks formed an explicit Q (the flattened
 #: ``header.txt`` less its ``net_resolution`` line, since removed); the
 #: flattened X, F and the flattening report as written since the draw of
-#: ``GOLDEN_PERTURB_128``
+#: ``GOLDEN_PERTURB_128`` and since the QR kernel splits off the isolated
+#: unit rows (which moved X and the report at rounding level)
 GOLDEN_STAGED_512_REPRESENT = {
     "indices.txt": "4feb8ee3a87cbb3528710c179c6bb2a14027975a47b311c492e2ef59b53f5d73",
     "indices_report.csv": "bc154c322318d4de878ce099a31e5240a77b2cddbc3c643566f1eb52ba15a59f",
     "indices_report.json": "1c50ee913e55d11c04f3bb07d3ffb5d63a6a70126594a19ddcddf93da4930669",
 }
 GOLDEN_STAGED_512_PERTURB = {
-    "flattened/F.csv": "3e67680d25a1abebff4e0b26ce74688cb46262c8099f2638e82c068aedac2ddc",
-    "flattened/X.csv": "e869006f74b2b01cdf0895caf1d9cd7d0c33c5ad6c33aacbb401ae4c8b6fe83f",
+    "flattened/F.csv": "814b1db479082b6134c94aa58dd2afcff3c72fa932688f3fa43b37e097dfad5a",
+    "flattened/X.csv": "29f2faf29e7dd04da2986f785d48fc5efe3297b2e049e09536c3d2e1cdd5cd24",
     "flattened/header.txt": "8a535cfe735727c184bf44ab614e717573fd43f207c8d16b75ae7bec488b5a5c",
-    "flattening_report.csv": "77d79c8e2ef4a0b1fcc50b7e69891ea8658967c5611b0bb2b339f633624eed6a",
-    "flattening_report.json": "183d9dd362b9e93e3f08bd5619053f90e855abc7d1e3b0e96012d05a8bf78a37",
+    "flattening_report.csv": "18ab899071b927a3bd89c6d285e367987af00d14e7fb5105684985340373a49a",
+    "flattening_report.json": "5deeb39c184a56635bd236910c7522d198ede788dc46a60c1b74e59997b767d3",
     "partition.txt": "010a731ae6680d9cf102887326b9c6e1deb4dccda530c5c0a2da896b5009847c",
 }
 

@@ -134,6 +134,18 @@ class TestConstructFlattened:
         z3 = construct_flattened(sys, p, seed=12)
         assert not np.array_equal(z3.fs, z1.fs)
 
+    def test_seed_reaches_two_row_blocks(self):
+        # a 1 x 1 draw's Householder Q is [[1]] whatever its sign; the Haar
+        # rotation Q diag(sign(diag R)) is the sign of the draw
+        sys = BiorthSystem.canonical(8).prefix(4)
+        p = BlockPartition(((1, 2), (3, 4)), (1, 3), (0.5, 0.5))
+        draws = [np.random.default_rng([seed, 1]).standard_normal((1, 1))[0, 0]
+                 for seed in (3, 4)]
+        assert draws[0] > 0 > draws[1]
+        z3, z4 = (construct_flattened(sys, p, seed=seed) for seed in (3, 4))
+        assert not np.array_equal(z3.fs, z4.fs)
+        assert np.array_equal(z3.fs[1] - sys.fs[0], sys.fs[0] - z4.fs[1])
+
     def test_partition_must_cover(self):
         sys = BiorthSystem.canonical(4)
         with pytest.raises(ArgumentError):
