@@ -152,14 +152,37 @@ def _pair_norm_sums(sys: BiorthSystem) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(prods)])
 
 
+def _unit_columns(Q: np.ndarray) -> np.ndarray:
+    """For each column of Q, the row j when the column is exactly +-e_j and
+    no other column touches row j, else -1.  An exact structural test."""
+    nz = Q != 0
+    j = nz.argmax(axis=0)
+    alone = (nz.sum(axis=0) == 1) & (nz.sum(axis=1)[j] == 1)
+    return np.where(alone & (np.abs(Q[j, np.arange(Q.shape[1])]) == 1), j, -1)
+
+
 def _cross_minimum(QH: np.ndarray, QF: np.ndarray) -> float:
     """Smallest singular value of QF^T QH for orthonormal columns: the worst
-    best unit-functional action over the unit sphere of span(QH)."""
+    best unit-functional action over the unit sphere of span(QH).
+
+    A signed unit column +-e_j that both factors hold, each with row j
+    otherwise zero (:func:`_unit_columns`), spans a direction common to both
+    spans and orthogonal to the rest of each: its cosine is exactly 1.  The
+    kernel of :func:`prefix_bases` makes one for every isolated unit row.
+    Such columns are dropped, and the value is min(1, that of the rest), 1
+    when nothing is left.  With no shared column the SVD runs on QF^T QH as
+    given.
+    """
+    h, f = _unit_columns(QH), _unit_columns(QF)
+    shared = np.intersect1d(h[h >= 0], f[f >= 0])
+    if shared.size:
+        QH, QF = QH[:, ~np.isin(h, shared)], QF[:, ~np.isin(f, shared)]
     if QH.shape[1] == 0:
         return 1.0
     if QF.shape[1] < QH.shape[1]:
         return 0.0
-    return float(np.linalg.svd(QF.T @ QH, compute_uv=False)[-1])
+    s = float(np.linalg.svd(QF.T @ QH, compute_uv=False)[-1])
+    return min(1.0, s) if shared.size else s
 
 
 def _index_search(sys: BiorthSystem, depth: int, c: float | None = None,
@@ -219,8 +242,10 @@ def norming_property_minimum(sys: BiorthSystem, p: int, rho: int) -> float:
     Golub 1973); at least c here certifies the norming property for every
     unit v of the head, hence for every point of any net of it.  At
     (N, N) it is the norming constant sigma_min(Q_F^T Q_X) of the system,
-    which :func:`build_norming_indices` admits its level against.  Both
-    prefixes must lie in 1..N.
+    which :func:`build_norming_indices` admits its level against.  The
+    unit directions both bases share are read as cosine 1, and only the
+    rest goes to the SVD (:func:`_cross_minimum`).  Both prefixes must lie
+    in 1..N.
     """
     N = sys.size
     if not (1 <= p <= N and 1 <= rho <= N):
@@ -239,7 +264,10 @@ def build_norming_indices(sys: BiorthSystem, depth: int,
     Requires 0 < c <= const/2 + 1e-12 for the norming constant const =
     sigma_min(Q_F^T Q_X), read off the one :func:`prefix_bases`
     factorization per side that also serves every step (bit for bit
-    ``norming_property_minimum(sys, N, N)``).  The slack keeps a c derived
+    ``norming_property_minimum(sys, N, N)``).  The constant and every step
+    take the SVD of the directions the two sides do not share as unit
+    columns +-e_j, which on a finite perturbation of the unit-vector basis
+    is a small block (:func:`_cross_minimum`).  The slack keeps a c derived
     from another rounding of the constant admitted when that rounding reads
     a few ulps high.  c defaults to const/2.
     """

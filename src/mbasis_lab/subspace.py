@@ -186,14 +186,15 @@ def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     with R22 the remainder's.  With no isolated unit row the split is empty
     and M is factored whole.
 
-    Returns ``(Q, R, kept)`` as :func:`_householder_qr` does: ``kept`` the r
-    rows of M that add a direction, diag(R11) > 0, and Q the d x r
-    directions when V is None, else None.
+    Returns ``(Q, R, kept, pu)``: ``kept`` the r rows of M that add a
+    direction, diag(R11) > 0, Q the d x r directions when V is None, else
+    None, as :func:`_householder_qr` returns them, and ``pu`` the positions
+    in ``kept`` of the unit rows, where R11 is the identity.
     """
     M = np.asarray(M, dtype=float)
     units, cols = _isolated_units(M, rank_tol)
     if not units.size:
-        return _householder_qr(M, V, rank_tol)
+        return *_householder_qr(M, V, rank_tol), units
     coupled = np.ones(M.shape[0], dtype=bool)
     coupled[units] = False
     other = np.ones(M.shape[1], dtype=bool)
@@ -215,11 +216,11 @@ def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     kept = np.flatnonzero(is_kept)
     if V is not None:
         R[pu, r:] = V[:, cols].T * signs[:, None]
-        return None, R, kept
+        return None, R, kept, pu
     Q = np.zeros((M.shape[1], r))
     Q[cols, pu] = signs
     Q[np.flatnonzero(other)[:, None], pc] = Qc
-    return Q, R, kept
+    return Q, R, kept, pu
 
 
 def _householder_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
@@ -276,7 +277,7 @@ def prefix_bases(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol):
     (:func:`_prefix_qr`), so the cost is O(d' r'^2) for the r' coupled rows
     on their d' columns, plus one O(n d) nonzero scan.
     """
-    Q, R, kept = _prefix_qr(M, None, rank_tol)
+    Q, R, kept, _ = _prefix_qr(M, None, rank_tol)
     return Q, R, np.searchsorted(kept, np.arange(len(M) + 1))
 
 
@@ -306,7 +307,7 @@ def prefix_coordinates(M: np.ndarray, V: np.ndarray, rank_tol: float = Tolerance
     ``dist[:, rank[j]]`` the distances to, the span of the first j rows of M.
     """
     V = np.asarray(V, dtype=float)
-    _, R, kept = _prefix_qr(M, V, rank_tol)
+    _, R, kept, _ = _prefix_qr(M, V, rank_tol)
     r, rank = kept.size, np.searchsorted(kept, np.arange(len(M) + 1))
     C, outside = R[:r, r:].T, np.linalg.norm(R[r:, r:], axis=0)
     sq = np.concatenate([np.square(C), np.square(outside)[:, None]], axis=1)
@@ -331,22 +332,36 @@ def project(x, S, rank_tol: float = ToleranceConfig.rank_tol) -> tuple[np.ndarra
     """Orthogonal projection of ``x`` onto span(S) and the residual norm.
 
     From the QR of :func:`prefix_coordinates`: the kept normalized rows
-    factor as S_hat^T = Q R11, so the projection Q R12 is S_hat^T solved
-    against the triangular R11, and the residual norm is that of R22.  Q is
+    factor as S_hat^T = Q R11, so the projection Q R12 is S_hat^T y for
+    R11 y = R12, and the residual norm is that of R22.  R11 is the identity
+    on the isolated unit rows of :func:`_prefix_qr`'s split and zero between
+    them and the other rows, so their coefficients are read off R12
+    exactly and only the triangle of the coupled rows is solved.  Q is
     never formed.
     """
     xv = as_vector(x)
     M = _span_rows(S, xv)
-    _, R, kept = _prefix_qr(M, xv[None], rank_tol)
+    _, R, kept, pu = _prefix_qr(M, xv[None], rank_tol)
     r = kept.size
+    y = R[:r, r].copy()
+    pc = np.delete(np.arange(r), pu)
+    y[pc] = np.linalg.solve(R[np.ix_(pc, pc)], y[pc])
     unit = M[kept] / np.linalg.norm(M[kept], axis=1)[:, None]
-    return unit.T @ np.linalg.solve(R[:r, :r], R[:r, r]), float(np.linalg.norm(R[r:, r]))
+    return unit.T @ y, float(np.linalg.norm(R[r:, r]))
 
 
 def _residual_norm(Q: np.ndarray, Qs: np.ndarray) -> float:
     """||Q - (Q Qs^T) Qs||_2 for orthonormal rows: the largest distance from
-    a unit vector of span(Q) to span(Qs)."""
-    return float(np.linalg.norm(Q - (Q @ Qs.T) @ Qs, 2))
+    a unit vector of span(Q) to span(Qs).
+
+    The square root of the largest eigenvalue (``numpy.linalg.eigvalsh``)
+    of the smaller Gram matrix of the residual, clamped at 0.  Its error is
+    about k u lambda_max for a Gram matrix of order k, relative on
+    sigma_max^2, the one value read.
+    """
+    D = Q - (Q @ Qs.T) @ Qs
+    G = D @ D.T if D.shape[0] <= D.shape[1] else D.T @ D
+    return float(np.sqrt(np.maximum(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
 def span_gap(S1, S2, rank_tol: float = ToleranceConfig.rank_tol) -> float:
@@ -355,8 +370,10 @@ def span_gap(S1, S2, rank_tol: float = ToleranceConfig.rank_tol) -> float:
     Equals the larger of the two one-sided maxima of the distance from a
     unit vector of one span to the other span (the Hausdorff gap between
     unit balls): 1 when the ranks differ, else the sine of the largest
-    principal angle, ||Q1 - (Q1 Q2^T) Q2||_2 on the :func:`orthonormal_rows`
-    bases (Davis & Kahan 1970), exactly 0 for bitwise-equal bases.  Past
+    principal angle, ||Q1 - (Q1 Q2^T) Q2||_2 on the bases, the
+    :func:`orthonormal_rows` of each span (Davis & Kahan 1970), exactly 0 for
+    bitwise-equal bases.  The norm is read off the residual's smaller Gram
+    matrix (:func:`_residual_norm`), with no SVD.  Past
     those two exact cases the ranks are equal, so the one-sided maxima
     agree, and the value is ``directed_span_gap(S1, S2)`` bit for bit: both
     read one residual-norm core.

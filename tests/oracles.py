@@ -39,10 +39,15 @@ criterion 5 and the tests use: the rough-system chain (``RoughSystem``,
 After them come the flattening by plain loops (modified Gram-Schmidt of
 each block's functional rows, the anchor first, and a full-width dual
 solve), which the per-block QR on the block's own columns replaced, and
-the full-width ``verify_flattened``.  Last is the QR kernel ``_prefix_qr``
-as it was when every row went through the Householder QR; the kernel now
-keeps each isolated unit row as its own direction and factors only the
-coupled rows.
+the full-width ``verify_flattened``.  Then comes the QR kernel
+``_prefix_qr`` as it was when every row went through the Householder QR;
+the kernel now keeps each isolated unit row as its own direction and
+factors only the coupled rows.  Last are three reads of one number by a
+full factorization: the norming constant's SVD of the whole cross matrix,
+``project``'s LU solve of all of R11 (``project_lu``) and the span gap's
+SVD norm of the residual.  The package drops the unit directions both
+factors share, reads the unit coefficients off R12 and solves only the
+coupled triangle, and takes sigma_max off the residual's smaller Gram.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mbasis_lab import subspace
 from mbasis_lab.biorth import (
     BiorthSystem,
     IntervalFamily,
@@ -1295,3 +1301,42 @@ def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     R = np.concatenate([R[:, :r], R[:, n:]], axis=1)
     R[:r] *= signs[:, None]
     return None if Q is None else Q * signs, R, kept[:r]
+
+
+# ---------------------------------------------------------------------------
+# One number by a full factorization, copied verbatim, except that
+# ``project_lu`` (the package's ``project`` under another name, as this
+# module has a ``project``) reads the first three outputs of the package's
+# split QR kernel, ``subspace._prefix_qr``, and its ``_span_rows``.
+
+
+def _cross_minimum(QH: np.ndarray, QF: np.ndarray) -> float:
+    """Smallest singular value of QF^T QH for orthonormal columns: the worst
+    best unit-functional action over the unit sphere of span(QH)."""
+    if QH.shape[1] == 0:
+        return 1.0
+    if QF.shape[1] < QH.shape[1]:
+        return 0.0
+    return float(np.linalg.svd(QF.T @ QH, compute_uv=False)[-1])
+
+
+def project_lu(x, S, rank_tol: float = ToleranceConfig.rank_tol) -> tuple[np.ndarray, float]:
+    """Orthogonal projection of ``x`` onto span(S) and the residual norm.
+
+    From the QR of :func:`prefix_coordinates`: the kept normalized rows
+    factor as S_hat^T = Q R11, so the projection Q R12 is S_hat^T solved
+    against the triangular R11, and the residual norm is that of R22.  Q is
+    never formed.
+    """
+    xv = as_vector(x)
+    M = subspace._span_rows(S, xv)
+    _, R, kept = subspace._prefix_qr(M, xv[None], rank_tol)[:3]
+    r = kept.size
+    unit = M[kept] / np.linalg.norm(M[kept], axis=1)[:, None]
+    return unit.T @ np.linalg.solve(R[:r, :r], R[:r, r]), float(np.linalg.norm(R[r:, r]))
+
+
+def _residual_norm(Q: np.ndarray, Qs: np.ndarray) -> float:
+    """||Q - (Q Qs^T) Qs||_2 for orthonormal rows: the largest distance from
+    a unit vector of span(Q) to span(Qs)."""
+    return float(np.linalg.norm(Q - (Q @ Qs.T) @ Qs, 2))

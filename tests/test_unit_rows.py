@@ -83,7 +83,8 @@ def floor(M, kept):
 
 def old_coordinates(M, V):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(subspace, "_prefix_qr", oracles._prefix_qr)
+        mp.setattr(subspace, "_prefix_qr",
+                   lambda M, V, rank_tol: (*oracles._prefix_qr(M, V, rank_tol), None))
         return prefix_coordinates(M, V)
 
 
@@ -92,9 +93,10 @@ def old_coordinates(M, V):
 def test_split_matches_the_whole_matrix_kernel(M, seed):
     bitwise = not isolated_unit_rows(M)
     for V in v_choices(M, np.random.default_rng(seed)):
-        Q, R, kept = subspace._prefix_qr(M, V, 1e-10)
+        Q, R, kept, pu = subspace._prefix_qr(M, V, 1e-10)
         Q0, R0, kept0 = oracles._prefix_qr(M, V, 1e-10)
         assert np.array_equal(kept, kept0)
+        assert kept[pu].tolist() == isolated_unit_rows(M)
         assert R.shape == R0.shape
         if bitwise:
             assert np.array_equal(R, R0)
@@ -142,9 +144,9 @@ def test_unit_rows_are_exact_directions():
 def test_rank_tol_at_least_one_drops_unit_rows_as_before():
     M = np.eye(3)
     for rank_tol in (1.0, 2.0):
-        Q, R, kept = subspace._prefix_qr(M, None, rank_tol)
+        Q, R, kept, pu = subspace._prefix_qr(M, None, rank_tol)
         Q0, R0, kept0 = oracles._prefix_qr(M, None, rank_tol)
-        assert np.array_equal(kept, kept0)
+        assert np.array_equal(kept, kept0) and not pu.size
         assert np.array_equal(Q, Q0) and np.array_equal(R, R0)
 
 
