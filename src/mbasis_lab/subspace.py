@@ -15,8 +15,10 @@ rows together with some vectors and reads, off the R factor alone and
 without forming Q, their coordinates on the prefix directions and one
 table of their distances to every prefix span; :func:`distance_to_span`,
 :func:`project` and the rank check of :func:`dual_solve` use it.
+:func:`span_gap` forms the basis of its first span only, and reads the
+rank of the second span and the distance to it off one such R factor.
 :func:`svd_basis` serves only the sampled norming estimate, whose draw is
-defined in its basis.
+defined in its basis; it keeps the isolated unit rows out of its SVD.
 
 Arrays in, arrays out: a point is a 1-d array, a family of points a row
 matrix, and a ``(0, d)`` array is the zero subspace of dimension d.
@@ -131,17 +133,33 @@ def orthonormal_rows(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) 
 
 def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.ndarray:
     """Right singular vectors (as rows) of the normalized rows of ``M``, rank
-    relative to the largest one: the basis in which the sampled norming
-    estimate draws its functionals."""
+    relative to the largest singular value: the basis in which the sampled
+    norming estimate draws its functionals.
+
+    An isolated unit row (:func:`_isolated_units`) is its own right singular
+    vector sign * e_j, with singular value exactly 1; those rows come first,
+    then the right singular vectors of the SVD of the other rows on the
+    other columns.  With no isolated unit row this is the SVD of the whole
+    matrix.  Where a singular value repeats, as 1 does on a truncation that
+    is mostly unit rows, the basis of its space is a choice, not a function
+    of the rows.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or 0 in M.shape:
         return np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
     norms = np.linalg.norm(M, axis=1, keepdims=True)
     scaled = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
-    _, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    if s[0] == 0.0:
+    units, cols = _isolated_units(scaled, rank_tol)
+    other = np.delete(np.arange(M.shape[1]), cols)
+    _, s, vt = np.linalg.svd(np.delete(scaled, units, axis=0)[:, other], full_matrices=False)
+    s = np.concatenate([np.ones(units.size), s])
+    V = np.zeros((s.size, M.shape[1]))
+    V[np.arange(units.size), cols] = np.sign(scaled[units, cols])
+    V[units.size:, other] = vt
+    top = s.max(initial=0.0)
+    if top == 0.0:
         return np.zeros((0, M.shape[1]))
-    return vt[:int(np.sum(s > rank_tol * s[0]))]
+    return V[s > rank_tol * top]
 
 
 def _isolated_units(M: np.ndarray, rank_tol: float):
@@ -350,18 +368,31 @@ def project(x, S, rank_tol: float = ToleranceConfig.rank_tol) -> tuple[np.ndarra
     return unit.T @ y, float(np.linalg.norm(R[r:, r]))
 
 
-def _residual_norm(Q: np.ndarray, Qs: np.ndarray) -> float:
-    """||Q - (Q Qs^T) Qs||_2 for orthonormal rows: the largest distance from
-    a unit vector of span(Q) to span(Qs).
-
-    The square root of the largest eigenvalue (``numpy.linalg.eigvalsh``)
-    of the smaller Gram matrix of the residual, clamped at 0.  Its error is
-    about k u lambda_max for a Gram matrix of order k, relative on
-    sigma_max^2, the one value read.
+def _residual_norm(D: np.ndarray) -> float:
+    """||D||_2: the square root of the largest eigenvalue
+    (``numpy.linalg.eigvalsh``) of the smaller Gram matrix of D, clamped at
+    0, and +0.0 for an empty D.  Its error is about k u lambda_max for a
+    Gram matrix of order k, relative on sigma_max^2, the one value read.
     """
-    D = Q - (Q @ Qs.T) @ Qs
+    if not D.size:
+        return 0.0
     G = D @ D.T if D.shape[0] <= D.shape[1] else D.T @ D
     return float(np.sqrt(np.maximum(np.linalg.eigvalsh(G)[-1], 0.0)))
+
+
+def _outside(Q: np.ndarray, S: np.ndarray, rank_tol: float) -> tuple[int, float]:
+    """The rank of ``S`` and the largest distance from a unit vector of the
+    span of the orthonormal rows ``Q`` to span(S).
+
+    Both come from the R factor of one :func:`_prefix_qr` of
+    [S_hat^T | Q^T], with S's isolated unit rows split off: the rank is its
+    kept row count and the distance the spectral norm of R22, the part of
+    Q^T outside span(S) (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+    5.3), read by :func:`_residual_norm`.  No basis of span(S) is formed.
+    """
+    _, R, kept, _ = _prefix_qr(S, Q, rank_tol)
+    r = kept.size
+    return r, _residual_norm(R[r:, r:])
 
 
 def span_gap(S1, S2, rank_tol: float = ToleranceConfig.rank_tol) -> float:
@@ -369,26 +400,25 @@ def span_gap(S1, S2, rank_tol: float = ToleranceConfig.rank_tol) -> float:
 
     Equals the larger of the two one-sided maxima of the distance from a
     unit vector of one span to the other span (the Hausdorff gap between
-    unit balls): 1 when the ranks differ, else the sine of the largest
-    principal angle, ||Q1 - (Q1 Q2^T) Q2||_2 on the bases, the
-    :func:`orthonormal_rows` of each span (Davis & Kahan 1970), exactly 0 for
-    bitwise-equal bases.  The norm is read off the residual's smaller Gram
-    matrix (:func:`_residual_norm`), with no SVD.  Past
-    those two exact cases the ranks are equal, so the one-sided maxima
+    unit balls): 1 when the ranks differ, exactly 0 for bitwise-equal
+    inputs, else the sine of the largest principal angle (Davis & Kahan
+    1970).  Q1 is the :func:`orthonormal_rows` basis of S1, and the rank of
+    S2 and the distance of span(Q1) to span(S2) come from one R-only QR of
+    S2 against Q1 (:func:`_outside`), so no basis of S2 is formed.  Past
+    the two exact cases the ranks are equal, so the one-sided maxima
     agree, and the value is ``directed_span_gap(S1, S2)`` bit for bit: both
-    read one residual-norm core.
+    read the one core.
     """
     M1 = span_matrix(S1)
     M2 = span_matrix(S2)
     if M1.shape[0] and M2.shape[0] and M1.shape[1] != M2.shape[1]:
         raise ArgumentError("spans live in different ambient dimensions")
-    Q1 = orthonormal_rows(M1, rank_tol)
-    Q2 = orthonormal_rows(M2, rank_tol)
-    if Q1.shape[0] != Q2.shape[0]:
-        return 1.0
-    if Q1.shape[0] == 0 or np.array_equal(Q1, Q2):
+    if np.array_equal(M1, M2):
         return 0.0
-    return _residual_norm(Q1, Q2)
+    d = (M1 if M1.shape[0] else M2).shape[1]
+    Q1 = orthonormal_rows(M1.reshape(-1, d), rank_tol)
+    rank, gap = _outside(Q1, M2.reshape(-1, d), rank_tol)
+    return 1.0 if rank != Q1.shape[0] else gap
 
 
 def span_equal(S1, S2, tol: float, rank_tol: float = ToleranceConfig.rank_tol) -> bool:
@@ -399,16 +429,17 @@ def span_equal(S1, S2, tol: float, rank_tol: float = ToleranceConfig.rank_tol) -
 def directed_span_gap(S_sub, S_sup, rank_tol: float = ToleranceConfig.rank_tol) -> float:
     """Max distance from a unit vector of span(S_sub) to span(S_sup).
 
-    Zero iff span(S_sub) is contained in span(S_sup) up to rank_tol.
+    Zero iff span(S_sub) is contained in span(S_sup) up to rank_tol, and
+    exactly 1 when span(S_sup) has the lower rank, for then a unit vector
+    of span(S_sub) is orthogonal to it.  Read off the core of
+    :func:`span_gap`, :func:`_outside`.
     """
-    Msub = span_matrix(S_sub)
-    Q = orthonormal_rows(Msub, rank_tol)
+    Q = orthonormal_rows(span_matrix(S_sub), rank_tol)
     if Q.shape[0] == 0:
         return 0.0
-    Qs = orthonormal_rows(span_matrix(S_sup, ambient_dim=Q.shape[1]), rank_tol)
-    if Qs.shape[0] == 0:
-        return 1.0
-    return _residual_norm(Q, Qs)
+    S = span_matrix(S_sup, ambient_dim=Q.shape[1]).reshape(-1, Q.shape[1])
+    rank, gap = _outside(Q, S, rank_tol)
+    return 1.0 if rank < Q.shape[0] else gap
 
 
 def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,

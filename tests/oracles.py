@@ -48,6 +48,11 @@ full factorization: the norming constant's SVD of the whole cross matrix,
 SVD norm of the residual.  The package drops the unit directions both
 factors share, reads the unit coefficients off R12 and solves only the
 coupled triangle, and takes sigma_max off the residual's smaller Gram.
+After them come ``svd_basis`` as one SVD of the whole matrix and the span
+gaps as they were when they formed a basis of each span; the package keeps
+the isolated unit rows out of the SVD, and reads the rank of the second
+span and the distance to it off one R-only QR of its rows against the
+first basis.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -1340,3 +1345,65 @@ def _residual_norm(Q: np.ndarray, Qs: np.ndarray) -> float:
     """||Q - (Q Qs^T) Qs||_2 for orthonormal rows: the largest distance from
     a unit vector of span(Q) to span(Qs)."""
     return float(np.linalg.norm(Q - (Q @ Qs.T) @ Qs, 2))
+
+
+# ---------------------------------------------------------------------------
+# Two full-width reads on the represent path, copied verbatim, except for
+# the names: the whole-matrix SVD basis of the sampled norming estimate, and
+# the span gaps that formed a basis of each span (``span_gap_two_bases``,
+# as this module has a projector ``span_gap``).  They call the package's
+# ``orthonormal_rows`` and read the residual's 2-norm with the package's
+# ``_residual_norm``, the same eigvalsh read of the same residual.
+
+
+def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.ndarray:
+    """Right singular vectors (as rows) of the normalized rows of ``M``, rank
+    relative to the largest one: the basis in which the sampled norming
+    estimate draws its functionals."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or 0 in M.shape:
+        return np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
+    norms = np.linalg.norm(M, axis=1, keepdims=True)
+    scaled = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
+    _, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    if s[0] == 0.0:
+        return np.zeros((0, M.shape[1]))
+    return vt[:int(np.sum(s > rank_tol * s[0]))]
+
+
+def _two_bases_residual_norm(Q: np.ndarray, Qs: np.ndarray) -> float:
+    """||Q - (Q Qs^T) Qs||_2 for orthonormal rows, read off the smaller Gram
+    matrix of the residual."""
+    return subspace._residual_norm(Q - (Q @ Qs.T) @ Qs)
+
+
+def span_gap_two_bases(S1, S2, rank_tol: float = ToleranceConfig.rank_tol) -> float:
+    """Spectral norm of the projector difference between the two spans:
+    1 when the ranks differ, exactly 0 for bitwise-equal bases, else
+    ||Q1 - (Q1 Q2^T) Q2||_2 on the :func:`orthonormal_rows` of each span."""
+    M1 = span_matrix(S1)
+    M2 = span_matrix(S2)
+    if M1.shape[0] and M2.shape[0] and M1.shape[1] != M2.shape[1]:
+        raise ArgumentError("spans live in different ambient dimensions")
+    Q1 = qr_rows(M1, rank_tol)
+    Q2 = qr_rows(M2, rank_tol)
+    if Q1.shape[0] != Q2.shape[0]:
+        return 1.0
+    if Q1.shape[0] == 0 or np.array_equal(Q1, Q2):
+        return 0.0
+    return _two_bases_residual_norm(Q1, Q2)
+
+
+def directed_span_gap_two_bases(S_sub, S_sup, rank_tol: float = ToleranceConfig.rank_tol) -> float:
+    """Max distance from a unit vector of span(S_sub) to span(S_sup).
+
+    Zero iff span(S_sub) is contained in span(S_sup) up to rank_tol.
+    """
+    Msub = span_matrix(S_sub)
+    Q = qr_rows(Msub, rank_tol)
+    if Q.shape[0] == 0:
+        return 0.0
+    Qs = qr_rows(span_matrix(S_sup, ambient_dim=Q.shape[1]), rank_tol)
+    if Qs.shape[0] == 0:
+        return 1.0
+    return _two_bases_residual_norm(Q, Qs)
