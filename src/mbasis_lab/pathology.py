@@ -29,7 +29,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError, ConstructionError
-from .subspace import ToleranceConfig
+from .subspace import ToleranceConfig, prefix_bases
 
 __all__ = [
     "PhiTable",
@@ -790,33 +790,16 @@ class UnbReport:
 
 
 def _gram_schmidt_rows(X: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal rows with the prefix spans of ``X``; refuses dependent rows.
-
-    Rows of different coordinate components (see :func:`operator_T`) have
-    disjoint supports, so Gram-Schmidt over all rows splits into one per
-    component.  Per group of equal (size, row count) one stacked Householder
-    QR of the normalized block rows, transposed, gives the directions; a
-    row with |R_jj| <= ``rank_tol``, the distance of the normalized row to
-    the span before it, or a zero row, is dependent, as in
-    :func:`prefix_bases`.  Signs are fixed so that diag R > 0 and the
-    directions are scattered into the rows' coordinates.  Like T, it
-    refuses an E with a nonzero entry between two components.  The cost
-    is sum_C k_C r_C^2 plus the O(M d) output.
+    """Orthonormal rows with the prefix spans of ``X``, the transposed Q of
+    :func:`prefix_bases`; refuses a row that adds no direction.  On the
+    cascade system all but the rows of a few small coordinate components
+    are isolated rows, each its own normalized direction, so one small
+    Householder QR factors the rest.
     """
-    M, d = X.shape
-    norms = np.linalg.norm(X, axis=1)
-    if M > d or not np.all(norms > 0):
+    Q, _, rank = prefix_bases(X, rank_tol)
+    if rank[-1] < X.shape[0]:
         raise ConstructionError("orthonormalization hit a dependent vector")
-    Z = np.zeros_like(X)
-    for C, r in _block_groups(X):
-        rows = C[:, :r, None]
-        Q, R = np.linalg.qr(np.swapaxes(X[rows, C[:, None, :]] / norms[rows], 1, 2))
-        diag = np.diagonal(R, axis1=1, axis2=2)
-        if np.any(np.abs(diag) <= rank_tol):
-            raise ConstructionError("orthonormalization hit a dependent vector")
-        signs = np.where(diag < 0, -1.0, 1.0)[:, None, :]
-        Z[rows, C[:, None, :]] = np.swapaxes(Q * signs, 1, 2)
-    return Z
+    return Q.T
 
 
 def _prefix_dual_spanning(X: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ import numpy as np
 from .biorth import BiorthSystem
 from .errors import ArgumentError
 from .perturbations import BlockPartition, validate_block_partition
-from .subspace import as_vector, distance_to_span, prefix_bases, prefix_coordinates, project
+from .subspace import (_isolated_rows, as_vector, distance_to_span, prefix_bases,
+                       prefix_coordinates, project)
 
 __all__ = [
     "RepresentingIndices",
@@ -152,31 +153,27 @@ def _pair_norm_sums(sys: BiorthSystem) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(prods)])
 
 
-def _unit_columns(Q: np.ndarray) -> np.ndarray:
-    """For each column of Q, the row j when the column is exactly +-e_j and
-    no other column touches row j, else -1.  An exact structural test."""
-    nz = Q != 0
-    j = nz.argmax(axis=0)
-    alone = (nz.sum(axis=0) == 1) & (nz.sum(axis=1)[j] == 1)
-    return np.where(alone & (np.abs(Q[j, np.arange(Q.shape[1])]) == 1), j, -1)
-
-
 def _cross_minimum(QH: np.ndarray, QF: np.ndarray) -> float:
     """Smallest singular value of QF^T QH for orthonormal columns: the worst
     best unit-functional action over the unit sphere of span(QH).
 
     A signed unit column +-e_j that both factors hold, each with row j
-    otherwise zero (:func:`_unit_columns`), spans a direction common to both
-    spans and orthogonal to the rest of each: its cosine is exactly 1.  The
-    kernel of :func:`prefix_bases` makes one for every isolated unit row.
-    Such columns are dropped, and the value is min(1, that of the rest), 1
-    when nothing is left.  With no shared column the SVD runs on QF^T QH as
-    given.
+    otherwise zero, spans a direction common to both spans and orthogonal
+    to the rest of each: its cosine is exactly 1.  The kernel of
+    :func:`prefix_bases` makes one for every isolated unit row.  Such
+    columns are the isolated rows of Q^T (``subspace._isolated_rows``) with
+    one nonzero, of magnitude exactly 1.  They are dropped, and the value
+    is min(1, that of the rest), 1 when nothing is left.  With no shared
+    column the SVD runs on QF^T QH as given.
     """
-    h, f = _unit_columns(QH), _unit_columns(QF)
-    shared = np.intersect1d(h[h >= 0], f[f >= 0])
-    if shared.size:
-        QH, QF = QH[:, ~np.isin(h, shared)], QF[:, ~np.isin(f, shared)]
+    units = []
+    for Q in (QH, QF):
+        c, j, _ = _isolated_rows(Q.T)
+        one = np.abs(Q[j, c]) == 1
+        units.append((c[one], j[one]))
+    (ch, jh), (cf, jf) = units
+    shared, at_h, at_f = np.intersect1d(jh, jf, return_indices=True)
+    QH, QF = np.delete(QH, ch[at_h], axis=1), np.delete(QF, cf[at_f], axis=1)
     if QH.shape[1] == 0:
         return 1.0
     if QF.shape[1] < QH.shape[1]:

@@ -6,10 +6,10 @@ factored by one kernel: a Householder QR of the normalized rows with
 Gram-Schmidt's rank test, which keeps distances and span comparisons
 stable on the ill-conditioned systems produced elsewhere in this package.
 The systems here are finite perturbations of the unit-vector basis, so
-most rows of a truncation are isolated unit rows, multiples of some e_j
-whose column j no other row touches; each is its own direction, and the
-QR factors only the other, coupled rows on the other columns, at cost
-O(d' r'^2) for d' such columns and r' such rows.
+most rows of a truncation are isolated rows, none of whose columns another
+row touches, most of them unit rows, multiples of some e_j.  Each is its
+own direction, and the QR factors only the other, coupled rows on the
+other columns, at cost O(d' r'^2) for d' such columns and r' such rows.
 :func:`prefix_bases` forms its Q.  :func:`prefix_coordinates` factors the
 rows together with some vectors and reads, off the R factor alone and
 without forming Q, their coordinates on the prefix directions and one
@@ -136,10 +136,10 @@ def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.n
     relative to the largest singular value: the basis in which the sampled
     norming estimate draws its functionals.
 
-    An isolated unit row (:func:`_isolated_units`) is its own right singular
-    vector sign * e_j, with singular value exactly 1; those rows come first,
-    then the right singular vectors of the SVD of the other rows on the
-    other columns.  With no isolated unit row this is the SVD of the whole
+    An isolated unit row, an isolated row (:func:`_isolated_rows`) with one
+    nonzero, is its own right singular vector sign * e_j, with singular
+    value exactly 1; those rows come first, then the right singular vectors
+    of the SVD of the other rows on the other columns.  With no isolated unit row this is the SVD of the whole
     matrix.  Where a singular value repeats, as 1 does on a truncation that
     is mostly unit rows, the basis of its space is a choice, not a function
     of the rows.
@@ -149,7 +149,7 @@ def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.n
         return np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
     norms = np.linalg.norm(M, axis=1, keepdims=True)
     scaled = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
-    units, cols = _isolated_units(scaled, rank_tol)
+    units, cols, _ = _isolated_rows(scaled)
     other = np.delete(np.arange(M.shape[1]), cols)
     _, s, vt = np.linalg.svd(np.delete(scaled, units, axis=0)[:, other], full_matrices=False)
     s = np.concatenate([np.ones(units.size), s])
@@ -162,81 +162,93 @@ def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.n
     return V[s > rank_tol * top]
 
 
-def _isolated_units(M: np.ndarray, rank_tol: float):
-    """The isolated unit rows of ``M`` and their columns: the rows with one
-    nonzero, in a column j that no other row touches.
-
-    Such a row is orthogonal to every other row, so its Gram-Schmidt
-    residual against the rows before it is the whole row, of normalized
-    length 1, which the rank test keeps when ``rank_tol`` < 1.  One nonzero
-    scan: with each row's first nonzero set aside, a row is single when
-    nothing is left of it, and a column is alone when it is the first
-    nonzero of one row and nothing is left of it.
+def _isolated_rows(M: np.ndarray):
+    """The isolated rows of ``M``, nonzero rows none of whose columns another
+    row touches, each orthogonal to every other row: ``(units, cols,
+    wide)``, the rows with one nonzero and its column, and the rows with
+    more.  One O(n d) pass over the nonzero pattern in float32 products,
+    exact below 2^24: the column counts, then per row its nonzeros in
+    shared columns, its nonzero count and its column sum.
     """
-    n, d = M.shape
-    none = np.zeros(0, dtype=np.intp)
-    if not (rank_tol < 1 and M.size):
-        return none, none
-    nz = M != 0
-    rows = np.arange(n)
-    first = nz.argmax(axis=1)
-    lead = nz[rows, first]
-    nz[rows, first] = False
-    single = lead & ~nz.any(axis=1)
-    if not single.any():
-        return none, none
-    alone = (np.bincount(first[lead], minlength=d) == 1) & ~nz.any(axis=0)
-    units = np.flatnonzero(single & alone[first])
-    return units, first[units]
+    nz = (M != 0).astype(np.float32)
+    count = np.ones(len(M), np.float32) @ nz
+    if not (count == 1).any():
+        return (np.zeros(0, dtype=np.intp),) * 3
+    W = np.ones((M.shape[1], 3), np.float32)
+    W[:, 0], W[:, 2] = count > 1, np.arange(M.shape[1])
+    shared, nnz, colsum = (nz @ W).T
+    units = np.flatnonzero((shared == 0) & (nnz == 1))
+    return units, colsum[units].astype(np.intp), np.flatnonzero((shared == 0) & (nnz > 1))
 
 
 def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     """[M_hat^T | V^T] = Q [[R11, R12], [0, R22]] under Gram-Schmidt's rank
-    test, with the isolated unit rows of M split off.
+    test, with the isolated rows of M split off.
 
-    M_hat is M with normalized rows.  An isolated unit row
-    (:func:`_isolated_units`) is kept, and its direction is sign * e_j: its
-    column of R11 is 1 on the diagonal and 0 elsewhere, V's coordinate on it
-    is exactly ``V[:, j] * sign``, and V's part outside span(M) has no
-    component in column j.  The other rows are factored by
-    :func:`_householder_qr` on the columns that are no unit row's column,
-    with V on the same columns, and the results merge back in prefix order,
-    with R22 the remainder's.  With no isolated unit row the split is empty
-    and M is factored whole.
+    M_hat is M with normalized rows.  For ``rank_tol`` < 1 an isolated row
+    (:func:`_isolated_rows`) is kept: its direction w is the row normalized,
+    sign * e_j exactly for a unit row, its column of R11 is e_k, and V's
+    coordinate on it is V w.  The other rows are factored by
+    :func:`_householder_qr` on the columns no split row touches, with V
+    there and, on coordinates where those rows are zero, V's part outside
+    each wide w on its support, in the coordinates of the reflector
+    I - u u^T / (1 + |w_1|), u = w + sign(w_1) e_1, but the first; so the
+    coupled rows meet one QR whether V is given or not, and R has the whole
+    QR's shape.  The results merge back in prefix order.  A wide row whose
+    sum of squares is not a normal float stays with the other rows.
 
     Returns ``(Q, R, kept, pu)``: ``kept`` the r rows of M that add a
     direction, diag(R11) > 0, Q the d x r directions when V is None, else
     None, as :func:`_householder_qr` returns them, and ``pu`` the positions
-    in ``kept`` of the unit rows, where R11 is the identity.
+    in ``kept`` of the split rows, where R11 is the identity.
     """
     M = np.asarray(M, dtype=float)
-    units, cols = _isolated_units(M, rank_tol)
-    if not units.size:
+    units, cols, wides = _isolated_rows(M) if rank_tol < 1 else (np.zeros(0, dtype=np.intp),) * 3
+    wide = M[wides]
+    if wides.size:
+        with np.errstate(over="ignore"):  # an overflowing square is caught as not fine
+            sq = (wide * wide).sum(axis=1)  # numpy.linalg.norm's arithmetic
+        # a sum of squares below the normal range has lost digits
+        fine = (sq >= np.finfo(float).tiny) & (sq < np.inf)
+        wides, wide = wides[fine], wide[fine] / np.sqrt(sq[fine, None])
+    if not (units.size or wides.size):
         return *_householder_qr(M, V, rank_tol), units
+    signs = np.sign(M[units, cols])
+    # the wide rows' nonzeros, row by row: wide row wi, column wj
+    wi, wj = np.divmod(np.flatnonzero(wide != 0), M.shape[1])
     coupled = np.ones(M.shape[0], dtype=bool)
-    coupled[units] = False
+    coupled[units] = coupled[wides] = False
     other = np.ones(M.shape[1], dtype=bool)
-    other[cols] = False
-    Qc, Rc, kc = _householder_qr(M[coupled][:, other],
-                                 None if V is None else V[:, other], rank_tol)
+    other[cols] = other[wj] = False
+    Mc, Vc = M[coupled][:, other], None if V is None else V[:, other]
+    if wides.size and V is not None:
+        C = wide @ V.T
+        w, lead = wide[wi, wj], np.concatenate([[True], wi[1:] != wi[:-1]])
+        coef = ((C + np.sign(w[lead])[:, None] * V[:, wj[lead]].T)
+                / (1 + np.abs(w[lead]))[:, None])
+        Vc = np.concatenate([Vc, (V[:, wj].T - w[:, None] * coef[wi])[~lead].T], axis=1)
+        Mc = np.concatenate([Mc, np.zeros((len(Mc), int(np.count_nonzero(~lead))))], axis=1)
+    Qc, Rc, kc = _householder_qr(Mc, Vc, rank_tol)
     kc = np.flatnonzero(coupled)[kc]
     is_kept = ~coupled
     is_kept[kc] = True
     at = np.cumsum(is_kept) - 1
-    pu, pc = at[units], at[kc]
+    pu, pc = at[~coupled], at[kc]
     r, rc = pu.size + pc.size, kc.size
     R = np.zeros((r + Rc.shape[0] - rc, r + Rc.shape[1] - rc))
     R[pu, pu] = 1.0
     R[pc[:, None], pc] = Rc[:rc, :rc]
     R[pc, r:] = Rc[:rc, rc:]
     R[r:, r:] = Rc[rc:, rc:]
-    signs = np.sign(M[units, cols])
     kept = np.flatnonzero(is_kept)
     if V is not None:
-        R[pu, r:] = V[:, cols].T * signs[:, None]
+        R[at[units], r:] = V[:, cols].T * signs[:, None]
+        if wides.size:
+            R[at[wides], r:] = C
         return None, R, kept, pu
     Q = np.zeros((M.shape[1], r))
-    Q[cols, pu] = signs
+    Q[cols, at[units]] = signs
+    Q[wj, at[wides][wi]] = wide[wi, wj]
     Q[np.flatnonzero(other)[:, None], pc] = Qc
     return Q, R, kept, pu
 
@@ -257,7 +269,8 @@ def _householder_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     and R22 the part of V outside their span.  Q is those d x r directions
     when V is None; given V, the QR runs with ``mode="r"`` and Q is None.
     """
-    norms = np.linalg.norm(M, axis=1)
+    with np.errstate(over="ignore"):  # a row past 2**511 overflows: its column is zero
+        norms = np.linalg.norm(M, axis=1)
     kept = np.flatnonzero(norms > 0)
     while True:
         # built in one piece, so no second copy of the normalized rows stays
@@ -291,7 +304,7 @@ def prefix_bases(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol):
 
     Returns ``(Q, R, rank)``: Q (d x r) orthonormal columns, R the r x r
     factor of the kept rows, and ``Q[:, :rank[k]]`` spans the first k rows
-    (k = 0..n).  An isolated unit row is its own direction sign * e_j
+    (k = 0..n).  An isolated row is its own direction, the row normalized
     (:func:`_prefix_qr`), so the cost is O(d' r'^2) for the r' coupled rows
     on their d' columns, plus one O(n d) nonzero scan.
     """
@@ -312,10 +325,10 @@ def prefix_coordinates(M: np.ndarray, V: np.ndarray, rank_tol: float = Tolerance
     the first j directions adds the squares of the coordinate tail
     C[i, j:], summed from the end so small distances stay accurate.  Q is
     never formed, which halves the cost of a QR that forms it when V has
-    few rows.  An isolated unit row of M is its own direction sign * e_j,
-    on which V's coordinates are exactly ``V[:, j] * sign``, so the cost is
-    O(d' (r' + k)^2) for the r' coupled rows on their d' columns, plus one
-    O(n d) nonzero scan.
+    few rows.  An isolated row of M is its own direction, on which V's
+    coordinates are its products with V, exactly ``V[:, j] * sign`` for a
+    unit row, so the cost is O(d' (r' + k)^2) for the r' coupled rows on
+    their d' columns, plus one O(n d) nonzero scan.
 
     Returns ``(C, dist, rank)``: C (k x r) the coordinates, ``dist``
     (k x (r + 1)) with ``dist[i, j]`` the distance from V[i] to the span of
@@ -352,10 +365,9 @@ def project(x, S, rank_tol: float = ToleranceConfig.rank_tol) -> tuple[np.ndarra
     From the QR of :func:`prefix_coordinates`: the kept normalized rows
     factor as S_hat^T = Q R11, so the projection Q R12 is S_hat^T y for
     R11 y = R12, and the residual norm is that of R22.  R11 is the identity
-    on the isolated unit rows of :func:`_prefix_qr`'s split and zero between
-    them and the other rows, so their coefficients are read off R12
-    exactly and only the triangle of the coupled rows is solved.  Q is
-    never formed.
+    on the isolated rows of :func:`_prefix_qr`'s split and zero between
+    them and the other rows, so their coefficients are read off R12 and
+    only the triangle of the coupled rows is solved.  Q is never formed.
     """
     xv = as_vector(x)
     M = _span_rows(S, xv)
@@ -385,7 +397,7 @@ def _outside(Q: np.ndarray, S: np.ndarray, rank_tol: float) -> tuple[int, float]
     span of the orthonormal rows ``Q`` to span(S).
 
     Both come from the R factor of one :func:`_prefix_qr` of
-    [S_hat^T | Q^T], with S's isolated unit rows split off: the rank is its
+    [S_hat^T | Q^T], with S's isolated rows split off: the rank is its
     kept row count and the distance the spectral norm of R22, the part of
     Q^T outside span(S) (Golub & Van Loan, *Matrix Computations*, 4th ed.,
     5.3), read by :func:`_residual_norm`.  No basis of span(S) is formed.

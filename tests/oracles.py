@@ -53,6 +53,9 @@ gaps as they were when they formed a basis of each span; the package keeps
 the isolated unit rows out of the SVD, and reads the rank of the second
 span and the distance to it off one R-only QR of its rows against the
 first basis.
+Last is the orthonormalization of the e_hat rows as one stacked Householder
+QR per group of coordinate components, ``block_gram_schmidt_rows``; the
+kernel, which keeps each isolated row as its own direction, replaced it.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -81,6 +84,7 @@ from mbasis_lab.pathology import (
     PhiTable,
     TOperator,
     _as_f_table,
+    _block_groups,
     _check_eps_budget,
     verify_injective,
 )
@@ -1285,7 +1289,8 @@ def _prefix_qr(M: np.ndarray, V: np.ndarray | None, rank_tol: float):
     when V is None; given V, the QR runs with ``mode="r"`` and Q is None.
     """
     M = np.asarray(M, dtype=float)
-    norms = np.linalg.norm(M, axis=1)
+    with np.errstate(over="ignore"):  # a row past 2**511 overflows: its column is zero
+        norms = np.linalg.norm(M, axis=1)
     kept = np.flatnonzero(norms > 0)
     while True:
         # built in one piece, so no second copy of the unit rows stays alive
@@ -1407,3 +1412,41 @@ def directed_span_gap_two_bases(S_sub, S_sup, rank_tol: float = ToleranceConfig.
     if Qs.shape[0] == 0:
         return 1.0
     return _two_bases_residual_norm(Q, Qs)
+
+
+# ---------------------------------------------------------------------------
+# The orthonormalization of the e_hat rows as one stacked Householder QR per
+# group of coordinate components, copied verbatim under another name (the
+# dense ``gram_schmidt_rows`` above is taken).  The package's
+# ``_gram_schmidt_rows`` reads the kernel, which splits off the isolated
+# rows, each its own direction, and factors only the coupled rows.
+
+
+def block_gram_schmidt_rows(X: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal rows with the prefix spans of ``X``; refuses dependent rows.
+
+    Rows of different coordinate components (see :func:`operator_T`) have
+    disjoint supports, so Gram-Schmidt over all rows splits into one per
+    component.  Per group of equal (size, row count) one stacked Householder
+    QR of the normalized block rows, transposed, gives the directions; a
+    row with |R_jj| <= ``rank_tol``, the distance of the normalized row to
+    the span before it, or a zero row, is dependent, as in
+    :func:`prefix_bases`.  Signs are fixed so that diag R > 0 and the
+    directions are scattered into the rows' coordinates.  Like T, it
+    refuses an E with a nonzero entry between two components.  The cost
+    is sum_C k_C r_C^2 plus the O(M d) output.
+    """
+    M, d = X.shape
+    norms = np.linalg.norm(X, axis=1)
+    if M > d or not np.all(norms > 0):
+        raise ConstructionError("orthonormalization hit a dependent vector")
+    Z = np.zeros_like(X)
+    for C, r in _block_groups(X):
+        rows = C[:, :r, None]
+        Q, R = np.linalg.qr(np.swapaxes(X[rows, C[:, None, :]] / norms[rows], 1, 2))
+        diag = np.diagonal(R, axis1=1, axis2=2)
+        if np.any(np.abs(diag) <= rank_tol):
+            raise ConstructionError("orthonormalization hit a dependent vector")
+        signs = np.where(diag < 0, -1.0, 1.0)[:, None, :]
+        Z[rows, C[:, None, :]] = np.swapaxes(Q * signs, 1, 2)
+    return Z

@@ -82,7 +82,10 @@ GOLDEN_PERTURB_128 = {
 #: ``GOLDEN_PERTURB_128`` and since the QR kernel splits off the isolated
 #: unit rows (which moved X and the report at rounding level); the report as
 #: written since the span gaps form the basis of the flattened side only
-#: and read the base side off one R-only QR (gaps moved by at most 4.4e-17)
+#: and read the base side off one R-only QR (gaps moved by at most 4.4e-17);
+#: the flattened X and the report as written since the kernel splits off
+#: every isolated row, not only the unit rows (X moved by at most 5.2e-12,
+#: the gaps by at most 4.8e-14)
 GOLDEN_STAGED_512_REPRESENT = {
     "indices.txt": "4feb8ee3a87cbb3528710c179c6bb2a14027975a47b311c492e2ef59b53f5d73",
     "indices_report.csv": "bc154c322318d4de878ce099a31e5240a77b2cddbc3c643566f1eb52ba15a59f",
@@ -90,10 +93,10 @@ GOLDEN_STAGED_512_REPRESENT = {
 }
 GOLDEN_STAGED_512_PERTURB = {
     "flattened/F.csv": "814b1db479082b6134c94aa58dd2afcff3c72fa932688f3fa43b37e097dfad5a",
-    "flattened/X.csv": "29f2faf29e7dd04da2986f785d48fc5efe3297b2e049e09536c3d2e1cdd5cd24",
+    "flattened/X.csv": "2d4ba0e47990248863f9568e4f8867addef6e7bff390e5307ddc8a2484567fee",
     "flattened/header.txt": "8a535cfe735727c184bf44ab614e717573fd43f207c8d16b75ae7bec488b5a5c",
-    "flattening_report.csv": "266dc29034a933614d3f43ed331959e9f3f92342c285a452f075312db82d8664",
-    "flattening_report.json": "29dc3f301023a3c618a2223025ec614108e330a9425da2897eabf98d21897a79",
+    "flattening_report.csv": "1d672352e384914584e8b96548b2f14a17215d7b93d23022cb0f46c096edf421",
+    "flattening_report.json": "1b7bf45ccb8958cacb4af02a1bc8eea3a73c60f7f2bc4697a036aa347d9848be",
     "partition.txt": "010a731ae6680d9cf102887326b9c6e1deb4dccda530c5c0a2da896b5009847c",
 }
 

@@ -200,6 +200,16 @@ def test_block_gram_schmidt_matches_dense_oracle(build, N):
         assert np.max(np.abs(Z - dense)) <= largest_block(E) * U
 
 
+@pytest.mark.parametrize("N", [64, 128, 256, 509])
+def test_gram_schmidt_rows_match_the_stacked_block_qr(N):
+    """unb's Z from the kernel, which keeps each isolated row as its own
+    normalized direction and factors the few coupled rows in one QR,
+    equals the stacked QR per group of coordinate components bit for bit."""
+    E, _, _ = unb_system(N)
+    assert np.array_equal(_gram_schmidt_rows(E, 1e-10),
+                          oracles.block_gram_schmidt_rows(E, 1e-10))
+
+
 def test_operator_norms_within_kappa_squared_when_ill_conditioned():
     """A random near-canonical E with kappa(T) near 10^2, far past the
     kappa(T) <= 4 the eps budget gives; E is dense, one coordinate block."""

@@ -35,7 +35,7 @@ from mbasis_lab.representing import (
 )
 from mbasis_lab.subspace import prefix_bases, project, span_gap
 from test_prefix_kernel import staged_system
-from test_unit_rows import isolated_unit_rows, mixed_matrices
+from test_unit_rows import isolated_rows, mixed_matrices
 
 U = np.finfo(float).eps / 2
 ROLES = ("shared", "opposite", "touched", "only-h", "only-f", "dense", "zero")
@@ -176,6 +176,24 @@ def test_norming_search_svds_see_only_the_unshared_columns(staged_512, monkeypat
     assert shapes and max(max(s) for s in shapes) <= 12, shapes
 
 
+def test_shared_units_are_read_off_the_kernel_scan(staged_512, monkeypatch):
+    """The shared unit columns come from the kernel's isolated-row scan of
+    each Q^T, the one structural test of a row that is its own direction.
+    On staged 512, 500 columns of Q_X are +-e_j, and every column of Q_F,
+    whose coupled rows e_t - 0.9 e_s orthogonalize to e_t exactly."""
+    seen, scan = [], subspace._isolated_rows
+
+    def spy(M):
+        units, cols, wide = scan(M)
+        seen.append((M.shape, units.size))
+        return units, cols, wide
+
+    monkeypatch.setattr(representing, "_isolated_rows", spy)
+    x = staged_512
+    assert norming_property_minimum(x, x.size, x.size) == 1.0
+    assert seen == [((512, 512), 500), ((512, 512), 512)]
+
+
 def test_norming_constant_matches_the_full_svd(staged_512):
     x = staged_512
     Qx, Qf = prefix_bases(x.xs)[0], prefix_bases(x.fs)[0]
@@ -208,7 +226,7 @@ def test_project_split_on_a_last_coupled_row_with_only_its_diagonal():
     for x in np.random.default_rng(11).standard_normal((4, 9)):
         _, R, kept, pu = subspace._prefix_qr(M, x[None], 1e-10)
         r = kept.size
-        assert kept[pu].tolist() == isolated_unit_rows(M) == [0, 2, 4, 6]
+        assert kept[pu].tolist() == isolated_rows(M, False) == [0, 2, 4, 6]
         # the premise: R11 row 5 holds its diagonal alone, and it is not 1
         assert np.flatnonzero(R[5, :r]).tolist() == [5] and R[5, 5] != 1.0
         proj, resid = project(x, M)
@@ -227,12 +245,13 @@ def test_project_split_on_a_last_coupled_row_with_only_its_diagonal():
 def test_project_matches_the_lu_form(M, seed):
     """Within 4 d u kappa(R11) |x|, the bound of a triangular solve
     (Higham, Accuracy and Stability, Thm 8.5), and bit for bit when no row
-    is an isolated unit row."""
+    is isolated, unit or wide: the kernel splits both.  The residual is
+    exact either way."""
     x = np.random.default_rng(seed).standard_normal(M.shape[1])
     proj, resid = project(x, M)
     proj_lu, resid_lu = oracles.project_lu(x, M)
     assert resid == resid_lu
-    if not isolated_unit_rows(M):
+    if not isolated_rows(M, True):
         assert np.array_equal(proj, proj_lu)
         return
     R = prefix_bases(M)[1]
