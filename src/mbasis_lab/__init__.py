@@ -23,7 +23,6 @@ from .perturbations import (  # noqa: F401
     BlockPartition,
     construct_flattened,
     flattened_from_duals,
-    validate_block_partition,
     verify_flattened,
 )
 from .representing import (  # noqa: F401

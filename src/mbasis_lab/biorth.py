@@ -333,6 +333,8 @@ def classify_perturbation(zsys: BiorthSystem, xsys: BiorthSystem) -> Perturbatio
     while hits.size:
         intervals.append((start, start + int(hits[0])))
         start += int(hits[0]) + 1
+        if start > n:
+            break
         hits = _agreements(zsys, xsys, start, tol)
     if intervals and start == n + 1:
         return PerturbationClass("block", IntervalFamily(tuple(intervals)), prefixes)

@@ -279,19 +279,8 @@ def _cmd_unb(cfg: ExperimentConfig, out: str) -> dict:
         r.bracket_ok and r.capacity_ok and r.ratio_monotone for r in report.runs)
     summary = {
         "control_ok": report.control_ok,
-        "runs": [
-            {
-                "truncation": r.truncation,
-                "n0": r.n0,
-                "first_jump": r.first_jump,
-                "jump_ms": list(r.jump_ms),
-                "window_end": r.window_end,
-                "ratio_monotone": r.ratio_monotone,
-                "bracket_ok": r.bracket_ok,
-                "capacity_ok": r.capacity_ok,
-            }
-            for r in report.runs
-        ],
+        "runs": [{f.name: getattr(r, f.name) for f in fields(r) if f.name != "rows"}
+                 for r in report.runs],
     }
     mio.write_report_json(summary, os.path.join(out, "unb_summary.json"))
     if not ok:

@@ -37,7 +37,6 @@ __all__ = [
     "save_partition",
     "load_partition",
     "save_indices",
-    "load_indices",
     "save_permutation",
     "write_report_csv",
     "write_report_json",
@@ -173,25 +172,6 @@ def save_indices(r: RepresentingIndices, path: str):
     with open(path, "w") as fh:
         for i, (val, p, d) in enumerate(zip(r.values, r.interim_p, r.deltas), start=1):
             fh.write(f"{i} {val} {p} {fmt(d)}\n")
-
-
-def load_indices(path: str) -> RepresentingIndices:
-    values, interim, deltas = [], [], []
-    with _open_text(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split()
-            if len(toks) != 4:
-                raise ArgumentError(f"{path}:{ln}: expected 'm r p delta'")
-            try:
-                values.append(int(toks[1]))
-                interim.append(int(toks[2]))
-                deltas.append(float(toks[3]))
-            except ValueError as exc:
-                raise ArgumentError(f"{path}:{ln}: malformed index line ({exc})")
-    return RepresentingIndices(tuple(values), tuple(deltas), tuple(interim))
 
 
 def save_permutation(spec: PermutationSpec, path: str, upto: int | None = None):

@@ -88,11 +88,6 @@ class PhiTable:
     def N(self) -> int:
         return int(self.values.size)
 
-    def at(self, n: int) -> int:
-        if not 1 <= n <= self.N:
-            raise ArgumentError(f"phi({n}) outside table 1..{self.N}")
-        return int(self.values[n - 1])
-
 
 def _table(f, N: int, too_short: str) -> np.ndarray:
     """f(1..N) as floats for a callable ``f``, else the first N entries of

@@ -20,9 +20,7 @@ from .subspace import dual_solve, prefix_bases, prefix_coordinates, span_gap
 
 __all__ = [
     "BlockPartition",
-    "PartitionReport",
     "FlatteningReport",
-    "validate_block_partition",
     "construct_flattened",
     "flattened_from_duals",
     "verify_flattened",
@@ -33,9 +31,10 @@ __all__ = [
 class BlockPartition:
     """Finite sets A(j) with anchors n(j) in A(j) and budgets eps_j > 0.
 
-    Indices are 1-based.  The sets must be pairwise disjoint; their union
-    is expected to be an initial segment {1..K} (checked by
-    :func:`validate_block_partition`).
+    Indices are 1-based.  The sets are pairwise disjoint: a set that
+    meets an earlier one is refused by name.  Whether their union is
+    exactly 1..n is a question of the system they are applied to, which
+    :func:`construct_flattened` asks.
     """
 
     blocks: tuple
@@ -57,6 +56,12 @@ class BlockPartition:
                 raise ArgumentError(f"eps_{j} must be positive")
             if min(blk) < 1:
                 raise ArgumentError(f"block {j} contains an index below 1")
+        seen: set = set()
+        for j, blk in enumerate(blocks, start=1):
+            overlap = seen.intersection(blk)
+            if overlap:
+                raise ArgumentError(f"block {j} overlaps earlier blocks at {sorted(overlap)}")
+            seen.update(blk)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "epsilons", eps)
@@ -67,68 +72,15 @@ class BlockPartition:
 
     @property
     def covered(self) -> set:
-        out: set = set()
-        for blk in self.blocks:
-            out.update(blk)
-        return out
+        return set().union(*self.blocks)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    # no anchor verdict: BlockPartition refuses an anchor outside its block
-    disjoint: bool
-    covers: bool
-    block_kind: bool
-    #: groups of block indices j whose unions form successive intervals
-    interval_witness: tuple | None
-    failures: tuple
-
-    @property
-    def valid(self) -> bool:
-        return self.disjoint and self.covers
-
-
-def validate_block_partition(p: BlockPartition, range_end: int) -> PartitionReport:
-    """Report disjointness, coverage of 1..range_end and block-kind.
-
-    The block-kind witness groups consecutive j's so that the union of
-    each group's sets is a successive interval of integers; the greedy
-    earliest-close scan below finds the maximal refinement whenever any
-    witness exists.
-    """
-    failures = []
-    seen: set = set()
-    disjoint = True
-    for j, blk in enumerate(p.blocks, start=1):
-        overlap = seen.intersection(blk)
-        if overlap:
-            disjoint = False
-            failures.append(f"block {j} overlaps earlier blocks at {sorted(overlap)}")
-        seen.update(blk)
-    covers = seen == set(range(1, range_end + 1))
-    if not covers:
-        missing = sorted(set(range(1, range_end + 1)) - seen)[:8]
-        extra = sorted(seen - set(range(1, range_end + 1)))[:8]
-        failures.append(f"coverage failure: missing {missing}, extraneous {extra}")
-
-    witness = None
-    if disjoint and covers:
-        groups = []
-        start_j = 1
-        lo = 1
-        acc: set = set()
-        for j, blk in enumerate(p.blocks, start=1):
-            acc.update(blk)
-            hi = lo + len(acc) - 1
-            if acc == set(range(lo, hi + 1)):
-                groups.append((start_j, j))
-                start_j = j + 1
-                lo = hi + 1
-                acc = set()
-        if start_j == p.count + 1 and groups:
-            witness = tuple(groups)
-    block_kind = witness is not None
-    return PartitionReport(disjoint, covers, block_kind, witness, tuple(failures))
+def _require_cover(p: BlockPartition, n: int, context: str):
+    """Refuse ``p`` unless its sets cover 1..n exactly, led by ``context``."""
+    have, want = p.covered, set(range(1, n + 1))
+    if have != want:
+        raise ArgumentError(f"{context}coverage failure: missing {sorted(want - have)[:8]}, "
+                            f"extraneous {sorted(have - want)[:8]}")
 
 
 def _block_columns(*row_sets) -> np.ndarray:
@@ -207,14 +159,12 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
     1 x 1 draw; eta = rotation^T @ Q[:, 1:].T, one unit row per non-anchor
     index in order.  The vectors are recovered by blockwise dual solves
     (:func:`flattened_from_duals`).  Deterministic given (sys, p, seed),
-    independent of block processing order.  Refuses with the failures of
-    :func:`validate_block_partition` for 1..|sys|, and when a block's
-    functional rows have rank below b under the rank test.
+    independent of block processing order.  Refuses a partition whose
+    sets do not cover 1..|sys| exactly (an overlap :class:`BlockPartition`
+    refused already), and a block whose functional rows have rank below b
+    under the rank test.
     """
-    report = validate_block_partition(p, sys.size)
-    if not report.valid:
-        raise ArgumentError(f"partition of 1..{sys.size} is invalid: "
-                            + "; ".join(report.failures))
+    _require_cover(p, sys.size, f"partition of 1..{sys.size} is invalid: ")
     tol = sys.tol
     D = np.array(sys.fs, dtype=float, copy=True)
     for j, (blk, anchor, eps_j) in enumerate(
@@ -242,18 +192,22 @@ class BlockCheck:
     worst_slack: float
 
 
+#: headroom below zero a block's worst slack may read and still pass, for
+#: budgets that are exactly tight
+_SLACK_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class FlatteningReport:
     blocks: tuple
     span_tol: float
-    slack_tol: float = 1e-12
 
     @property
     def passed(self) -> bool:
         return all(
             b.vector_gap <= self.span_tol
             and b.dual_gap <= self.span_tol
-            and b.worst_slack >= -self.slack_tol
+            and b.worst_slack >= -_SLACK_TOL
             for b in self.blocks
         )
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError
-from .perturbations import BlockPartition, validate_block_partition
+from .perturbations import BlockPartition, _require_cover
 from .subspace import (_isolated_rows, as_vector, distance_to_span, prefix_bases,
                        prefix_coordinates, project)
 
@@ -39,7 +39,6 @@ __all__ = [
     "StrongnessReport",
     "build_representing_indices",
     "build_norming_indices",
-    "window_approximation_defect",
     "norming_property_minimum",
     "reconstruct",
     "strong_partition",
@@ -108,24 +107,6 @@ def _window_defect(W: np.ndarray, k: int) -> float:
     """
     rest = W[:, k:]
     return float(np.linalg.norm(rest, 2)) if rest.size else 0.0
-
-
-def window_approximation_defect(sys: BiorthSystem, head_end: int, p: int) -> float:
-    """Worst over the head unit sphere of dist(z, window) - dist(z, tail).
-
-    head is span{x_1..x_head_end}, window span{x_{head_end+1}..x_p}, tail
-    span{x_{head_end+1}..x_N}.  The difference is nonnegative and its
-    supremum is bounded above by the square root of the largest eigenvalue
-    of the restricted projector difference, which this returns (0 for an
-    empty head and at p = N, where window and tail coincide).
-    """
-    N = sys.size
-    if not 0 <= head_end < p <= N:
-        raise ArgumentError(f"need 0 <= head_end < p <= {N}, got ({head_end}, {p})")
-    if p == N:
-        return 0.0
-    W, rank = _window_table(sys, head_end)
-    return _window_defect(W, rank[p - head_end])
 
 
 def _least_window_end(sys: BiorthSystem, head_end: int, delta: float) -> int:
@@ -337,17 +318,15 @@ class StrongPartitionTrace:
     """Outcome of the block-partition induction over representing indices.
 
     ``block_bounds`` are the r-values ending each round; ``round_starts``
-    the r-values each round began from (seeded at 0).  ``d_map`` assigns to
-    each anchor value j its level d_j, and ``j_of_n`` maps anchors to their
-    1-based block index.  ``anchor_intervals`` are the (r(m)+1, r(m+1))
-    ranges whose union is exactly the anchor set.
+    the r-values each round began from (seeded at 0).  ``j_of_n`` maps
+    anchors to their 1-based block index.  ``anchor_intervals`` are the
+    (r(m)+1, r(m+1)) ranges whose union is exactly the anchor set.
     """
 
     partition: BlockPartition
     block_bounds: tuple
     round_starts: tuple
     anchor_intervals: tuple
-    d_map: dict
     j_of_n: dict
 
 
@@ -356,7 +335,10 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
 
     Seeded at r(0) = 0 so the first round covers index 1.  Raises when the
     available depth cannot complete a round, reporting the depth needed.
-    Default budgets are eps_j = 2**-j.
+    Default budgets are eps_j = 2**-j.  The blocks form a
+    :class:`BlockPartition`, so they are disjoint or refused as they are
+    built; that they cover 1..r(last bound) exactly and that their tails
+    run left to right is checked, not assumed.
     """
     if blocks < 1:
         raise ArgumentError("need at least one round")
@@ -365,7 +347,6 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
     bounds: list[int] = []
     starts: list[int] = []
     intervals: list[tuple] = []
-    d_map: dict = {}
     j_of_n: dict = {}
     m = 0
     j0 = 0
@@ -396,7 +377,6 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
             assert idx == len(blocks_list) + 1
             blocks_list.append(E)
             anchors.append(j)
-            d_map[j] = d
             j_of_n[j] = idx
             last_d = d
         m_next = last_d + 1
@@ -413,16 +393,14 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
                                tuple(eps[: len(blocks_list)]))
 
     # structural guarantees of the induction, verified rather than assumed:
-    # disjoint sets tiling 1..r(last bound), tails ordered left to right
-    report = validate_block_partition(partition, bounds[-1])
-    if not report.valid:
-        raise ArgumentError("constructed blocks do not partition an initial segment: "
-                            + "; ".join(report.failures))
+    # the sets tile 1..r(last bound), tails ordered left to right
+    _require_cover(partition, bounds[-1],
+                   "constructed blocks do not partition an initial segment: ")
     for a, b in zip(blocks_list, blocks_list[1:]):
         if max(a) > max(b):
             raise ArgumentError("block tails are not ordered left to right")
     return StrongPartitionTrace(partition, tuple(bounds), tuple(starts),
-                                tuple(intervals), d_map, j_of_n)
+                                tuple(intervals), j_of_n)
 
 
 # ---------------------------------------------------------------------------

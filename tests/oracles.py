@@ -53,9 +53,13 @@ gaps as they were when they formed a basis of each span; the package keeps
 the isolated unit rows out of the SVD, and reads the rank of the second
 span and the distance to it off one R-only QR of its rows against the
 first basis.
-Last is the orthonormalization of the e_hat rows as one stacked Householder
-QR per group of coordinate components, ``block_gram_schmidt_rows``; the
-kernel, which keeps each isolated row as its own direction, replaced it.
+Then comes the orthonormalization of the e_hat rows as one stacked
+Householder QR per group of coordinate components,
+``block_gram_schmidt_rows``; the kernel, which keeps each isolated row as
+its own direction, replaced it.
+Last are two definitions that only the tests read: the block-kind witness
+scan of a partition, ``interval_witness``, and the reader of an index table,
+``load_indices``.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -76,7 +80,7 @@ from mbasis_lab.biorth import (
     PerturbationClass,
 )
 from mbasis_lab.errors import ArgumentError, ConstructionError
-from mbasis_lab.io import fmt
+from mbasis_lab.io import _open_text, fmt
 from mbasis_lab.pathology import (
     BEYOND_TABLE,
     EPS_SQ_BUDGET,
@@ -1450,3 +1454,55 @@ def block_gram_schmidt_rows(X: np.ndarray, rank_tol: float) -> np.ndarray:
         signs = np.where(diag < 0, -1.0, 1.0)[:, None, :]
         Z[rows, C[:, None, :]] = np.swapaxes(Q * signs, 1, 2)
     return Z
+
+
+# ---------------------------------------------------------------------------
+# Definitions only the tests read, moved out of the package verbatim: the
+# block-kind witness of a partition (``BlockPartition`` is disjoint by
+# construction, so the scan needs only coverage) and the index-table reader.
+
+
+def interval_witness(p, range_end: int) -> tuple | None:
+    """Groups of consecutive block indices j whose unions form successive
+    intervals tiling 1..range_end, None when ``p`` is not of block kind.
+
+    The greedy earliest-close scan below finds the maximal refinement
+    whenever any witness exists.
+    """
+    if p.covered != set(range(1, range_end + 1)):
+        return None
+    witness = None
+    groups = []
+    start_j = 1
+    lo = 1
+    acc: set = set()
+    for j, blk in enumerate(p.blocks, start=1):
+        acc.update(blk)
+        hi = lo + len(acc) - 1
+        if acc == set(range(lo, hi + 1)):
+            groups.append((start_j, j))
+            start_j = j + 1
+            lo = hi + 1
+            acc = set()
+    if start_j == p.count + 1 and groups:
+        witness = tuple(groups)
+    return witness
+
+
+def load_indices(path: str) -> RepresentingIndices:
+    values, interim, deltas = [], [], []
+    with _open_text(path) as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            toks = line.split()
+            if len(toks) != 4:
+                raise ArgumentError(f"{path}:{ln}: expected 'm r p delta'")
+            try:
+                values.append(int(toks[1]))
+                interim.append(int(toks[2]))
+                deltas.append(float(toks[3]))
+            except ValueError as exc:
+                raise ArgumentError(f"{path}:{ln}: malformed index line ({exc})")
+    return RepresentingIndices(tuple(values), tuple(deltas), tuple(interim))

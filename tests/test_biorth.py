@@ -271,6 +271,22 @@ class TestClassify:
         assert sorted(seen) == ["prefix_bases", "prefix_coordinates", "span_equal"]
         assert {tol for calls in seen.values() for tol in calls} == {0.75}
 
+    def test_no_window_opens_past_the_last_interval(self, monkeypatch):
+        # the last interval closes at n; an agreement scan from n + 1 would
+        # factor two empty row blocks, one per side
+        x = staged_coupling_system()
+        partition = strong_partition(build_representing_indices(x, 8), 2).partition
+        z = construct_flattened(x, partition, seed=0)
+        rows, agreement = [], biorth._prefix_agreement
+
+        def spy(Z, X, *args):
+            rows.append(len(Z))
+            return agreement(Z, X, *args)
+
+        monkeypatch.setattr(biorth, "_prefix_agreement", spy)
+        assert classify_perturbation(z, x).intervals.intervals == ((1, 2), (3, 128))
+        assert rows and min(rows) > 0, rows
+
     @pytest.mark.parametrize("seed", range(5))
     def test_flattened_staged_block_verdict(self, seed):
         # acceptance criterion 6's flattening of the staged truncation-128

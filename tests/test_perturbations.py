@@ -15,10 +15,10 @@ from mbasis_lab.perturbations import (
     BlockPartition,
     construct_flattened,
     flattened_from_duals,
-    validate_block_partition,
     verify_flattened,
 )
 from mbasis_lab.subspace import ToleranceConfig
+from oracles import interval_witness
 
 
 def singleton_partition(n, eps=0.5):
@@ -38,12 +38,16 @@ class TestBlockPartitionType:
         with pytest.raises(ArgumentError):
             BlockPartition(((1,),), (1,), (0.0,))
 
+    def test_overlap_refused(self):
+        # every partition is disjoint: the type refuses a shared index
+        with pytest.raises(ArgumentError, match=r"^block 2 overlaps earlier blocks at \[2\]$"):
+            BlockPartition(((1, 2), (2, 3)), (1, 2), (0.5, 0.5))
+
 
 class TestValidatePartition:
     def test_singletons(self):
-        report = validate_block_partition(singleton_partition(4), 4)
-        assert report.valid and report.block_kind
-        assert report.interval_witness == ((1, 1), (2, 2), (3, 3), (4, 4))
+        witness = interval_witness(singleton_partition(4), 4)
+        assert witness == ((1, 1), (2, 2), (3, 3), (4, 4))
 
     def test_interleaved_blocks(self):
         # the partition produced by two rounds of the strong construction
@@ -53,26 +57,22 @@ class TestValidatePartition:
             (1, 4, 5, 6),
             (0.5, 0.25, 0.125, 0.0625),
         )
-        report = validate_block_partition(p, 21)
-        assert report.valid and report.block_kind
-        assert report.interval_witness == ((1, 1), (2, 4))
+        assert interval_witness(p, 21) == ((1, 1), (2, 4))
 
     def test_witness_grouping(self):
         p = BlockPartition(((1, 3), (2,)), (1, 2), (0.5, 0.5))
-        report = validate_block_partition(p, 3)
-        assert report.valid and report.block_kind
-        assert report.interval_witness == ((1, 2),)
+        assert interval_witness(p, 3) == ((1, 2),)
 
     def test_coverage_failure_reported(self):
         p = BlockPartition(((1,), (3,)), (1, 3), (0.5, 0.5))
-        report = validate_block_partition(p, 3)
-        assert not report.covers and not report.valid
-        assert any("missing" in f for f in report.failures)
+        with pytest.raises(ArgumentError,
+                           match=r"coverage failure: missing \[2\], extraneous \[\]"):
+            construct_flattened(BiorthSystem.canonical(3), p, seed=0)
 
     def test_overlap_reported(self):
-        p = BlockPartition(((1, 2), (2, 3)), (1, 2), (0.5, 0.5))
-        report = validate_block_partition(p, 3)
-        assert not report.disjoint
+        # the refusal names every index shared with any earlier block
+        with pytest.raises(ArgumentError, match=r"^block 3 overlaps earlier blocks at \[3, 4\]$"):
+            BlockPartition(((1, 2, 3), (4,), (5, 4, 3)), (1, 4, 5), (0.5, 0.5, 0.5))
 
 
 class TestWorkedMicroExample:
@@ -148,14 +148,15 @@ class TestConstructFlattened:
 
     def test_partition_must_cover(self):
         sys = BiorthSystem.canonical(4)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="coverage failure: missing"):
             construct_flattened(sys, singleton_partition(3), seed=0)
 
     def test_overlapping_partition_refused_by_name(self):
         # {1, 2} and {2, 3, 4} cover 1..4, so a coverage check alone lets
-        # them through to a misleading dual-span refusal
-        p = BlockPartition(((1, 2), (2, 3, 4)), (1, 3), (0.5, 0.5))
+        # them through to a misleading dual-span refusal; the partition
+        # itself refuses them
         with pytest.raises(ArgumentError, match=r"block 2 overlaps earlier blocks at \[2\]"):
+            p = BlockPartition(((1, 2), (2, 3, 4)), (1, 3), (0.5, 0.5))
             construct_flattened(BiorthSystem.canonical(4), p, seed=0)
 
     def test_near_parallel_functionals_refused_at_configured_rank_tol(self):

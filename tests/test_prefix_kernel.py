@@ -38,7 +38,6 @@ from mbasis_lab.representing import (
     build_representing_indices,
     norming_property_minimum,
     strong_partition,
-    window_approximation_defect,
 )
 from mbasis_lab.subspace import (
     ToleranceConfig,
@@ -49,7 +48,7 @@ from mbasis_lab.subspace import (
     prefix_coordinates,
     span_gap,
 )
-from test_representing import widening_system
+from test_representing import widening_system, window_defect
 
 #: forward couplings of acceptance criterion 6; the last target is the size n
 STAGED_PAIRS = ((2, 7), (3, 15), (8, 30), (16, 60), (31, 100))
@@ -235,7 +234,7 @@ def test_index_searches_match_svd_oracles(case):
     # of order sqrt(float64 eps) near a zero defect
     for head, p in zip(plain.values, plain.values[1:]):
         for q in {p - 1, p} - {head}:
-            assert window_approximation_defect(x, head, q) == pytest.approx(
+            assert window_defect(x, head, q) == pytest.approx(
                 oracles.window_approximation_defect(x, head, q), abs=1e-7)
 
 

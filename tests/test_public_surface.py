@@ -8,6 +8,7 @@ reaches.  These checks read the sources, so they need no command run.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -20,8 +21,10 @@ PACKAGE = ROOT / "src" / "mbasis_lab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 #: definitions no command, no other package function and no benchmark
-#: workload reached; the rough-system chain, ``omega_set`` and
-#: ``block_duality_check`` live on in ``tests/oracles.py``
+#: workload reached; the rough-system chain, ``omega_set``,
+#: ``block_duality_check``, the block-kind witness of
+#: ``validate_block_partition`` and ``load_indices`` live on in
+#: ``tests/oracles.py``
 RETIRED = (
     "intersection_defect",
     "block_duality_check",
@@ -34,12 +37,23 @@ RETIRED = (
     "orthonormalized_duals",
     "greedy_rough_packing",
     "_pairing_defect",
+    "validate_block_partition",
+    "PartitionReport",
+    "window_approximation_defect",
+    "load_indices",
 )
 RETIRED_MEMBERS = (
     ("pathology", "PermutationSpec", "pi_value"),
     ("pathology", "PermutationSpec", "omega_set"),
     ("perturbations", "BlockPartition", "eps_sum"),
     ("biorth", "IntervalFamily", "covers"),
+    ("pathology", "PhiTable", "at"),
+)
+#: dataclass fields no command read; ``hasattr`` on the class cannot see
+#: a field without a default, so these are looked up among its fields
+RETIRED_FIELDS = (
+    ("representing", "StrongPartitionTrace", "d_map"),
+    ("perturbations", "FlatteningReport", "slack_tol"),
 )
 
 
@@ -93,3 +107,9 @@ def test_retired_name_is_gone(name):
                          ids=[f"{c}.{m}" for _, c, m in RETIRED_MEMBERS])
 def test_retired_member_is_gone(mod, cls, member):
     assert not hasattr(getattr(module(mod), cls), member)
+
+
+@pytest.mark.parametrize("mod,cls,field", RETIRED_FIELDS,
+                         ids=[f"{c}.{f}" for _, c, f in RETIRED_FIELDS])
+def test_retired_field_is_gone(mod, cls, field):
+    assert field not in {f.name for f in dataclasses.fields(getattr(module(mod), cls))}
