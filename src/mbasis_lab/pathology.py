@@ -836,7 +836,9 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
     the two overlap brackets.  A control run with the identity permutation
     must give q(m) = m.  ``M_bound`` must be finite and at least 1: it is
     the functional bound of the capacities and sets the decay threshold
-    1 / (4 M_bound).
+    1 / (4 M_bound).  ``seed`` is not read: the construction is
+    deterministic, and the parameter stays because the benchmark harness
+    (``perfbench``) passes it.
     """
     tol = tol or ToleranceConfig()
     if not 1 <= M_bound < math.inf:

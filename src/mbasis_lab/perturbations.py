@@ -32,7 +32,7 @@ class BlockPartition:
     """Finite sets A(j) with anchors n(j) in A(j) and budgets eps_j > 0.
 
     Indices are 1-based.  The sets are pairwise disjoint: a set that
-    meets an earlier one is refused by name.  Whether their union is
+    repeats an index, or meets an earlier set, is refused by name.  Whether their union is
     exactly 1..n is a question of the system they are applied to, which
     :func:`construct_flattened` asks.
     """
@@ -56,6 +56,9 @@ class BlockPartition:
                 raise ArgumentError(f"eps_{j} must be positive")
             if min(blk) < 1:
                 raise ArgumentError(f"block {j} contains an index below 1")
+            repeats = sorted({i for i, k in zip(blk, blk[1:]) if i == k})
+            if repeats:
+                raise ArgumentError(f"block {j} repeats index {repeats}")
         seen: set = set()
         for j, blk in enumerate(blocks, start=1):
             overlap = seen.intersection(blk)

@@ -17,8 +17,7 @@ table of their distances to every prefix span; :func:`distance_to_span`,
 :func:`project` and the rank check of :func:`dual_solve` use it.
 :func:`span_gap` forms the basis of its first span only, and reads the
 rank of the second span and the distance to it off one such R factor.
-:func:`svd_basis` serves only the sampled norming estimate, whose draw is
-defined in its basis; it keeps the isolated unit rows out of its SVD.
+Every span rank in the package is this kernel's Gram-Schmidt test.
 
 Arrays in, arrays out: a point is a 1-d array, a family of points a row
 matrix, and a ``(0, d)`` array is the zero subspace of dimension d.
@@ -47,7 +46,6 @@ __all__ = [
     "as_vector",
     "span_matrix",
     "orthonormal_rows",
-    "svd_basis",
     "prefix_bases",
     "prefix_coordinates",
     "distance_to_span",
@@ -70,11 +68,12 @@ class ToleranceConfig:
 
     rank_tol is Gram-Schmidt's per-row relative residual test of
     :func:`prefix_bases`: a row within rank_tol of the span of the normalized
-    rows before it adds no direction.  :func:`svd_basis` and the cross-Gram
-    test of :func:`dual_solve` read it relative to the largest singular
-    value instead.  biorth_tol bounds the biorthogonality defects and
-    span_tol the span gaps and span distances the checks accept; both are
-    absolute.  Every ``rank_tol`` and ``biorth_tol`` parameter of the
+    rows before it adds no direction.  Two invertibility tests, not span
+    ranks, read it relative to the largest singular value instead: the
+    cross-Gram test of :func:`dual_solve` and the block independence test
+    of ``pathology.operator_T``.  biorth_tol bounds the biorthogonality
+    defects and span_tol the span gaps and span distances the checks
+    accept; both are absolute.  Every ``rank_tol`` and ``biorth_tol`` parameter of the
     package defaults to the class attribute of that name.
     """
 
@@ -129,37 +128,6 @@ def orthonormal_rows(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) 
     """Orthonormal basis (as rows) of the row space of ``M``: the transposed
     Q of :func:`prefix_bases`, with its Gram-Schmidt rank test."""
     return prefix_bases(M, rank_tol)[0].T
-
-
-def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.ndarray:
-    """Right singular vectors (as rows) of the normalized rows of ``M``, rank
-    relative to the largest singular value: the basis in which the sampled
-    norming estimate draws its functionals.
-
-    An isolated unit row, an isolated row (:func:`_isolated_rows`) with one
-    nonzero, is its own right singular vector sign * e_j, with singular
-    value exactly 1; those rows come first, then the right singular vectors
-    of the SVD of the other rows on the other columns.  With no isolated unit row this is the SVD of the whole
-    matrix.  Where a singular value repeats, as 1 does on a truncation that
-    is mostly unit rows, the basis of its space is a choice, not a function
-    of the rows.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or 0 in M.shape:
-        return np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    scaled = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
-    units, cols, _ = _isolated_rows(scaled)
-    other = np.delete(np.arange(M.shape[1]), cols)
-    _, s, vt = np.linalg.svd(np.delete(scaled, units, axis=0)[:, other], full_matrices=False)
-    s = np.concatenate([np.ones(units.size), s])
-    V = np.zeros((s.size, M.shape[1]))
-    V[np.arange(units.size), cols] = np.sign(scaled[units, cols])
-    V[units.size:, other] = vt
-    top = s.max(initial=0.0)
-    if top == 0.0:
-        return np.zeros((0, M.shape[1]))
-    return V[s > rank_tol * top]
 
 
 def _isolated_rows(M: np.ndarray):

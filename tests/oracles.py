@@ -48,11 +48,9 @@ full factorization: the norming constant's SVD of the whole cross matrix,
 SVD norm of the residual.  The package drops the unit directions both
 factors share, reads the unit coefficients off R12 and solves only the
 coupled triangle, and takes sigma_max off the residual's smaller Gram.
-After them come ``svd_basis`` as one SVD of the whole matrix and the span
-gaps as they were when they formed a basis of each span; the package keeps
-the isolated unit rows out of the SVD, and reads the rank of the second
-span and the distance to it off one R-only QR of its rows against the
-first basis.
+After them come the span gaps as they were when they formed a basis of
+each span; the package reads the rank of the second span and the distance
+to it off one R-only QR of its rows against the first basis.
 Then comes the orthonormalization of the e_hat rows as one stacked
 Householder QR per group of coordinate components,
 ``block_gram_schmidt_rows``; the kernel, which keeps each isolated row as
@@ -1357,27 +1355,12 @@ def _residual_norm(Q: np.ndarray, Qs: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Two full-width reads on the represent path, copied verbatim, except for
-# the names: the whole-matrix SVD basis of the sampled norming estimate, and
-# the span gaps that formed a basis of each span (``span_gap_two_bases``,
-# as this module has a projector ``span_gap``).  They call the package's
-# ``orthonormal_rows`` and read the residual's 2-norm with the package's
-# ``_residual_norm``, the same eigvalsh read of the same residual.
-
-
-def svd_basis(M: np.ndarray, rank_tol: float = ToleranceConfig.rank_tol) -> np.ndarray:
-    """Right singular vectors (as rows) of the normalized rows of ``M``, rank
-    relative to the largest one: the basis in which the sampled norming
-    estimate draws its functionals."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or 0 in M.shape:
-        return np.zeros((0, M.shape[-1] if M.ndim == 2 else 0))
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    scaled = np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
-    _, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((0, M.shape[1]))
-    return vt[:int(np.sum(s > rank_tol * s[0]))]
+# A full-width read on the represent path, copied verbatim, except for the
+# names: the span gaps that formed a basis of each span
+# (``span_gap_two_bases``, as this module has a projector ``span_gap``).
+# They call the package's ``orthonormal_rows`` and read the residual's
+# 2-norm with the package's ``_residual_norm``, the same eigvalsh read of
+# the same residual.
 
 
 def _two_bases_residual_norm(Q: np.ndarray, Qs: np.ndarray) -> float:

@@ -218,7 +218,7 @@ class TestPipelines:
 
     def test_represent_norming_c_above_half_the_constant_refused(self, tmp_path):
         # the tilted system's norming constant is 0.231; a sampled estimate
-        # reads 0.953 and used to admit c = 0.3
+        # reads 0.934 and used to admit c = 0.3
         sys_dir = tmp_path / "input"
         mio.save_system(tilted_system(), str(sys_dir))
         cfg = ExperimentConfig(command="represent", input_system=str(sys_dir),

@@ -43,6 +43,14 @@ class TestBlockPartitionType:
         with pytest.raises(ArgumentError, match=r"^block 2 overlaps earlier blocks at \[2\]$"):
             BlockPartition(((1, 2), (2, 3)), (1, 2), (0.5, 0.5))
 
+    def test_repeat_within_a_block_refused(self):
+        # a set lists each index once: a repeat would leave the block with
+        # fewer distinct vectors than the flattening counts
+        with pytest.raises(ArgumentError, match=r"^block 1 repeats index \[1\]$"):
+            BlockPartition(((1, 1, 2), (3,)), (1, 3), (0.5, 0.5))
+        with pytest.raises(ArgumentError, match=r"^block 2 repeats index \[4, 5\]$"):
+            BlockPartition(((1,), (5, 4, 5, 4, 6)), (1, 4), (0.5, 0.5))
+
 
 class TestValidatePartition:
     def test_singletons(self):

@@ -24,7 +24,9 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 #: workload reached; the rough-system chain, ``omega_set``,
 #: ``block_duality_check``, the block-kind witness of
 #: ``validate_block_partition`` and ``load_indices`` live on in
-#: ``tests/oracles.py``
+#: ``tests/oracles.py``.  Last, the sampled norming estimate's own SVD
+#: basis, replaced by the kernel's, and its running minimum, folded into
+#: the estimate
 RETIRED = (
     "intersection_defect",
     "block_duality_check",
@@ -41,6 +43,8 @@ RETIRED = (
     "PartitionReport",
     "window_approximation_defect",
     "load_indices",
+    "svd_basis",
+    "norming_estimate_envelope",
 )
 RETIRED_MEMBERS = (
     ("pathology", "PermutationSpec", "pi_value"),

@@ -1,18 +1,16 @@
-"""The estimator's SVD basis and the span gap through the kernel's unit split.
+"""The span gap and the sampled norming estimate through the kernel's unit split.
 
-- ``svd_basis`` keeps each isolated unit row of the normalized rows as its
-  own right singular vector sign * e_j, singular value exactly 1, and takes
-  the SVD of the other rows on the other columns only;
 - ``span_gap`` and ``directed_span_gap`` form the basis Q1 of the first span
   only, and read the rank of the second span and the distance of span(Q1)
-  to it off R22 of one R-only QR of its rows against Q1.
+  to it off R22 of one R-only QR of its rows against Q1;
+- ``norming_constant_estimate`` draws in the kernel's basis, in which each
+  isolated unit row is its own direction, so its QRs are of the coupled
+  rows only.
 
-The forms that factored the whole matrix and formed both bases,
-``oracles.svd_basis``, ``oracles.span_gap_two_bases`` and
+The forms that formed both bases, ``oracles.span_gap_two_bases`` and
 ``oracles.directed_span_gap_two_bases``, define the expected values: the
-same rank, the same row space within the sum of two SVDs' rounding over
-the gap at the cut, the same gap within 4 (m + d) u kappa of the rows the
-kernel keeps, and bit for bit where nothing is split off.
+same gap within 4 (m + d) u kappa of the rows the kernel keeps, and bit for
+bit where nothing is split off.
 """
 
 import numpy as np
@@ -25,27 +23,16 @@ from mbasis_lab import perturbations
 from mbasis_lab.biorth import norming_constant_estimate
 from mbasis_lab.perturbations import construct_flattened, verify_flattened
 from mbasis_lab.representing import build_representing_indices, strong_partition
-from mbasis_lab.subspace import (directed_span_gap, orthonormal_rows, prefix_bases, span_gap,
-                                 svd_basis)
+from mbasis_lab.subspace import directed_span_gap, orthonormal_rows, prefix_bases, span_gap
 from test_prefix_kernel import staged_system
-from test_unit_rows import SCALES, isolated_rows, mixed_matrices
+from test_unit_rows import SCALES, mixed_matrices
 
 U = np.finfo(float).eps / 2
-RANK_TOLS = (1e-10, 0.5, 1.0)
-#: the bidiagonal QR of LAPACK's SVD (dbdsqr, as dlasdq calls it) sets an
-#: off-diagonal entry to zero once it is below tol = max(10, min(100,
-#: u^(-1/8))) u relative to its neighbours: about 98.7 u in float64
-LAPACK_TOL = max(10.0, min(100.0, U ** (-1 / 8)))
 
 
 def normalized(M):
     norms = np.linalg.norm(M, axis=1, keepdims=True)
     return np.divide(M, norms, out=np.zeros_like(M), where=norms > 0)
-
-
-def projector_gap(A, B):
-    """||A^T A - B^T B||_2 for two row matrices of orthonormal rows."""
-    return float(np.linalg.norm(A.T @ A - B.T @ B, 2))
 
 
 @st.composite
@@ -76,19 +63,6 @@ def split_matrices(draw):
 
 
 MATRICES = st.one_of(split_matrices(), mixed_matrices())
-
-#: the matrix of the example that failed at --hypothesis-seed 3 (rank_tol 1e-10)
-SVD_EXAMPLE = np.array([
-    [0, 0, 1.6871559179418458, 0, -2.291268830652684, 3.849091986886209, -2.0,
-     1.290248959682705, 2.9020549273477467],
-    [0, -0.25675937031256035, -1.9462583717907402, 0, 0, 0, 0.3925804821322556, 0,
-     -0.27903219421802206],
-    [0, 0, 0, 0, 0, 0, 1.0, 0, 0],
-    [0, 0, -0.8435779589709229, 0, 1.145634415326342, -1.9245459934431044, 0,
-     -0.6451244798413525, -1.4510274636738734],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 1.0, 0, 0, 0, 0, 0],
-])
 
 #: the pair of the example that failed at --hypothesis-seed 2
 GAP_EXAMPLE_2 = (
@@ -179,57 +153,7 @@ GAP_EXAMPLE_DEPENDENT = (
 
 
 # ---------------------------------------------------------------------------
-# svd_basis
-
-
-@settings(max_examples=400, deadline=None)
-@given(MATRICES, st.sampled_from(RANK_TOLS))
-@example(SVD_EXAMPLE, 1e-10)
-def test_svd_basis_matches_the_whole_matrix_svd(M, rank_tol):
-    new, old = svd_basis(M, rank_tol), oracles.svd_basis(M, rank_tol)
-    d = M.shape[1]
-    if not isolated_rows(M, False) or rank_tol >= 1:
-        assert new.shape == old.shape and np.array_equal(new, old)
-        return
-    assert np.max(np.abs(new @ new.T - np.eye(len(new))), initial=0.0) <= 4 * d * U
-    s = np.linalg.svd(normalized(M), compute_uv=False)
-    cut = rank_tol * s[0]
-    # a singular value within rounding of the cut may fall on either side
-    if np.any(np.abs(s - cut) <= 4 * d * U * s[0]):
-        return
-    assert len(new) == len(old)
-    r = len(old)
-    if r:
-        # each SVD's kept subspace is within ||E|| / gap of the exact one
-        # (Wedin, BIT 12, 1972), for E its backward error: 4 d u sigma_max
-        # for the Householder reductions plus the bidiagonal QR's deflation
-        # threshold, LAPACK_TOL u sigma_max.  The two paths are rounded
-        # apart, so they differ by at most the sum of two such errors
-        kappa = s[0] / (s[r - 1] - (s[r] if r < s.size else 0.0))
-        assert projector_gap(new, old) <= 2 * (4 * d + LAPACK_TOL) * U * kappa
-
-
-def test_svd_basis_puts_the_unit_rows_first_as_exact_directions():
-    M = np.array([[0.0, -3.0, 0.0, 0.0, 0.0],
-                  [1.0, 0.0, 1.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, 0.0, 0.25],
-                  [1.0, 0.0, -1.0, 0.0, 0.0]])
-    B = svd_basis(M)
-    assert B.shape == (4, 5)
-    assert np.array_equal(B[:2], [[0.0, -1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
-    assert np.array_equal(B[2:, [1, 3, 4]], np.zeros((2, 3)))
-    assert projector_gap(B, oracles.svd_basis(M)) <= 4 * 5 * U
-
-
-def test_svd_basis_cut_is_relative_to_the_largest_value():
-    # the four equal coupled rows have sigma_max 2, so at rank_tol 0.6 the
-    # unit row's exact 1 is below the cut, as the whole-matrix SVD says
-    M = np.zeros((5, 3))
-    M[:4, :2] = 1.0
-    M[4, 2] = -1.0
-    assert svd_basis(M, 0.6).shape == oracles.svd_basis(M, 0.6).shape == (1, 3)
-    assert svd_basis(M, 0.4).shape == oracles.svd_basis(M, 0.4).shape == (2, 3)
-    assert np.array_equal(svd_basis(M, 0.4)[0], [0.0, 0.0, -1.0])
+# norming_constant_estimate
 
 
 @pytest.fixture(scope="module")
@@ -238,16 +162,21 @@ def staged_512():
 
 
 def test_estimate_takes_no_svd_wider_than_the_coupled_rows(staged_512, monkeypatch):
-    """500 of the 512 functional rows of staged 512 are isolated unit rows,
-    so the estimator's one SVD is of the 12 coupled rows; the estimate, and
-    so the benchmark's c, reads as before."""
-    shapes, svd = [], np.linalg.svd
+    """500 of the 512 rows of each side of staged 512 are isolated unit
+    rows, so the estimator takes no SVD and its two kernel QRs, one per
+    basis, are of the 12 coupled rows; the estimate, and so the benchmark's
+    c, reads as before."""
+    shapes, qr = [], np.linalg.qr
 
-    def spy(A, *args, **kwargs):
+    def svd_spy(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    def qr_spy(A, *args, **kwargs):
         shapes.append(A.shape)
-        return svd(A, *args, **kwargs)
+        return qr(A, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
     est = norming_constant_estimate(staged_512, samples=1024, seed=0)
     assert shapes and max(max(s) for s in shapes) <= 12, shapes
     assert est == 0.9999999999999998
