@@ -868,37 +868,30 @@ def unb_experiment(lambdas, M_bound: float, sizes, seed: int,
         threshold = 1.0 / (4.0 * M_bound)
         above = np.nonzero(decay.measured >= threshold)[0]
         n0 = int(above[-1]) + 1 if above.size else 0
-        q_vals = _prefix_dual_spanning(system.xs)
-        omega_sizes = spec.omega_sizes(N)
-        rows = []
-        for m in range(1, N + 1):
-            q = int(q_vals[m - 1])
-            omega_q = int(omega_sizes[q - 1])
-            two_phi = int(2 * spec.phi[q - 1])
-            size_pm = max(m - n0, 0)
-            c1log = cap.c1 * math.log(size_pm) if size_pm >= 1 else 0.0
-            rows.append((m, q, float(lam[m - 1]), q / float(lam[m - 1]),
-                         omega_q, two_phi, c1log))
-        first_jump = next((m for m, q, *_ in rows if q > m), None)
-        window_end = max((m for m, q, *_ in rows if q < N), default=0)
+        m = np.arange(1, N + 1)
+        q = _prefix_dual_spanning(system.xs)
+        ratio = q / lam
+        omega = spec.omega_sizes(N)[q - 1]
+        two_phi = 2 * spec.phi[q - 1]
+        size_pm = np.maximum(m - n0, 0).tolist()
+        # math.log, not np.log: the report prints c1log to 12 digits
+        c1log = [cap.c1 * math.log(s) if s >= 1 else 0.0 for s in size_pm]
+        rows = tuple(zip(m.tolist(), q.tolist(), lam.tolist(), ratio.tolist(),
+                         omega.tolist(), two_phi.tolist(), c1log))
+        first_jump = int(m[q > m][0]) if np.any(q > m) else None
+        window_end = int(m[q < N][-1]) if np.any(q < N) else 0
         # the growth trend lives on the coverage jumps: between jumps the
         # ratio falls mechanically (the denominator grows every step while
         # q is an integer staircase), at any truncation and already for the
         # untruncated object, so monotonicity is asserted along the jumps
-        jump_ms = []
-        prev_q = 0
-        for m, q, *_ in rows:
-            if q > m and q > prev_q:
-                jump_ms.append(m)
-            prev_q = q
-        jump_ratios = [rows[m - 1][3] for m in jump_ms]
-        monotone = all(b >= a - 1e-12 for a, b in zip(jump_ratios, jump_ratios[1:]))
-        bracket_ok = all(r[4] <= r[5] for r in rows)
-        capacity_ok = all(
-            max(r[0] - n0, 0) <= rough_capacity(max(r[4], 1), 0.25, M_bound).p_max
-            for r in rows
-        )
-        runs.append(UnbRun(N, tuple(rows), n0, first_jump, tuple(jump_ms),
+        jump_ms = m[(q > m) & (q > np.concatenate(([0], q[:-1])))]
+        jump_ratios = ratio[jump_ms - 1]
+        monotone = bool(np.all(jump_ratios[1:] >= jump_ratios[:-1] - 1e-12))
+        bracket_ok = bool(np.all(omega <= two_phi))
+        # cap.p_max ** k is rough_capacity(k, 0.25, M_bound).p_max bit for bit
+        capacity_ok = all(s <= cap.p_max ** k
+                          for s, k in zip(size_pm, np.maximum(omega, 1).tolist()))
+        runs.append(UnbRun(N, rows, n0, first_jump, tuple(jump_ms.tolist()),
                            window_end, monotone, bracket_ok, capacity_ok))
 
     # identity control at the smallest truncation

@@ -10,6 +10,7 @@ uniform minimality away: the recovered vectors can have large norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Finite sets A(j) with anchors n(j) in A(j) and budgets eps_j > 0.
+    """Finite sets A(j) with anchors n(j) in A(j) and finite budgets eps_j > 0.
 
     Indices are 1-based.  The sets are pairwise disjoint: a set that
     repeats an index, or meets an earlier set, is refused by name.  Whether their union is
@@ -52,8 +53,8 @@ class BlockPartition:
                 raise ArgumentError(f"block {j} is empty")
             if a not in blk:
                 raise ArgumentError(f"anchor {a} is not a member of block {j}")
-            if e <= 0:
-                raise ArgumentError(f"eps_{j} must be positive")
+            if not 0 < e < math.inf:  # NaN too
+                raise ArgumentError(f"eps_{j} must be positive and finite")
             if min(blk) < 1:
                 raise ArgumentError(f"block {j} contains an index below 1")
             repeats = sorted({i for i, k in zip(blk, blk[1:]) if i == k})
@@ -84,6 +85,22 @@ def _require_cover(p: BlockPartition, n: int, context: str):
     if have != want:
         raise ArgumentError(f"{context}coverage failure: missing {sorted(want - have)[:8]}, "
                             f"extraneous {sorted(have - want)[:8]}")
+
+
+def _require_comparable(zsys: BiorthSystem, xsys: BiorthSystem, p: BlockPartition):
+    """Refuse two systems of different length or ambient dimension, or a
+    partition reaching an index beyond them."""
+    if zsys.size != xsys.size:
+        raise ArgumentError("systems must have equal length")
+    if zsys.ambient_dim != xsys.ambient_dim:
+        raise ArgumentError(
+            f"systems must have equal ambient dimension, got {zsys.ambient_dim} "
+            f"and {xsys.ambient_dim}"
+        )
+    if p.covered and max(p.covered) > zsys.size:
+        raise ArgumentError(
+            f"partition reaches index {max(p.covered)} beyond the systems"
+        )
 
 
 def _block_columns(*row_sets) -> np.ndarray:
@@ -229,17 +246,7 @@ def verify_flattened(zsys: BiorthSystem, xsys: BiorthSystem,
     still inside them.  Systems of different length or ambient dimension
     are refused by name.
     """
-    if zsys.size != xsys.size:
-        raise ArgumentError("systems must have equal length")
-    if zsys.ambient_dim != xsys.ambient_dim:
-        raise ArgumentError(
-            f"systems must have equal ambient dimension, got {zsys.ambient_dim} "
-            f"and {xsys.ambient_dim}"
-        )
-    if p.covered and max(p.covered) > zsys.size:
-        raise ArgumentError(
-            f"partition reaches index {max(p.covered)} beyond the systems"
-        )
+    _require_comparable(zsys, xsys, p)
     tol = xsys.tol
     checks = []
     for j, (blk, anchor, eps_j) in enumerate(

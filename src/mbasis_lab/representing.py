@@ -27,7 +27,7 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError
-from .perturbations import BlockPartition, _require_cover
+from .perturbations import BlockPartition, _require_comparable, _require_cover
 from .subspace import (_isolated_rows, as_vector, distance_to_span, prefix_bases,
                        prefix_coordinates, project)
 
@@ -317,90 +317,69 @@ def reconstruct(x, sys: BiorthSystem, r: RepresentingIndices, m: int) -> Reconst
 class StrongPartitionTrace:
     """Outcome of the block-partition induction over representing indices.
 
-    ``block_bounds`` are the r-values ending each round; ``round_starts``
-    the r-values each round began from (seeded at 0).  ``j_of_n`` maps
-    anchors to their 1-based block index.  ``anchor_intervals`` are the
-    (r(m)+1, r(m+1)) ranges whose union is exactly the anchor set.
+    The round at m (seeded at 0) has the anchor interval (r(m)+1, r(m+1))
+    in ``anchor_intervals``, whose union is exactly the anchor set, and
+    ends at the bound r(m') in ``block_bounds``, m' = m + r(m+1) - r(m) + 1
+    the next round's m.  Its start r(m) is the interval's lower end less
+    one; an anchor's block is its position in ``partition.anchors``.
     """
 
     partition: BlockPartition
     block_bounds: tuple
-    round_starts: tuple
     anchor_intervals: tuple
-    j_of_n: dict
 
 
 def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPartitionTrace:
     """Iterate the partition induction for ``blocks`` rounds.
 
-    Seeded at r(0) = 0 so the first round covers index 1.  Raises when the
-    available depth cannot complete a round, reporting the depth needed.
-    Default budgets are eps_j = 2**-j.  The blocks form a
+    One pass over rv = (0, r(1), ..., r(depth)): the round at m makes
+    E(j) = (j, r(d)+1, ..., r(d+1)) for each j in (r(m), r(m+1)], with
+    d = m + j - r(m), and the next round starts at m + r(m+1) - r(m) + 1,
+    seeded at r(0) = 0 so the first round covers index 1.  A tail starts
+    past r(d) >= r(m+1) >= j, so each anchor is its set's least member.
+    Raises when the available depth cannot complete a round, reporting the
+    depth needed.  Default budgets are eps_j = 2**-j.  The blocks form a
     :class:`BlockPartition`, so they are disjoint or refused as they are
     built; that they cover 1..r(last bound) exactly and that their tails
     run left to right is checked, not assumed.
     """
     if blocks < 1:
         raise ArgumentError("need at least one round")
-    blocks_list: list[tuple] = []
-    anchors: list[int] = []
-    bounds: list[int] = []
-    starts: list[int] = []
-    intervals: list[tuple] = []
-    j_of_n: dict = {}
+    rv = (0,) + r.values
+    sets, bounds, intervals = [], [], []
     m = 0
-    j0 = 0
     for _ in range(blocks):
-        try:
-            r_m = r.r_at(m)
-            r_m1 = r.r_at(m + 1)
-        except ArgumentError:
+        # a round reads r up to r(m + r(m+1) - r(m) + 1); each round starts
+        # at most at the depth, so the first index it lacks is depth + 1
+        if m == r.depth or m + rv[m + 1] - rv[m] + 1 > r.depth:
+            where = "round" if m == r.depth else "block"
             raise ArgumentError(
-                f"representing indices exhausted mid-round; depth {r.depth} "
-                f"given, at least {m + 1} required"
+                f"representing indices exhausted mid-{where}; depth {r.depth} "
+                f"given, at least {r.depth + 1} required"
             )
-        starts.append(r_m)
-        intervals.append((r_m + 1, r_m1))
-        last_d = m
-        for j in range(r_m + 1, r_m1 + 1):
-            d = m + j - r_m
-            try:
-                tail_lo = r.r_at(d) + 1
-                tail_hi = r.r_at(d + 1)
-            except ArgumentError:
-                raise ArgumentError(
-                    f"representing indices exhausted mid-block; depth {r.depth} "
-                    f"given, at least {d + 1} required"
-                )
-            E = (j,) + tuple(range(tail_lo, tail_hi + 1))
-            idx = j0 + j - r_m
-            assert idx == len(blocks_list) + 1
-            blocks_list.append(E)
-            anchors.append(j)
-            j_of_n[j] = idx
-            last_d = d
-        m_next = last_d + 1
-        bounds.append(r.r_at(m_next))
-        j0 += r_m1 - r_m
-        m = m_next
+        lo, hi = rv[m] + 1, rv[m + 1]
+        intervals.append((lo, hi))
+        for j in range(lo, hi + 1):
+            d = m + j - rv[m]
+            sets.append((j,) + tuple(range(rv[d] + 1, rv[d + 1] + 1)))
+        m += hi - rv[m] + 1
+        bounds.append(r.r_at(m))
 
     if eps is None:
-        eps = [2.0 ** (-j) for j in range(1, len(blocks_list) + 1)]
+        eps = [2.0 ** (-j) for j in range(1, len(sets) + 1)]
     eps = [float(e) for e in eps]
-    if len(eps) < len(blocks_list):
-        raise ArgumentError(f"need {len(blocks_list)} epsilons, got {len(eps)}")
-    partition = BlockPartition(tuple(blocks_list), tuple(anchors),
-                               tuple(eps[: len(blocks_list)]))
+    if len(eps) < len(sets):
+        raise ArgumentError(f"need {len(sets)} epsilons, got {len(eps)}")
+    partition = BlockPartition(tuple(sets), tuple(E[0] for E in sets), tuple(eps[: len(sets)]))
 
     # structural guarantees of the induction, verified rather than assumed:
     # the sets tile 1..r(last bound), tails ordered left to right
     _require_cover(partition, bounds[-1],
                    "constructed blocks do not partition an initial segment: ")
-    for a, b in zip(blocks_list, blocks_list[1:]):
+    for a, b in zip(sets, sets[1:]):
         if max(a) > max(b):
             raise ArgumentError("block tails are not ordered left to right")
-    return StrongPartitionTrace(partition, tuple(bounds), tuple(starts),
-                                tuple(intervals), j_of_n)
+    return StrongPartitionTrace(partition, tuple(bounds), tuple(intervals))
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +416,11 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     (case B); in case B the block containing n0 is checked to carry only
     nonzero z-coefficients of x.  Residuals are distances from x to the
     span of those z_n (n up to each requested prefix, in 1..N) whose
-    coefficient is above biorth_tol.
+    coefficient is above biorth_tol.  Systems of different length or
+    ambient dimension, and a partition reaching past them, are refused by
+    name, as :func:`~mbasis_lab.perturbations.verify_flattened` refuses them.
     """
+    _require_comparable(zsys, xsys, trace.partition)
     prefixes = [zsys.size] if prefixes is None else [int(N) for N in prefixes]
     bad = [N for N in prefixes if not 1 <= N <= zsys.size]
     if bad:
@@ -456,20 +438,18 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     xnorms = np.linalg.norm(xsys.xs, axis=1)
     btol = xsys.tol.biorth_tol
 
+    block_of = {n: k for k, n in enumerate(trace.partition.anchors)}  # 0-based
     verdicts = []
-    for bound, (lo, hi) in zip(trace.round_starts, trace.anchor_intervals):
-        violators = []
-        for n in range(lo, hi + 1):
-            term = abs(coeff_ref[n - 1]) * xnorms[n - 1]
-            if term > eps[trace.j_of_n[n] - 1]:
-                violators.append(n)
+    for lo, hi in trace.anchor_intervals:
+        violators = [n for n in range(lo, hi + 1)
+                     if abs(coeff_ref[n - 1]) * xnorms[n - 1] > eps[block_of[n]]]
         if not violators:
-            verdicts.append(BoundVerdict(bound, "A", None, None, None))
+            verdicts.append(BoundVerdict(lo - 1, "A", None, None, None))
             continue
         n0 = max(violators)
-        block = trace.partition.blocks[trace.j_of_n[n0] - 1]
+        block = trace.partition.blocks[block_of[n0]]
         claim_ok = all(abs(coeff_z[n - 1]) > btol for n in block)
-        verdicts.append(BoundVerdict(bound, "B", n0, claim_ok, block))
+        verdicts.append(BoundVerdict(lo - 1, "B", n0, claim_ok, block))
 
     residuals = {}
     for N in prefixes:

@@ -68,10 +68,12 @@ class ToleranceConfig:
 
     rank_tol is Gram-Schmidt's per-row relative residual test of
     :func:`prefix_bases`: a row within rank_tol of the span of the normalized
-    rows before it adds no direction.  Two invertibility tests, not span
-    ranks, read it relative to the largest singular value instead: the
-    cross-Gram test of :func:`dual_solve` and the block independence test
-    of ``pathology.operator_T``.  biorth_tol bounds the biorthogonality
+    rows before it adds no direction.  It must be below 1: a normalized
+    row's residual is at most 1, so rank_tol >= 1 would drop every row.
+    Two invertibility tests, not span ranks, read it relative to the
+    largest singular value instead: the cross-Gram test of
+    :func:`dual_solve` and the block independence test of
+    ``pathology.operator_T``.  biorth_tol bounds the biorthogonality
     defects and span_tol the span gaps and span distances the checks
     accept; both are absolute.  Every ``rank_tol`` and ``biorth_tol`` parameter of the
     package defaults to the class attribute of that name.
@@ -85,6 +87,8 @@ class ToleranceConfig:
         for f in fields(self):
             if not getattr(self, f.name) > 0:  # NaN too
                 raise ArgumentError(f"{f.name} must be strictly positive")
+        if not self.rank_tol < 1:
+            raise ArgumentError(f"rank_tol must be below 1, got {self.rank_tol}")
 
 
 def as_vector(x, ambient_dim: int | None = None) -> np.ndarray:

@@ -55,9 +55,12 @@ Then comes the orthonormalization of the e_hat rows as one stacked
 Householder QR per group of coordinate components,
 ``block_gram_schmidt_rows``; the kernel, which keeps each isolated row as
 its own direction, replaced it.
-Last are two definitions that only the tests read: the block-kind witness
+Then come two definitions that only the tests read: the block-kind witness
 scan of a partition, ``interval_witness``, and the reader of an index table,
 ``load_indices``.
+Last is the strong partition as an element-wise induction whose trace also
+stored each round's start and each anchor's block index; one pass over the
+representing indices, with the anchors read off the sets, replaced it.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -90,6 +93,7 @@ from mbasis_lab.pathology import (
     _check_eps_budget,
     verify_injective,
 )
+from mbasis_lab.perturbations import BlockPartition, _require_cover
 from mbasis_lab.representing import RepresentingIndices
 from mbasis_lab.subspace import (
     ToleranceConfig,
@@ -1489,3 +1493,100 @@ def load_indices(path: str) -> RepresentingIndices:
             except ValueError as exc:
                 raise ArgumentError(f"{path}:{ln}: malformed index line ({exc})")
     return RepresentingIndices(tuple(values), tuple(deltas), tuple(interim))
+
+
+# ---------------------------------------------------------------------------
+# The strong partition as an element-wise induction, with its trace as it was
+# when it also stored each round's start and the block index of each anchor;
+# one pass over (0,) + r.values, anchors read off each set's least member,
+# replaced it.
+
+
+@dataclass(frozen=True)
+class StrongPartitionTrace:
+    """Outcome of the block-partition induction over representing indices.
+
+    ``block_bounds`` are the r-values ending each round; ``round_starts``
+    the r-values each round began from (seeded at 0).  ``j_of_n`` maps
+    anchors to their 1-based block index.  ``anchor_intervals`` are the
+    (r(m)+1, r(m+1)) ranges whose union is exactly the anchor set.
+    """
+
+    partition: BlockPartition
+    block_bounds: tuple
+    round_starts: tuple
+    anchor_intervals: tuple
+    j_of_n: dict
+
+
+def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPartitionTrace:
+    """Iterate the partition induction for ``blocks`` rounds.
+
+    Seeded at r(0) = 0 so the first round covers index 1.  Raises when the
+    available depth cannot complete a round, reporting the depth needed.
+    Default budgets are eps_j = 2**-j.  The blocks form a
+    :class:`BlockPartition`, so they are disjoint or refused as they are
+    built; that they cover 1..r(last bound) exactly and that their tails
+    run left to right is checked, not assumed.
+    """
+    if blocks < 1:
+        raise ArgumentError("need at least one round")
+    blocks_list: list[tuple] = []
+    anchors: list[int] = []
+    bounds: list[int] = []
+    starts: list[int] = []
+    intervals: list[tuple] = []
+    j_of_n: dict = {}
+    m = 0
+    j0 = 0
+    for _ in range(blocks):
+        try:
+            r_m = r.r_at(m)
+            r_m1 = r.r_at(m + 1)
+        except ArgumentError:
+            raise ArgumentError(
+                f"representing indices exhausted mid-round; depth {r.depth} "
+                f"given, at least {m + 1} required"
+            )
+        starts.append(r_m)
+        intervals.append((r_m + 1, r_m1))
+        last_d = m
+        for j in range(r_m + 1, r_m1 + 1):
+            d = m + j - r_m
+            try:
+                tail_lo = r.r_at(d) + 1
+                tail_hi = r.r_at(d + 1)
+            except ArgumentError:
+                raise ArgumentError(
+                    f"representing indices exhausted mid-block; depth {r.depth} "
+                    f"given, at least {d + 1} required"
+                )
+            E = (j,) + tuple(range(tail_lo, tail_hi + 1))
+            idx = j0 + j - r_m
+            assert idx == len(blocks_list) + 1
+            blocks_list.append(E)
+            anchors.append(j)
+            j_of_n[j] = idx
+            last_d = d
+        m_next = last_d + 1
+        bounds.append(r.r_at(m_next))
+        j0 += r_m1 - r_m
+        m = m_next
+
+    if eps is None:
+        eps = [2.0 ** (-j) for j in range(1, len(blocks_list) + 1)]
+    eps = [float(e) for e in eps]
+    if len(eps) < len(blocks_list):
+        raise ArgumentError(f"need {len(blocks_list)} epsilons, got {len(eps)}")
+    partition = BlockPartition(tuple(blocks_list), tuple(anchors),
+                               tuple(eps[: len(blocks_list)]))
+
+    # structural guarantees of the induction, verified rather than assumed:
+    # the sets tile 1..r(last bound), tails ordered left to right
+    _require_cover(partition, bounds[-1],
+                   "constructed blocks do not partition an initial segment: ")
+    for a, b in zip(blocks_list, blocks_list[1:]):
+        if max(a) > max(b):
+            raise ArgumentError("block tails are not ordered left to right")
+    return StrongPartitionTrace(partition, tuple(bounds), tuple(starts),
+                                tuple(intervals), j_of_n)

@@ -73,6 +73,8 @@ class TestParseConfig:
         ("rank_tol = 0", "rank_tol must be strictly positive"),
         ("span_tol = -1e-8", "span_tol must be strictly positive"),
         ("biorth_tol = nan", "biorth_tol must be strictly positive"),
+        # rank_tol = 2 wrote an indices report from rank-0 factorizations
+        ("rank_tol = 2", "rank_tol must be below 1, got 2.0"),
     ])
     def test_tolerances_checked_once(self, line, match):
         with pytest.raises(ConfigError, match=match):

@@ -38,6 +38,13 @@ class TestBlockPartitionType:
         with pytest.raises(ArgumentError):
             BlockPartition(((1,),), (1,), (0.0,))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_eps_refused_by_name(self, bad):
+        # before, inf and NaN passed and the flattening failed later on
+        # non-finite spanning vectors
+        with pytest.raises(ArgumentError, match=r"^eps_2 must be positive and finite$"):
+            BlockPartition(((1,), (2, 3)), (1, 2), (0.5, bad))
+
     def test_overlap_refused(self):
         # every partition is disjoint: the type refuses a shared index
         with pytest.raises(ArgumentError, match=r"^block 2 overlaps earlier blocks at \[2\]$"):

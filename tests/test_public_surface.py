@@ -57,6 +57,8 @@ RETIRED_MEMBERS = (
 #: a field without a default, so these are looked up among its fields
 RETIRED_FIELDS = (
     ("representing", "StrongPartitionTrace", "d_map"),
+    ("representing", "StrongPartitionTrace", "round_starts"),
+    ("representing", "StrongPartitionTrace", "j_of_n"),
     ("perturbations", "FlatteningReport", "slack_tol"),
 )
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbasis_lab.biorth import BiorthSystem, norming_constant_estimate
 from mbasis_lab import representing
 from mbasis_lab.errors import ArgumentError
+from mbasis_lab.perturbations import verify_flattened
 from mbasis_lab.representing import (
     build_norming_indices,
     build_representing_indices,
@@ -16,6 +19,7 @@ from mbasis_lab.representing import (
     RepresentingIndices,
 )
 from mbasis_lab.subspace import orthonormal_rows
+import oracles
 from oracles import interval_witness, unit_net
 
 
@@ -261,7 +265,9 @@ class TestStrongPartition:
         assert p.blocks[3] == (6, 16, 17, 18, 19, 20, 21)
         assert p.anchors == (1, 4, 5, 6)
         assert trace.block_bounds == (3, 21)
-        assert trace.round_starts == (0, 3)
+        assert trace.anchor_intervals == ((1, 1), (4, 6))
+        # each anchor's block is its position among the anchors
+        assert [p.blocks[p.anchors.index(n)][0] for n in (1, 4, 5, 6)] == [1, 4, 5, 6]
 
     def test_anchor_set_identity(self):
         r = RepresentingIndices(
@@ -297,7 +303,39 @@ class TestStrongPartition:
             (1, 3, 6, 10, 15, 21, 28),
         )
         trace = strong_partition(r, 2)
-        assert trace.j_of_n == {1: 1, 4: 2, 5: 3, 6: 4}
+        anchors = trace.partition.anchors
+        assert {n: anchors.index(n) + 1 for n in (1, 4, 5, 6)} == {1: 1, 4: 2, 5: 3, 6: 4}
+
+
+@st.composite
+def increasing_indices(draw):
+    """Strictly increasing r of depth 1..9 with values below 60."""
+    values = draw(st.lists(st.integers(1, 59), min_size=1, max_size=9, unique=True))
+    return RepresentingIndices(tuple(sorted(values)), (math.inf,) * len(values),
+                               tuple(sorted(values)))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(increasing_indices(), st.integers(1, 4))
+def test_strong_partition_matches_the_elementwise_induction(r, blocks):
+    got = outcome(strong_partition, r, blocks)
+    want = outcome(oracles.strong_partition, r, blocks)
+    if isinstance(want, tuple):  # a refusal
+        assert got == want
+        return
+    assert got.partition == want.partition
+    assert got.block_bounds == want.block_bounds
+    assert got.anchor_intervals == want.anchor_intervals
+    # the retired fields are what the trace still determines
+    assert tuple(lo - 1 for lo, _ in got.anchor_intervals) == want.round_starts
+    assert {n: k for k, n in enumerate(got.partition.anchors, start=1)} == want.j_of_n
 
 
 class TestStrongnessDiagnostic:
@@ -334,7 +372,7 @@ class TestStrongnessDiagnostic:
         assert verdict.case == "B"
         assert verdict.n0 == n0
         assert verdict.claim_ok
-        assert verdict.support == trace.partition.blocks[trace.j_of_n[n0] - 1]
+        assert verdict.support == trace.partition.blocks[trace.partition.anchors.index(n0)]
 
     def test_full_rank_residual_small(self):
         sub, z, trace = self._setup()
@@ -384,3 +422,24 @@ def test_strongness_diagnostic_refuses_prefixes_out_of_range(prefixes):
     with pytest.raises(ArgumentError, match=r"prefixes must lie in 1\.\.128"):
         strongness_diagnostic(e(1, 128), sys, sys, trace, trace.partition.epsilons,
                               prefixes=prefixes)
+
+
+@pytest.mark.parametrize("zsys,xsys,match", [
+    (BiorthSystem.canonical(10), BiorthSystem.canonical(10),
+     r"^partition reaches index 21 beyond the systems$"),
+    (BiorthSystem.canonical(30), BiorthSystem.canonical(30, 31),
+     r"^systems must have equal ambient dimension, got 30 and 31$"),
+    (BiorthSystem.canonical(30), BiorthSystem.canonical(21, 30),
+     r"^systems must have equal length$"),
+], ids=["partition-beyond", "ambient", "length"])
+def test_strongness_diagnostic_refuses_what_verify_flattened_refuses(zsys, xsys, match):
+    # before: a bare IndexError, a bare ValueError from matmul, and verdicts
+    # returned silently over 21 reference pairs against 30 flattened ones
+    values = (1, 3, 6, 10, 15, 21, 28)
+    trace = strong_partition(RepresentingIndices(values, (math.inf,) * 7, values), 2)
+    assert trace.block_bounds[-1] == 21
+    with pytest.raises(ArgumentError, match=match):
+        strongness_diagnostic(e(1, zsys.ambient_dim), zsys, xsys, trace,
+                              trace.partition.epsilons)
+    with pytest.raises(ArgumentError, match=match):
+        verify_flattened(zsys, xsys, trace.partition)

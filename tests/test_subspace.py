@@ -205,3 +205,10 @@ def test_tolerance_config_validation():
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ArgumentError, match=f"{f.name} must be strictly positive"):
                 ToleranceConfig(**{f.name: bad})
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.0, math.inf])
+def test_rank_tol_must_be_below_one(bad):
+    # a normalized row's residual is at most 1: such a value drops every row
+    with pytest.raises(ArgumentError, match=r"^rank_tol must be below 1, got "):
+        ToleranceConfig(rank_tol=bad)
