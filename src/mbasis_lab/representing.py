@@ -338,10 +338,11 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
     seeded at r(0) = 0 so the first round covers index 1.  A tail starts
     past r(d) >= r(m+1) >= j, so each anchor is its set's least member.
     Raises when the available depth cannot complete a round, reporting the
-    depth needed.  Default budgets are eps_j = 2**-j.  The blocks form a
-    :class:`BlockPartition`, so they are disjoint or refused as they are
-    built; that they cover 1..r(last bound) exactly and that their tails
-    run left to right is checked, not assumed.
+    depth the round needs: m + r(m+1) - r(m) + 1, or depth + 1 when the
+    round starts at the depth.  Default budgets are eps_j = 2**-j.  The
+    blocks form a :class:`BlockPartition`, so they are disjoint or refused
+    as they are built; that they cover 1..r(last bound) exactly and that
+    their tails run left to right is checked, not assumed.
     """
     if blocks < 1:
         raise ArgumentError("need at least one round")
@@ -349,20 +350,21 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
     sets, bounds, intervals = [], [], []
     m = 0
     for _ in range(blocks):
-        # a round reads r up to r(m + r(m+1) - r(m) + 1); each round starts
-        # at most at the depth, so the first index it lacks is depth + 1
-        if m == r.depth or m + rv[m + 1] - rv[m] + 1 > r.depth:
+        # the round at m reads r up to index m + r(m+1) - r(m) + 1, where the
+        # next round starts; one that starts at the depth lacks r(m+1)
+        need = r.depth + 1 if m == r.depth else m + rv[m + 1] - rv[m] + 1
+        if need > r.depth:
             where = "round" if m == r.depth else "block"
             raise ArgumentError(
                 f"representing indices exhausted mid-{where}; depth {r.depth} "
-                f"given, at least {r.depth + 1} required"
+                f"given, at least {need} required"
             )
         lo, hi = rv[m] + 1, rv[m + 1]
         intervals.append((lo, hi))
         for j in range(lo, hi + 1):
             d = m + j - rv[m]
             sets.append((j,) + tuple(range(rv[d] + 1, rv[d + 1] + 1)))
-        m += hi - rv[m] + 1
+        m = need
         bounds.append(r.r_at(m))
 
     if eps is None:

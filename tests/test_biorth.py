@@ -250,6 +250,14 @@ class TestClassify:
         assert res.pile_prefixes == (3,)
         assert res.kind in ("block", "pile")
 
+    def test_unequal_ambient_dimensions_refused_by_name(self):
+        # spanning_indices' text, where a bare IndexError came through before
+        z, x = BiorthSystem.canonical(3, 5), BiorthSystem.canonical(3, 4)
+        for fn in (classify_perturbation, spanning_indices):
+            with pytest.raises(ArgumentError,
+                               match="^systems live in different ambient dimensions$"):
+                fn(z, x)
+
     def test_neither(self):
         x = BiorthSystem.canonical(2, ambient_dim=3)
         z = BiorthSystem(np.array([e(3, 3), e(1, 3)]), np.array([e(3, 3), e(1, 3)]))

@@ -322,20 +322,51 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def needed_depth(r, blocks):
+    """The depth the first round that cannot complete needs, and where it
+    stops: the round at m reads r up to index m + r(m+1) - r(m) + 1, and
+    one that starts at the depth lacks r(m+1) itself."""
+    rv, m = (0,) + r.values, 0
+    for _ in range(blocks):
+        if m == r.depth:
+            return m + 1, "round"
+        need = m + rv[m + 1] - rv[m] + 1
+        if need > r.depth:
+            return need, "block"
+        m = need
+    return None
+
+
 @settings(max_examples=400, deadline=None)
 @given(increasing_indices(), st.integers(1, 4))
 def test_strong_partition_matches_the_elementwise_induction(r, blocks):
     got = outcome(strong_partition, r, blocks)
     want = outcome(oracles.strong_partition, r, blocks)
     if isinstance(want, tuple):  # a refusal
-        assert got == want
+        # the oracle reports the first index it lacks, depth + 1; the
+        # refusal names the depth the round needs
+        need, where = needed_depth(r, blocks)
+        assert got[0] is want[0]
+        assert f"mid-{where};" in want[1]
+        assert got[1] == (f"representing indices exhausted mid-{where}; depth "
+                          f"{r.depth} given, at least {need} required")
         return
+    assert needed_depth(r, blocks) is None
     assert got.partition == want.partition
     assert got.block_bounds == want.block_bounds
     assert got.anchor_intervals == want.anchor_intervals
     # the retired fields are what the trace still determines
     assert tuple(lo - 1 for lo, _ in got.anchor_intervals) == want.round_starts
     assert {n: k for k, n in enumerate(got.partition.anchors, start=1)} == want.j_of_n
+
+
+@pytest.mark.parametrize("values", [(1, 3, 6), (1, 3, 6, 10), (1, 3, 6, 10, 15)])
+def test_mid_block_refusal_names_the_depth_the_round_needs(values):
+    # the second round starts at m = 2 and reads r up to 2 + 6 - 3 + 1 = 6
+    r = RepresentingIndices(values, (math.inf,) * len(values), values)
+    with pytest.raises(ArgumentError, match=(
+            rf"exhausted mid-block; depth {len(values)} given, at least 6 required$")):
+        strong_partition(r, 2)
 
 
 class TestStrongnessDiagnostic:
