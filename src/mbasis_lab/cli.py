@@ -17,6 +17,7 @@ pathology, unb.  The ``MBASIS_LOG`` environment variable sets verbosity.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import math
@@ -297,6 +298,25 @@ _DISPATCH = {
 }
 
 
+def _blas() -> dict:
+    """The BLAS numpy was built with, for ``run.json``: the name and version
+    from ``numpy.show_config``, and the thread count from the OpenBLAS
+    getter of a library mapped into this process (``/proc/self/maps``), or
+    None where none is found.  The flattened artifacts depend on that
+    count through the LU of the dual solves."""
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        libs = []
+    getters = (getattr(ctypes.CDLL(lib), symbol, None) for lib in libs
+               for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"))
+    getter = next((g for g in getters if g is not None), None)
+    threads = None if getter is None else int(getter())
+    return {"name": info.get("name"), "version": info.get("version"), "threads": threads}
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured command; 0 iff every asserted invariant passed."""
     out = cfg.out
@@ -321,6 +341,7 @@ def run(cfg: ExperimentConfig) -> int:
         "grid": {"sizes": list(cfg.sizes), "cs": list(cfg.cs)},
         "version": __version__,
         "numpy": np.__version__,
+        "blas": _blas(),
         "wall_time_s": round(time.time() - started, 3),
         "summary": summary,
     }

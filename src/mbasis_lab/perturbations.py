@@ -145,10 +145,9 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
         try:
             Z[block] = dual_solve(Dj, sys.xs[block], tol.rank_tol, tol.biorth_tol)
         except SingularGramError as exc:
-            raise ConstructionError(
-                f"block {j} cross-Gram is singular; use a smaller block or a "
-                f"larger eps_{j}"
-            ) from exc
+            advice = {"rank": f"a larger eps_{j}", "cross-Gram": f"a smaller eps_{j}"}
+            raise ConstructionError(f"block {j} dual solve: {exc}; use "
+                                    f"{advice.get(exc.test, 'a smaller block')}") from exc
     return BiorthSystem(Z, D, tol=tol).validate()
 
 

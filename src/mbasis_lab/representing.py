@@ -421,6 +421,14 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     coefficient is above biorth_tol.  Systems of different length or
     ambient dimension, and a partition reaching past them, are refused by
     name, as :func:`~mbasis_lab.perturbations.verify_flattened` refuses them.
+
+    A residual shows how far x lies outside the span of the selected z_n
+    up to N; it cannot show strongness.  For a generic x every coefficient
+    is selected, so at N = size on a complete truncation the span is the
+    whole space and the residual is 0 by completeness, whatever the
+    flattening did: every complete biorthogonal system in finite
+    dimensions is strong.  Each prefix costs one QR of every selected z
+    row (:func:`~mbasis_lab.subspace.distance_to_span`), per call.
     """
     _require_comparable(zsys, xsys, trace.partition)
     prefixes = [zsys.size] if prefixes is None else [int(N) for N in prefixes]

@@ -14,7 +14,8 @@ other columns, at cost O(d' r'^2) for d' such columns and r' such rows.
 rows together with some vectors and reads, off the R factor alone and
 without forming Q, their coordinates on the prefix directions and one
 table of their distances to every prefix span; :func:`distance_to_span`,
-:func:`project` and the rank check of :func:`dual_solve` use it.
+:func:`project` and, where its solve cannot certify it, the rank check of
+:func:`dual_solve` use it.
 :func:`span_gap` forms the basis of its first span only, and reads the
 rank of the second span and the distance to it off one such R factor.
 Every span rank in the package is this kernel's Gram-Schmidt test.
@@ -426,6 +427,36 @@ def directed_span_gap(S_sub, S_sup, rank_tol: float = ToleranceConfig.rank_tol) 
     return 1.0 if rank < Q.shape[0] else gap
 
 
+def _gamma(n: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u) for the unit roundoff u, +inf
+    once n u reaches 1."""
+    nu = n * np.finfo(float).eps / 2
+    return nu / (1 - nu) if nu < 1 else np.inf
+
+
+def _solve_bounds(V: np.ndarray, G: np.ndarray, A: np.ndarray, defect: float):
+    """Lower bounds, from the solve A of G = V W^T, on sigma_min / sigma_max
+    of G and on every Gram-Schmidt residual of V's normalized rows, each
+    as ``(bound, cut)``: the bound alone and less the floor for the
+    rounding of the exact test it stands for.  NaN when a row's sum of
+    squares is not a normal float.  Derived in :func:`dual_solve`."""
+    k, d = V.shape
+    sq = np.square(V).sum(axis=1)  # numpy.linalg.norm's arithmetic
+    normal = sq.min() >= np.finfo(float).tiny and sq.max() < np.inf
+    grow = 1 + _gamma(k * d + 2)
+    nA, nG, nV = (grow * float(np.linalg.norm(M)) + np.sqrt(M.size) * 2.0 ** -537
+                  for M in (A, G, V))
+    vmax = grow * float(np.sqrt(sq.max())) if normal else np.nan
+    w2 = 1 + 2 * np.sqrt(k) * _gamma(16 * d * k)
+    nW, eta = np.sqrt(k) * w2, k * d * 2.0 ** -1074
+    r = k * defect * (1 + _gamma(1)) + 3 * _gamma(d + k + 1) * nA * nW * nV + eta * (nA + nV + 1)
+    s_lo = (1 - r) / nA
+    e = 4 * _gamma(16 * k * k) * nG
+    res = (s_lo - _gamma(d) * nV * nW - eta) / (w2 * vmax)
+    floor = np.sqrt(k) * (_gamma(16 * d) + _gamma(16 * d * k) * (1 + _gamma(16 * d)))
+    return (s_lo / nG, (s_lo - e) / (nG + e)), (res, res - floor)
+
+
 def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
                biorth_tol: float = ToleranceConfig.biorth_tol) -> np.ndarray:
     """Biorthogonal functionals of ``vectors`` inside span(``within``).
@@ -435,8 +466,57 @@ def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
     dim(within) == len(vectors) and an invertible cross-Gram matrix;
     otherwise the vectors are not minimal relative to the given span and a
     :class:`SingularGramError` is raised.  The rows are combined in the
-    :func:`orthonormal_rows` basis of ``within``, so dim(within) is its rank
+    :func:`orthonormal_rows` basis W of ``within``, so dim(within) is its rank
     under Gram-Schmidt's test, as everywhere else in the package.
+
+    Two tests refuse before the defect test, in this order: the rank of
+    the vectors under Gram-Schmidt's test, off the R factor of
+    :func:`prefix_coordinates` (the error's ``test`` is ``"rank"``), and
+    s_min <= rank_tol s_max for the singular values s of G = V W^T
+    (``"cross-Gram"``); the defect test's ``test`` is ``"defect"``.  The
+    solve runs first, under ``errstate``: A = ``solve(G, I)``, F = A^T W
+    and the defect max|F V^T - I|.  The two tests run only where this
+    solve cannot certify that both pass: after a ``LinAlgError``, a
+    non-finite value or a bound within its floor of rank_tol.  They then
+    refuse exactly as when they ran before the solve, and a
+    ``LinAlgError`` is raised after them.
+
+    The certificate (u the unit roundoff, gamma_n = n u / (1 - n u),
+    Higham's gamma~_n taken as gamma_{16 n}, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 3.5 and Thm 19.4; norms Frobenius,
+    each computed norm raised by the factor 1 + gamma_{kd+2} and by
+    sqrt(size) 2^-537 for its squares' underflow):
+
+    - ||G A - I|| <= r = k defect (1 + u) + 3 gamma_{d+k+1} ||A|| ||W|| ||V||
+      + k d 2^-1074 (||A|| + ||V|| + 1).  F V^T - I is (G A - I)^T up to the
+      rounding of G, F and F V^T, each entry within gamma_n |X||Y| plus n
+      subnormal units; ||W||_2 <= w = 1 + 2 sqrt(k) gamma~_{dk} for a
+      computed Householder Q, and ||W|| <= sqrt(k) w.
+    - If r < 1, G A is invertible, so sigma_min(G) >= s_lo = (1 - r) / ||A||
+      and kappa_2(G) <= ||G|| / s_lo.  LAPACK's singular values are those
+      of G + E, ||E|| <= 2 g ||G|| for g = gamma~_{k^2} (Householder sweeps
+      from both sides, Thm 19.4), each then read to a relative g, so each
+      is within (3 g + 2 g^2) ||G|| <= e = 4 g ||G|| of the exact one (for
+      g > 1/2 nothing certifies): (s_lo - e) / (||G|| + e) > rank_tol
+      certifies the cross-Gram test.
+    - sigma_min(V W^T) >= s_lo - gamma_d ||V|| ||W|| - k d 2^-1074, and
+      sigma_min(V) >= sigma_min(V W^T) / w, so every Gram-Schmidt residual
+      of the rows scaled to unit norm is at least res = that / (w max
+      ||v_i||).  The kernel's isolated rows read residual 1, and the
+      other rows' smallest singular value is no smaller than all rows'.
+      If every row's sum of squares is a normal float, the computed unit
+      rows are within gamma~_d of the exact ones and the computed R
+      diagonal, by Thm 19.4, within sqrt(k) (gamma~_d + gamma~_{dk} (1 +
+      gamma~_d)) of the residuals: res less that floor > rank_tol
+      certifies the rank test.  Otherwise the kernel's normalization can
+      lose a row, and nothing is certified.
+
+    The dozen scalar operations of the bounds round by a few u: a few
+    u / ||A|| <= a few u ||G|| on s_lo and a few u on res, inside e and
+    the rank floor, which are at least 64 u ||G|| and 32 u.
+
+    Certified or not, F is the same solve's, bit for bit, and each refusal
+    has the same text and order as when both tests always ran.
     """
     V = span_matrix(vectors)
     if V.shape[0] == 0:
@@ -447,21 +527,32 @@ def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
         raise ArgumentError(
             f"need dim(within) == number of vectors, got {W.shape[0]} != {k}"
         )
-    if prefix_coordinates(V, V[:0], rank_tol)[2][-1] != k:
-        raise SingularGramError("input vectors are linearly dependent above rank_tol")
     G = V @ W.T
-    s = np.linalg.svd(G, compute_uv=False)
-    if s[-1] <= rank_tol * s[0]:
-        raise SingularGramError(
-            "cross-Gram matrix is singular above rank_tol: "
-            "the vectors are not minimal relative to the given span"
-        )
-    A = np.linalg.solve(G, np.eye(k))
-    F = A.T @ W
-    defect = float(np.max(np.abs(F @ V.T - np.eye(k))))
+    failed, certified = None, False
+    with np.errstate(all="ignore"):
+        try:
+            A = np.linalg.solve(G, np.eye(k))
+        except np.linalg.LinAlgError as exc:
+            failed = exc
+        else:
+            F = A.T @ W
+            defect = float(np.max(np.abs(F @ V.T - np.eye(k))))
+            certified = all(cut > rank_tol for _, cut in _solve_bounds(V, G, A, defect))
+    if not certified:
+        if prefix_coordinates(V, V[:0], rank_tol)[2][-1] != k:
+            raise SingularGramError("input vectors are linearly dependent above rank_tol",
+                                    test="rank")
+        s = np.linalg.svd(G, compute_uv=False)
+        if s[-1] <= rank_tol * s[0]:
+            raise SingularGramError(
+                "cross-Gram matrix is singular above rank_tol: "
+                "the vectors are not minimal relative to the given span", test="cross-Gram"
+            )
+        if failed is not None:
+            raise failed
     if not defect <= biorth_tol:  # a non-finite F gives a NaN defect
         raise SingularGramError(
             f"dual solve verified defect {defect:.3e} above biorth_tol {biorth_tol:.3e}; "
-            "the pairing is too ill-conditioned"
+            "the pairing is too ill-conditioned", test="defect"
         )
     return F

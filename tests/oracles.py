@@ -58,9 +58,13 @@ its own direction, replaced it.
 Then come two definitions that only the tests read: the block-kind witness
 scan of a partition, ``interval_witness``, and the reader of an index table,
 ``load_indices``.
-Last is the strong partition as an element-wise induction whose trace also
-stored each round's start and each anchor's block index; one pass over the
-representing indices, with the anchors read off the sets, replaced it.
+Then comes the strong partition as an element-wise induction whose trace
+also stored each round's start and each anchor's block index; one pass over
+the representing indices, with the anchors read off the sets, replaced it.
+Last is the dual solve that ran its rank QR of the vectors and the full
+singular values of the cross-Gram matrix before every solve,
+``dual_solve_reference``; the package reads both verdicts off the solve's
+own residual and runs the two tests only where that bound cannot decide.
 They are slow (O(n^3)-ish Python loops and a full projector SVD per
 prefix) but transparently follow the definitions, so the kernel-based
 diagnostics and the writer are required to agree with them exactly.
@@ -80,7 +84,7 @@ from mbasis_lab.biorth import (
     IntervalFamily,
     PerturbationClass,
 )
-from mbasis_lab.errors import ArgumentError, ConstructionError
+from mbasis_lab.errors import ArgumentError, ConstructionError, SingularGramError
 from mbasis_lab.io import _open_text, fmt
 from mbasis_lab.pathology import (
     BEYOND_TABLE,
@@ -100,6 +104,7 @@ from mbasis_lab.subspace import (
     as_vector,
     directed_span_gap,
     prefix_bases,
+    prefix_coordinates,
     span_matrix,
 )
 from mbasis_lab.subspace import orthonormal_rows as qr_rows
@@ -1590,3 +1595,49 @@ def strong_partition(r: RepresentingIndices, blocks: int, eps=None) -> StrongPar
             raise ArgumentError("block tails are not ordered left to right")
     return StrongPartitionTrace(partition, tuple(bounds), tuple(starts),
                                 tuple(intervals), j_of_n)
+
+
+# The dual solve as it was when the rank QR of the vectors and the singular
+# values of the cross-Gram matrix ran before every solve; verbatim, except
+# that the QR kernel's ``orthonormal_rows`` is ``qr_rows`` here.
+
+
+def dual_solve_reference(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
+                         biorth_tol: float = ToleranceConfig.biorth_tol) -> np.ndarray:
+    """Biorthogonal functionals of ``vectors`` inside span(``within``).
+
+    Returns the k x d matrix of rows f_1..f_k in span(within), with
+    <f_i, v_j> equal to the Kronecker delta up to ``biorth_tol``.  Requires
+    dim(within) == len(vectors) and an invertible cross-Gram matrix;
+    otherwise the vectors are not minimal relative to the given span and a
+    :class:`SingularGramError` is raised.  The rows are combined in the
+    :func:`orthonormal_rows` basis of ``within``, so dim(within) is its rank
+    under Gram-Schmidt's test, as everywhere else in the package.
+    """
+    V = span_matrix(vectors)
+    if V.shape[0] == 0:
+        return np.zeros((0, V.shape[1] or span_matrix(within).shape[1]))
+    W = qr_rows(span_matrix(within, ambient_dim=V.shape[1]), rank_tol)
+    k = V.shape[0]
+    if W.shape[0] != k:
+        raise ArgumentError(
+            f"need dim(within) == number of vectors, got {W.shape[0]} != {k}"
+        )
+    if prefix_coordinates(V, V[:0], rank_tol)[2][-1] != k:
+        raise SingularGramError("input vectors are linearly dependent above rank_tol")
+    G = V @ W.T
+    s = np.linalg.svd(G, compute_uv=False)
+    if s[-1] <= rank_tol * s[0]:
+        raise SingularGramError(
+            "cross-Gram matrix is singular above rank_tol: "
+            "the vectors are not minimal relative to the given span"
+        )
+    A = np.linalg.solve(G, np.eye(k))
+    F = A.T @ W
+    defect = float(np.max(np.abs(F @ V.T - np.eye(k))))
+    if not defect <= biorth_tol:  # a non-finite F gives a NaN defect
+        raise SingularGramError(
+            f"dual solve verified defect {defect:.3e} above biorth_tol {biorth_tol:.3e}; "
+            "the pairing is too ill-conditioned"
+        )
+    return F

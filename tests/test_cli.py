@@ -371,6 +371,23 @@ class TestMain:
         assert "got 'verbose'" in err
         assert not (tmp_path / "o").exists()
 
+    def test_run_json_records_blas_threads(self, tmp_path):
+        # the flattened bytes depend on the BLAS thread count through the
+        # dual solves' LU, so run.json records it, read from OpenBLAS
+        from mbasis_lab.cli import _blas
+
+        if _blas()["threads"] is None:
+            pytest.skip("numpy here links no OpenBLAS with a thread getter")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(mio.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "mbasis_lab.cli", "unb",
+                               "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        blas = json.loads((tmp_path / "run.json").read_text())["blas"]
+        assert blas["threads"] == 1 and blas["name"] == np.show_config(
+            mode="dicts")["Build Dependencies"]["blas"]["name"]
+
     @pytest.mark.parametrize("command", ["pathology", "unb"])
     def test_pathology_and_unb_skip_numpy_ma(self, tmp_path, command):
         # a fresh process: a plain np.unique imports numpy.ma (~0.02 s a run),
