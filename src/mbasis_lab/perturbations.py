@@ -53,8 +53,7 @@ class BlockPartition:
                 raise ArgumentError(f"block {j} is empty")
             if a not in blk:
                 raise ArgumentError(f"anchor {a} is not a member of block {j}")
-            if not 0 < e < math.inf:  # NaN too
-                raise ArgumentError(f"eps_{j} must be positive and finite")
+            _require_budget(j, e)
             if min(blk) < 1:
                 raise ArgumentError(f"block {j} contains an index below 1")
             repeats = sorted({i for i, k in zip(blk, blk[1:]) if i == k})
@@ -77,6 +76,12 @@ class BlockPartition:
     @property
     def covered(self) -> set:
         return set().union(*self.blocks)
+
+
+def _require_budget(j: int, eps_j: float):
+    """Refuse a budget eps_j that is not positive and finite, NaN too."""
+    if not 0 < eps_j < math.inf:
+        raise ArgumentError(f"eps_{j} must be positive and finite")
 
 
 def _require_cover(p: BlockPartition, n: int, context: str):
@@ -103,15 +108,25 @@ def _require_comparable(zsys: BiorthSystem, xsys: BiorthSystem, p: BlockPartitio
         )
 
 
-def _block_columns(*row_sets) -> np.ndarray:
-    """The columns S where any row of the given row blocks is nonzero.
+def _block_rows(rows: list, *matrices):
+    """The columns S where any of ``rows`` of the given matrices is
+    nonzero, and those rows of each matrix restricted to S: ``(S, *rows)``.
 
     Rows that vanish off S have the spans, gaps, distances and dual solves
     of their restrictions to S, so a block is worked on S and its results
     are scattered back into the zero columns.  A dense block's S is all d
-    columns.
+    columns.  Each matrix's rows are gathered once; S is an OR of one
+    ``any`` reduction per gather, and the restrictions are taken off the
+    gathers, which are freed on return.  ``numpy.take`` keeps them
+    C-ordered, as ``numpy.ix_`` made them; ``G[:, S]`` would not be, and
+    BLAS rounds another layout differently.
     """
-    return np.flatnonzero(np.any(np.concatenate(row_sets) != 0, axis=0))
+    gathers = [M[rows] for M in matrices]
+    touched = np.zeros(gathers[0].shape[1], dtype=bool)
+    for G in gathers:
+        touched |= np.any(G != 0, axis=0)
+    cols = np.flatnonzero(touched)
+    return (cols, *(np.take(G, cols, axis=1) for G in gathers))
 
 
 def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
@@ -133,9 +148,9 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
     Z = np.zeros_like(sys.xs)
     for j, blk in enumerate(p.blocks, start=1):
         rows = [n - 1 for n in blk]
-        block = np.ix_(rows, _block_columns(sys.fs[rows], D[rows], sys.xs[rows]))
-        Dj = D[block]
-        outside = prefix_coordinates(sys.fs[block], Dj, tol.rank_tol)[1][:, -1]
+        cols, Fj, Dj, Xj = _block_rows(rows, sys.fs, D, sys.xs)
+        outside = prefix_coordinates(Fj, Dj, tol.rank_tol)[1][:, -1]
+        del Fj  # not held through the dual solve, which sets the peak memory
         leaving = outside > tol.span_tol * np.maximum(1.0, np.linalg.norm(Dj, axis=1))
         if leaving.any():
             raise ArgumentError(
@@ -143,7 +158,7 @@ def flattened_from_duals(sys: BiorthSystem, p: BlockPartition,
                 f"of block {j}"
             )
         try:
-            Z[block] = dual_solve(Dj, sys.xs[block], tol.rank_tol, tol.biorth_tol)
+            Z[np.ix_(rows, cols)] = dual_solve(Dj, Xj, tol.rank_tol, tol.biorth_tol)
         except SingularGramError as exc:
             advice = {"rank": f"a larger eps_{j}", "cross-Gram": f"a smaller eps_{j}"}
             raise ConstructionError(f"block {j} dual solve: {exc}; use "
@@ -192,9 +207,10 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
         if not others:
             continue
         rows = [anchor - 1] + others
-        cols = _block_columns(sys.fs[rows])
+        cols, Fj = _block_rows(rows, sys.fs)
         radius = 0.9 * eps_j / float(np.linalg.norm(sys.x(anchor)))
-        Q, _, rank = prefix_bases(sys.fs[np.ix_(rows, cols)], tol.rank_tol)
+        Q, _, rank = prefix_bases(Fj, tol.rank_tol)
+        del Fj  # not held through the rotation's draw and QR, which set the peak memory
         if rank[-1] < len(rows):
             raise ConstructionError(f"functional span of block {j} is rank deficient")
         directions = _rotation(seed, j, len(others)).T @ Q[:, 1:].T
@@ -251,11 +267,11 @@ def verify_flattened(zsys: BiorthSystem, xsys: BiorthSystem,
     for j, (blk, anchor, eps_j) in enumerate(
             zip(p.blocks, p.anchors, p.epsilons), start=1):
         rows = [n - 1 for n in blk]
-        cols = _block_columns(zsys.xs[rows], xsys.xs[rows], zsys.fs[rows], xsys.fs[rows])
-        block = np.ix_(rows, cols)
-        vec_gap = span_gap(zsys.xs[block], xsys.xs[block], tol.rank_tol)
-        dual_gap = span_gap(zsys.fs[block], xsys.fs[block], tol.rank_tol)
+        cols, zx, xx, zf, xf = _block_rows(rows, zsys.xs, xsys.xs, zsys.fs, xsys.fs)
+        vec_gap = span_gap(zx, xx, tol.rank_tol)
+        del zx, xx  # not held through the second gap, which sets the peak memory
+        dual_gap = span_gap(zf, xf, tol.rank_tol)
         bound = eps_j / float(np.linalg.norm(xsys.x(anchor)))
-        spread = np.linalg.norm(zsys.fs[block] - xsys.fs[anchor - 1, cols], axis=1)
+        spread = np.linalg.norm(zf - xsys.fs[anchor - 1, cols], axis=1)
         checks.append(BlockCheck(j, vec_gap, dual_gap, bound - float(np.max(spread))))
     return FlatteningReport(tuple(checks), tol.span_tol)

@@ -27,9 +27,10 @@ import numpy as np
 
 from .biorth import BiorthSystem
 from .errors import ArgumentError
-from .perturbations import BlockPartition, _require_comparable, _require_cover
-from .subspace import (_isolated_rows, as_vector, distance_to_span, prefix_bases,
-                       prefix_coordinates, project)
+from .perturbations import (BlockPartition, _require_budget, _require_comparable,
+                            _require_cover)
+from .subspace import (_isolated_rows, _left_inverse_bound, as_vector, distance_to_span,
+                       prefix_bases, prefix_coordinates, project)
 
 __all__ = [
     "RepresentingIndices",
@@ -427,8 +428,23 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     is selected, so at N = size on a complete truncation the span is the
     whole space and the residual is 0 by completeness, whatever the
     flattening did: every complete biorthogonal system in finite
-    dimensions is strong.  Each prefix costs one QR of every selected z
-    row (:func:`~mbasis_lab.subspace.distance_to_span`), per call.
+    dimensions is strong.  Budgets that are not positive and finite are
+    refused with :class:`~mbasis_lab.perturbations.BlockPartition`'s text.
+
+    Completeness is certified, not factored.  When a prefix selects k = d
+    rows S, d the ambient dimension, the system's own functionals bound
+    the rank test (``subspace._left_inverse_bound``):
+    delta = k max|F_S Z_S^T - I| (1 + u) + gamma_{d+1} ||F_S|| ||Z_S||
+    + k d 2^-1074 bounds ||F_S Z_S^T - I||_2, and if delta < 1 every
+    Gram-Schmidt residual of Z_S's normalized rows is at least
+    res = (1 - delta) / (||F_S|| max ||z_i||), Frobenius norms.  If res
+    less the kernel's rounding floor sqrt(k) (gamma~_d + gamma~_{dk}
+    (1 + gamma~_d)) clears rank_tol, the kernel keeps all d rows, R22 is
+    empty, and the residual is 0.0, exactly what the QR would return.  That
+    costs one k x k product in place of a QR of every selected row.  The
+    QR (:func:`~mbasis_lab.subspace.distance_to_span`) still runs for
+    k < d, for delta >= 1, for a row whose sum of squares is not a normal
+    float, and for a bound inside its floor.
     """
     _require_comparable(zsys, xsys, trace.partition)
     prefixes = [zsys.size] if prefixes is None else [int(N) for N in prefixes]
@@ -438,6 +454,8 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     eps = [float(e) for e in eps]
     if len(eps) < trace.partition.count:
         raise ArgumentError(f"need {trace.partition.count} epsilons, got {len(eps)}")
+    for j, e in enumerate(eps[: trace.partition.count], start=1):
+        _require_budget(j, e)
     xv = as_vector(x, zsys.ambient_dim)
     nrm = np.linalg.norm(xv)
     if nrm == 0:
@@ -462,11 +480,18 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
         verdicts.append(BoundVerdict(lo - 1, "B", n0, claim_ok, block))
 
     residuals = {}
+    tol, selected = zsys.tol.rank_tol, np.abs(coeff_z) > btol
     for N in prefixes:
-        idx = [n for n in range(1, N + 1) if abs(coeff_z[n - 1]) > btol]
-        if idx:
-            residuals[N] = distance_to_span(xv, zsys.xs[[i - 1 for i in idx]],
-                                            zsys.tol.rank_tol)
-        else:
+        rows = np.flatnonzero(selected[:N])
+        take = slice(N) if rows.size == N else rows  # views when every row is selected
+        complete = (rows.size == zsys.ambient_dim
+                    and _left_inverse_bound(zsys.fs[take], zsys.xs[take])[1] > tol)
+        if not rows.size:
             residuals[N] = 1.0
+        elif complete:
+            residuals[N] = 0.0  # the kernel keeps all d rows, so R22 is empty
+        else:
+            # a C-ordered copy whatever the system's layout: the kernel's
+            # row norms round by the layout
+            residuals[N] = distance_to_span(xv, zsys.xs[rows], tol)
     return StrongnessReport(tuple(verdicts), residuals)

@@ -453,8 +453,73 @@ def _solve_bounds(V: np.ndarray, G: np.ndarray, A: np.ndarray, defect: float):
     s_lo = (1 - r) / nA
     e = 4 * _gamma(16 * k * k) * nG
     res = (s_lo - _gamma(d) * nV * nW - eta) / (w2 * vmax)
-    floor = np.sqrt(k) * (_gamma(16 * d) + _gamma(16 * d * k) * (1 + _gamma(16 * d)))
-    return (s_lo / nG, (s_lo - e) / (nG + e)), (res, res - floor)
+    return (s_lo / nG, (s_lo - e) / (nG + e)), (res, res - _rank_floor(k, d))
+
+
+def _rank_floor(k: int, d: int) -> float:
+    """sqrt(k) (gamma~_d + gamma~_{dk} (1 + gamma~_d)), gamma~_n taken as
+    gamma_{16 n}: how far the kernel's computed R diagonal for k rows in
+    dimension d, each row's sum of squares a normal float, may lie below
+    the Gram-Schmidt residuals of the exact normalized rows (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 19.4).
+    A residual bound less this floor above rank_tol certifies that the
+    rank test keeps every row."""
+    return np.sqrt(k) * (_gamma(16 * d) + _gamma(16 * d * k) * (1 + _gamma(16 * d)))
+
+
+def _left_inverse_bound(F: np.ndarray, Z: np.ndarray):
+    """Lower bound, from F Z^T = I up to its defect, on every Gram-Schmidt
+    residual of the normalized rows of ``Z``, as ``(bound, cut)``: the
+    bound alone and less :func:`_rank_floor`.  NaN when a row's sum of
+    squares is not a normal float with a factor 2 to spare.
+
+    F and Z are k x d, k <= d, and sigma_min is the k-th singular value;
+    at k = d, all k rows kept means they span the space, which is where
+    ``representing.strongness_diagnostic`` reads it.  With u the unit
+    roundoff, gamma_n as in :func:`_gamma`, Frobenius norms, and each
+    computed norm raised by the factor 1 + gamma_{kd+2} and by
+    sqrt(size) 2^-537 for its squares' underflow, as :func:`_solve_bounds`
+    raises them:
+
+    - Each entry of the computed F Z^T is within gamma_d |f_i| |z_j| plus
+      d 2^-1074 of the exact one, the diagonal's subtraction of 1 rounds
+      by a relative u, and every other entry is exact, so
+      ||F Z^T - I||_2 <= delta = k defect (1 + gamma_1)
+      + gamma_{d+1} ||F|| ||Z|| + k d 2^-1074, defect the computed
+      max|F Z^T - I|.
+    - If delta < 1, F Z^T is invertible with sigma_min(F Z^T) >= 1 - delta,
+      and sigma_min(F Z^T) <= ||F||_2 sigma_min(Z), so sigma_min(Z) >=
+      (1 - delta) / ||F||.  Scaling the rows to unit norm divides sigma_min
+      by at most max ||z_i||, and every Gram-Schmidt residual, a diagonal
+      entry of the R factor of the unit rows, is at least their
+      sigma_min: res = (1 - delta) / (||F|| max ||z_i||).
+    - If every row's sum of squares is a normal float, :func:`_rank_floor`
+      bounds the kernel's rounding, as in :func:`dual_solve`: res less it
+      above rank_tol certifies that the kernel keeps all k rows.  The row
+      sums here are one ``einsum`` pass, in another order than
+      ``numpy.linalg.norm``'s; two sums of d nonnegative products differ
+      by under 2 gamma_d of either plus d 2^-1074, so the factor 2 kept
+      from each end of the normal range leaves the kernel's sums normal.
+      The scalar operations round by a few u, inside the floor's 32 u.
+
+    The one k x k temporary is F Z^T, made F Z^T - I and its absolute
+    value in place; neither the squares of Z nor an identity is formed.
+    """
+    k, d = Z.shape
+    info = np.finfo(float)
+    with np.errstate(all="ignore"):  # a value past the float range certifies nothing
+        P = F @ Z.T
+        P.ravel()[:: k + 1] -= 1.0
+        defect = float(np.abs(P, out=P).max())
+        sq = np.einsum("ij,ij->i", Z, Z)
+        normal = sq.min() >= 2 * info.tiny and sq.max() <= info.max / 2
+        grow = 1 + _gamma(k * d + 2)
+        nF = grow * float(np.linalg.norm(F)) + np.sqrt(F.size) * 2.0 ** -537
+        nZ = grow * float(np.sqrt(sq.sum())) + np.sqrt(Z.size) * 2.0 ** -537
+        zmax = grow * float(np.sqrt(sq.max())) if normal else np.nan
+        delta = k * defect * (1 + _gamma(1)) + _gamma(d + 1) * nF * nZ + k * d * 2.0 ** -1074
+        res = (1 - delta) / (nF * zmax)
+    return res, res - _rank_floor(k, d)
 
 
 def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
