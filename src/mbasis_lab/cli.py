@@ -10,8 +10,10 @@ directory; failures leave a machine-readable ``failure.json`` naming the
 violated condition and exit nonzero.
 
 Usage: ``mbasis-lab <command> [--config FILE] [--out DIR] [--seed N]
-[--truncation N]`` with commands build-system, perturb, represent,
-pathology, unb.  The ``MBASIS_LOG`` environment variable sets verbosity.
+[--truncation N] [--partition FILE] [--auto-strong]`` with commands
+build-system, perturb, represent, pathology, unb; ``--partition`` and
+``--auto-strong`` are perturb's.  The ``MBASIS_LOG`` environment variable
+sets verbosity.
 """
 
 from __future__ import annotations

@@ -397,9 +397,16 @@ def omega_stats(spec: PermutationSpec, cs, N: int) -> OmegaStats:
 # the near-canonical pathological system
 
 
-def _check_eps_budget(eps: np.ndarray):
+def _eps_budget(eps: np.ndarray) -> tuple[float, bool]:
+    """sum(eps_i^2) and whether it is within EPS_SQ_BUDGET, 1e-15 allowed
+    for the rounding of the sum."""
     total = float(np.sum(eps * eps))
-    if total > EPS_SQ_BUDGET + 1e-15:
+    return total, total <= EPS_SQ_BUDGET + 1e-15
+
+
+def _check_eps_budget(eps: np.ndarray):
+    total, within = _eps_budget(eps)
+    if not within:
         raise ArgumentError(
             f"sum(eps_i^2) = {total:.6f} exceeds the budget 1/8; shrink the "
             "correction sequence"
@@ -675,14 +682,12 @@ def operator_T(e_hats, ambient: int, eps_seq=None,
             "not positive"
         )
     norm, norm_inv = float(np.sqrt(lam.max())), float(1.0 / np.sqrt(lam.min()))
-    if eps_seq is not None:
-        eps = np.asarray(eps_seq, dtype=float)
-        if float(np.sum(eps * eps)) <= EPS_SQ_BUDGET + 1e-15:
-            if norm > 2.0 + 1e-9 or norm_inv > 2.0 + 1e-9:
-                raise ConstructionError(
-                    f"operator norms ({norm:.6f}, {norm_inv:.6f}) exceed 2 "
-                    "despite the eps budget"
-                )
+    if eps_seq is not None and _eps_budget(np.asarray(eps_seq, dtype=float))[1]:
+        if norm > 2.0 + 1e-9 or norm_inv > 2.0 + 1e-9:
+            raise ConstructionError(
+                f"operator norms ({norm:.6f}, {norm_inv:.6f}) exceed 2 "
+                "despite the eps budget"
+            )
     return TOperator(T, norm, norm_inv)
 
 

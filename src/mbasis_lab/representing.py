@@ -432,19 +432,14 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     refused with :class:`~mbasis_lab.perturbations.BlockPartition`'s text.
 
     Completeness is certified, not factored.  When a prefix selects k = d
-    rows S, d the ambient dimension, the system's own functionals bound
-    the rank test (``subspace._left_inverse_bound``):
-    delta = k max|F_S Z_S^T - I| (1 + u) + gamma_{d+1} ||F_S|| ||Z_S||
-    + k d 2^-1074 bounds ||F_S Z_S^T - I||_2, and if delta < 1 every
-    Gram-Schmidt residual of Z_S's normalized rows is at least
-    res = (1 - delta) / (||F_S|| max ||z_i||), Frobenius norms.  If res
-    less the kernel's rounding floor sqrt(k) (gamma~_d + gamma~_{dk}
-    (1 + gamma~_d)) clears rank_tol, the kernel keeps all d rows, R22 is
-    empty, and the residual is 0.0, exactly what the QR would return.  That
-    costs one k x k product in place of a QR of every selected row.  The
-    QR (:func:`~mbasis_lab.subspace.distance_to_span`) still runs for
-    k < d, for delta >= 1, for a row whose sum of squares is not a normal
-    float, and for a bound inside its floor.
+    rows S, d the ambient dimension, the system's own functionals certify
+    them: where the cut of ``subspace._left_inverse_bound(F_S, Z_S)``, the
+    package's one left-inverse certificate, clears rank_tol, the kernel
+    keeps all d rows, R22 is empty, and the residual is 0.0, exactly what
+    the QR would return.  That costs one k x k product in place of a QR of
+    every selected row.  The QR
+    (:func:`~mbasis_lab.subspace.distance_to_span`) still runs for k < d
+    and wherever the certificate cannot decide.
     """
     _require_comparable(zsys, xsys, trace.partition)
     prefixes = [zsys.size] if prefixes is None else [int(N) for N in prefixes]

@@ -428,82 +428,83 @@ def directed_span_gap(S_sub, S_sup, rank_tol: float = ToleranceConfig.rank_tol) 
 
 
 def _gamma(n: float) -> float:
-    """Higham's gamma_n = n u / (1 - n u) for the unit roundoff u, +inf
-    once n u reaches 1."""
-    nu = n * np.finfo(float).eps / 2
+    """Higham's gamma_n = n u / (1 - n u) for the unit roundoff u = 2^-53,
+    +inf once n u reaches 1."""
+    nu = n * 2.0 ** -53
     return nu / (1 - nu) if nu < 1 else np.inf
 
 
-def _solve_bounds(V: np.ndarray, G: np.ndarray, A: np.ndarray, defect: float):
-    """Lower bounds, from the solve A of G = V W^T, on sigma_min / sigma_max
-    of G and on every Gram-Schmidt residual of V's normalized rows, each
-    as ``(bound, cut)``: the bound alone and less the floor for the
-    rounding of the exact test it stands for.  NaN when a row's sum of
-    squares is not a normal float.  Derived in :func:`dual_solve`."""
-    k, d = V.shape
-    sq = np.square(V).sum(axis=1)  # numpy.linalg.norm's arithmetic
-    normal = sq.min() >= np.finfo(float).tiny and sq.max() < np.inf
-    grow = 1 + _gamma(k * d + 2)
-    nA, nG, nV = (grow * float(np.linalg.norm(M)) + np.sqrt(M.size) * 2.0 ** -537
-                  for M in (A, G, V))
-    vmax = grow * float(np.sqrt(sq.max())) if normal else np.nan
-    w2 = 1 + 2 * np.sqrt(k) * _gamma(16 * d * k)
-    nW, eta = np.sqrt(k) * w2, k * d * 2.0 ** -1074
-    r = k * defect * (1 + _gamma(1)) + 3 * _gamma(d + k + 1) * nA * nW * nV + eta * (nA + nV + 1)
-    s_lo = (1 - r) / nA
-    e = 4 * _gamma(16 * k * k) * nG
-    res = (s_lo - _gamma(d) * nV * nW - eta) / (w2 * vmax)
-    return (s_lo / nG, (s_lo - e) / (nG + e)), (res, res - _rank_floor(k, d))
-
-
-def _rank_floor(k: int, d: int) -> float:
-    """sqrt(k) (gamma~_d + gamma~_{dk} (1 + gamma~_d)), gamma~_n taken as
-    gamma_{16 n}: how far the kernel's computed R diagonal for k rows in
-    dimension d, each row's sum of squares a normal float, may lie below
-    the Gram-Schmidt residuals of the exact normalized rows (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 19.4).
-    A residual bound less this floor above rank_tol certifies that the
-    rank test keeps every row."""
-    return np.sqrt(k) * (_gamma(16 * d) + _gamma(16 * d * k) * (1 + _gamma(16 * d)))
+def _raised(norm: float, size: int) -> float:
+    """A computed Frobenius norm of ``size`` entries raised to a bound on the
+    exact one: by the factor 1 + gamma_{size+2} for the rounding of its sum
+    of squares and root, and by sqrt(size) 2^-537 for its squares'
+    underflow."""
+    return (1 + _gamma(size + 2)) * float(norm) + size ** 0.5 * 2.0 ** -537
 
 
 def _left_inverse_bound(F: np.ndarray, Z: np.ndarray):
-    """Lower bound, from F Z^T = I up to its defect, on every Gram-Schmidt
-    residual of the normalized rows of ``Z``, as ``(bound, cut)``: the
-    bound alone and less :func:`_rank_floor`.  NaN when a row's sum of
-    squares is not a normal float with a factor 2 to spare.
+    """The package's one certificate of independence: from F Z^T = I up to
+    its defect, a lower bound on every Gram-Schmidt residual of the
+    normalized rows of ``Z``.
 
-    F and Z are k x d, k <= d, and sigma_min is the k-th singular value;
-    at k = d, all k rows kept means they span the space, which is where
-    ``representing.strongness_diagnostic`` reads it.  With u the unit
-    roundoff, gamma_n as in :func:`_gamma`, Frobenius norms, and each
-    computed norm raised by the factor 1 + gamma_{kd+2} and by
-    sqrt(size) 2^-537 for its squares' underflow, as :func:`_solve_bounds`
-    raises them:
+    Returns ``(bound, cut, defect, delta)``: the bound, the bound less the
+    floor of the kernel's rounding, the computed defect max|F Z^T - I| and
+    delta >= ||F Z^T - I||_2.  bound and cut are NaN when a row's sum of
+    squares is not a normal float with a factor 2 to spare.  A cut above
+    rank_tol certifies that the kernel's rank test keeps all k rows.  F and
+    Z are k x d, k <= d, and sigma_min is the k-th singular value.  Two
+    callers read it: :func:`dual_solve`, with Z its vectors V and F its
+    computed functionals, for its defect test, its rank test and, through
+    :func:`_ratio_bound`, its cross-Gram test; and
+    ``representing.strongness_diagnostic``, with a system's selected rows
+    at k = d, where all rows kept means they span the space.
+
+    With u the unit roundoff, gamma_n as in :func:`_gamma`, Higham's
+    gamma~_n taken as gamma_{16 n} (*Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 3.5 and Thm 19.4), Frobenius norms and each
+    computed norm raised by :func:`_raised`:
 
     - Each entry of the computed F Z^T is within gamma_d |f_i| |z_j| plus
       d 2^-1074 of the exact one, the diagonal's subtraction of 1 rounds
       by a relative u, and every other entry is exact, so
       ||F Z^T - I||_2 <= delta = k defect (1 + gamma_1)
-      + gamma_{d+1} ||F|| ||Z|| + k d 2^-1074, defect the computed
-      max|F Z^T - I|.
+      + gamma_{d+1} ||F|| ||Z|| + k d 2^-1074.
     - If delta < 1, F Z^T is invertible with sigma_min(F Z^T) >= 1 - delta,
       and sigma_min(F Z^T) <= ||F||_2 sigma_min(Z), so sigma_min(Z) >=
       (1 - delta) / ||F||.  Scaling the rows to unit norm divides sigma_min
       by at most max ||z_i||, and every Gram-Schmidt residual, a diagonal
       entry of the R factor of the unit rows, is at least their
-      sigma_min: res = (1 - delta) / (||F|| max ||z_i||).
-    - If every row's sum of squares is a normal float, :func:`_rank_floor`
-      bounds the kernel's rounding, as in :func:`dual_solve`: res less it
-      above rank_tol certifies that the kernel keeps all k rows.  The row
-      sums here are one ``einsum`` pass, in another order than
-      ``numpy.linalg.norm``'s; two sums of d nonnegative products differ
-      by under 2 gamma_d of either plus d 2^-1074, so the factor 2 kept
-      from each end of the normal range leaves the kernel's sums normal.
-      The scalar operations round by a few u, inside the floor's 32 u.
+      sigma_min: bound = (1 - delta) / (||F|| max ||z_i||).  The kernel's
+      isolated rows read residual 1, and the other rows' smallest singular
+      value is no smaller than all rows'.
+    - If every row's sum of squares is a normal float, the computed unit
+      rows are within gamma~_d of the exact ones and the computed R
+      diagonal, by Thm 19.4, within sqrt(k) (gamma~_d + gamma~_{dk} (1 +
+      gamma~_d)) of the residuals: cut = bound less that floor.  Otherwise
+      the kernel's normalization can lose a row, and nothing is certified.
+      The row sums here are one ``einsum`` pass, in another order than
+      ``numpy.linalg.norm``'s; two sums of d nonnegative products differ by
+      under 2 gamma_d of either plus d 2^-1074, so the factor 2 kept from
+      each end of the normal range leaves the kernel's sums normal.
+    - In :func:`dual_solve`, G = V W^T and F = A^T W for the computed solve
+      A of G, each computed entry within gamma_d, resp. gamma_k, of the
+      product of absolute values plus d, resp. k, subnormal units, so
+      F V^T - I is (G A - I)^T up to their rounding and ||G A - I|| <= r =
+      delta + (gamma_k + gamma_d) ||A|| ||W|| ||V|| + k d 2^-1074 (||A||
+      + ||V|| + 1).  If r < 1, G A is invertible, so sigma_min(G) >= s_lo =
+      (1 - r) / ||A|| and kappa_2(G) <= ||G|| / s_lo.  LAPACK's singular
+      values are those of G + E, ||E|| <= 2 g ||G|| for g = gamma~_{k^2}
+      (Householder sweeps from both sides, Thm 19.4), each then read to a
+      relative g, so each is within (3 g + 2 g^2) ||G|| <= e = 4 g ||G|| of
+      the exact one (for g > 1/2 nothing certifies): the cut
+      (s_lo - e) / (||G|| + e) of :func:`_ratio_bound` above rank_tol
+      certifies the cross-Gram test.
 
-    The one k x k temporary is F Z^T, made F Z^T - I and its absolute
-    value in place; neither the squares of Z nor an identity is formed.
+    The dozen scalar operations of the bounds round by a few u: a few
+    u / ||A|| <= a few u ||G|| on s_lo and a few u on the bound, inside e
+    and the rank floor, which are at least 64 u ||G|| and 32 u.  The one
+    k x k temporary is F Z^T, made F Z^T - I and its absolute value in
+    place; neither the squares of Z nor an identity is formed.
     """
     k, d = Z.shape
     info = np.finfo(float)
@@ -513,13 +514,25 @@ def _left_inverse_bound(F: np.ndarray, Z: np.ndarray):
         defect = float(np.abs(P, out=P).max())
         sq = np.einsum("ij,ij->i", Z, Z)
         normal = sq.min() >= 2 * info.tiny and sq.max() <= info.max / 2
-        grow = 1 + _gamma(k * d + 2)
-        nF = grow * float(np.linalg.norm(F)) + np.sqrt(F.size) * 2.0 ** -537
-        nZ = grow * float(np.sqrt(sq.sum())) + np.sqrt(Z.size) * 2.0 ** -537
-        zmax = grow * float(np.sqrt(sq.max())) if normal else np.nan
+        nF, nZ = _raised(np.linalg.norm(F), F.size), _raised(np.sqrt(sq.sum()), Z.size)
+        zmax = _raised(np.sqrt(sq.max()), Z.size) if normal else np.nan
         delta = k * defect * (1 + _gamma(1)) + _gamma(d + 1) * nF * nZ + k * d * 2.0 ** -1074
-        res = (1 - delta) / (nF * zmax)
-    return res, res - _rank_floor(k, d)
+        bound = (1 - delta) / (nF * zmax)
+    floor = np.sqrt(k) * (_gamma(16 * d) + _gamma(16 * d * k) * (1 + _gamma(16 * d)))
+    return bound, bound - floor, defect, delta
+
+
+def _ratio_bound(G: np.ndarray, A: np.ndarray, W: np.ndarray, V: np.ndarray, delta: float):
+    """Lower bound on sigma_min / sigma_max of G = V W^T from its solve A and
+    the ``delta`` of :func:`_left_inverse_bound` for F = A^T W and Z = V, as
+    ``(bound, cut)``: the bound alone and less the rounding of LAPACK's
+    singular values.  Derived in :func:`_left_inverse_bound`."""
+    k, d = V.shape
+    nA, nG, nV, nW = (_raised(np.linalg.norm(M), M.size) for M in (A, G, V, W))
+    r = delta + (_gamma(k) + _gamma(d)) * nA * nW * nV + k * d * 2.0 ** -1074 * (nA + nV + 1)
+    s_lo = (1 - r) / nA
+    e = 4 * _gamma(16 * k * k) * nG
+    return s_lo / nG, (s_lo - e) / (nG + e)
 
 
 def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
@@ -539,46 +552,16 @@ def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
     :func:`prefix_coordinates` (the error's ``test`` is ``"rank"``), and
     s_min <= rank_tol s_max for the singular values s of G = V W^T
     (``"cross-Gram"``); the defect test's ``test`` is ``"defect"``.  The
-    solve runs first, under ``errstate``: A = ``solve(G, I)``, F = A^T W
-    and the defect max|F V^T - I|.  The two tests run only where this
-    solve cannot certify that both pass: after a ``LinAlgError``, a
-    non-finite value or a bound within its floor of rank_tol.  They then
-    refuse exactly as when they ran before the solve, and a
-    ``LinAlgError`` is raised after them.
-
-    The certificate (u the unit roundoff, gamma_n = n u / (1 - n u),
-    Higham's gamma~_n taken as gamma_{16 n}, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., 3.5 and Thm 19.4; norms Frobenius,
-    each computed norm raised by the factor 1 + gamma_{kd+2} and by
-    sqrt(size) 2^-537 for its squares' underflow):
-
-    - ||G A - I|| <= r = k defect (1 + u) + 3 gamma_{d+k+1} ||A|| ||W|| ||V||
-      + k d 2^-1074 (||A|| + ||V|| + 1).  F V^T - I is (G A - I)^T up to the
-      rounding of G, F and F V^T, each entry within gamma_n |X||Y| plus n
-      subnormal units; ||W||_2 <= w = 1 + 2 sqrt(k) gamma~_{dk} for a
-      computed Householder Q, and ||W|| <= sqrt(k) w.
-    - If r < 1, G A is invertible, so sigma_min(G) >= s_lo = (1 - r) / ||A||
-      and kappa_2(G) <= ||G|| / s_lo.  LAPACK's singular values are those
-      of G + E, ||E|| <= 2 g ||G|| for g = gamma~_{k^2} (Householder sweeps
-      from both sides, Thm 19.4), each then read to a relative g, so each
-      is within (3 g + 2 g^2) ||G|| <= e = 4 g ||G|| of the exact one (for
-      g > 1/2 nothing certifies): (s_lo - e) / (||G|| + e) > rank_tol
-      certifies the cross-Gram test.
-    - sigma_min(V W^T) >= s_lo - gamma_d ||V|| ||W|| - k d 2^-1074, and
-      sigma_min(V) >= sigma_min(V W^T) / w, so every Gram-Schmidt residual
-      of the rows scaled to unit norm is at least res = that / (w max
-      ||v_i||).  The kernel's isolated rows read residual 1, and the
-      other rows' smallest singular value is no smaller than all rows'.
-      If every row's sum of squares is a normal float, the computed unit
-      rows are within gamma~_d of the exact ones and the computed R
-      diagonal, by Thm 19.4, within sqrt(k) (gamma~_d + gamma~_{dk} (1 +
-      gamma~_d)) of the residuals: res less that floor > rank_tol
-      certifies the rank test.  Otherwise the kernel's normalization can
-      lose a row, and nothing is certified.
-
-    The dozen scalar operations of the bounds round by a few u: a few
-    u / ||A|| <= a few u ||G|| on s_lo and a few u on res, inside e and
-    the rank floor, which are at least 64 u ||G|| and 32 u.
+    solve runs first, under ``errstate``: A = ``solve(G, I)`` and
+    F = A^T W.  One :func:`_left_inverse_bound` of (F, V), whose product
+    F V^T is the only one formed, reads the defect max|F V^T - I| and
+    certifies the rank test, and its delta certifies the cross-Gram test
+    through :func:`_ratio_bound`; the derivation is in the former's
+    docstring.  The two tests run only where this solve cannot certify
+    that both pass: after a ``LinAlgError``, a non-finite value, a row
+    whose sum of squares is not a normal float or a cut within its floor
+    of rank_tol.  They then refuse exactly as when they ran before the
+    solve, and a ``LinAlgError`` is raised after them.
 
     Certified or not, F is the same solve's, bit for bit, and each refusal
     has the same text and order as when both tests always ran.
@@ -601,8 +584,8 @@ def dual_solve(vectors, within, rank_tol: float = ToleranceConfig.rank_tol,
             failed = exc
         else:
             F = A.T @ W
-            defect = float(np.max(np.abs(F @ V.T - np.eye(k))))
-            certified = all(cut > rank_tol for _, cut in _solve_bounds(V, G, A, defect))
+            _, cut, defect, delta = _left_inverse_bound(F, V)
+            certified = cut > rank_tol and _ratio_bound(G, A, W, V, delta)[1] > rank_tol
     if not certified:
         if prefix_coordinates(V, V[:0], rank_tol)[2][-1] != k:
             raise SingularGramError("input vectors are linearly dependent above rank_tol",

@@ -165,10 +165,10 @@ def test_floor_band_is_undecided(which, monkeypatch):
     Q = subspace.orthonormal_rows(W)
     G = V @ Q.T
     A = np.linalg.solve(G, np.eye(3))
-    defect = float(np.max(np.abs(A.T @ Q @ V.T - np.eye(3))))
-    ratio, residual = subspace._solve_bounds(V, G, A, defect)
-    bound = (ratio if which == "cross-Gram" else residual)[0]
-    assert bound == min(ratio[0], residual[0])
+    residual, _, _, delta = subspace._left_inverse_bound(A.T @ Q, V)
+    ratio = subspace._ratio_bound(G, A, Q, V, delta)[0]
+    bound = ratio if which == "cross-Gram" else residual
+    assert bound == min(ratio, residual)
     calls, spy_solve = exact_test_calls(monkeypatch)
     F = spy_solve(V, W, bound * (1 - 1e-13))
     assert calls == [["qr", "svd"]]
