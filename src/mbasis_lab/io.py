@@ -135,7 +135,10 @@ def load_system(directory: str) -> BiorthSystem:
         raise ArgumentError(f"{header_path}: missing key {exc}")
     except ValueError as exc:
         raise ArgumentError(f"{header_path}: malformed value ({exc})")
-    return BiorthSystem(X, F, ambient_dim=ambient_dim, tol=tol).validate()
+    try:
+        return BiorthSystem(X, F, ambient_dim=ambient_dim, tol=tol).validate()
+    except ArgumentError as exc:
+        raise ArgumentError(f"{directory}: {exc}") from exc
 
 
 def save_partition(p: BlockPartition, path: str):

@@ -193,11 +193,14 @@ def construct_flattened(sys: BiorthSystem, p: BlockPartition, seed: int) -> Bior
     1 x 1 draw; eta = rotation^T @ Q[:, 1:].T, one unit row per non-anchor
     index in order.  The vectors are recovered by blockwise dual solves
     (:func:`flattened_from_duals`).  Deterministic given (sys, p, seed),
-    independent of block processing order.  Refuses a partition whose
-    sets do not cover 1..|sys| exactly (an overlap :class:`BlockPartition`
-    refused already), and a block whose functional rows have rank below b
-    under the rank test.
+    independent of block processing order.  Refuses a negative seed, which
+    the draw cannot take, before any block work; a partition whose sets do
+    not cover 1..|sys| exactly (an overlap :class:`BlockPartition` refused
+    already); and a block whose functional rows have rank below b under
+    the rank test.
     """
+    if seed < 0:
+        raise ArgumentError(f"seed must be nonnegative, got {seed}")
     _require_cover(p, sys.size, f"partition of 1..{sys.size} is invalid: ")
     tol = sys.tol
     D = np.array(sys.fs, dtype=float, copy=True)

@@ -236,7 +236,17 @@ class TestPipelines:
         (lambda d: (d / "header.txt").write_text("rank_tol = 1e-10\n"),
          r"header\.txt: missing key 'ambient_dim'"),
         (lambda d: (d / "X.csv").write_text("1,0\n0\n"), r"ragged matrix rows in .*X\.csv"),
-    ], ids=["bad-token", "missing-directory", "no-ambient-dim", "ragged"])
+        (lambda d: (d / "header.txt").write_text("ambient_dim = 7\n"),
+         r"input: ambient_dim does not match the matrices"),
+        (lambda d: (d / "X.csv").write_text("1,0\n0,1\n1,1\n"),
+         r"input: \|xs\| != \|fs\|: 3 vs 2"),
+        (lambda d: (d / "X.csv").write_text(""), r"input: \|xs\| != \|fs\|: 0 vs 2"),
+        (lambda d: (d / "X.csv").write_text("1,0\n0,inf\n"),
+         r"input: system entries must be finite"),
+        (lambda d: (d / "X.csv").write_text("2,0\n0,1\n"),
+         r"input: biorthogonality defect 1\.000e\+00 above tolerance"),
+    ], ids=["bad-token", "missing-directory", "no-ambient-dim", "ragged", "ambient-dim",
+            "lengths", "empty", "infinite", "defect"])
     def test_corrupt_stored_system_refused(self, tmp_path, damage, match):
         sys_dir = tmp_path / "input"
         mio.save_system(BiorthSystem.canonical(2), str(sys_dir))
@@ -254,17 +264,6 @@ class TestPipelines:
         assert run(cfg) == 1
         record = json.load(open(tmp_path / "out" / "failure.json"))
         assert f"cannot read {tmp_path / 'none.txt'}" in record["invariant"]
-
-    def test_overlapping_partition_file_refused_by_name(self, tmp_path, capsys):
-        part = tmp_path / "overlap.txt"
-        part.write_text("A 1: 1 | 1 2 | 0.5\nA 2: 3 | 2 3 4 | 0.5\n")
-        out = tmp_path / "out"
-        assert main(["perturb", "--partition", str(part), "--truncation", "4",
-                     "--out", str(out)]) == 1
-        record = json.load(open(out / "failure.json"))
-        assert "block 2 overlaps earlier blocks at [2]" in record["invariant"]
-        assert not (out / "run.json").exists()
-        assert "Traceback" not in capsys.readouterr().err
 
     def test_build_system(self, tmp_path):
         cfg = ExperimentConfig(command="build-system", truncation=6,
