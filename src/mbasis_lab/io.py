@@ -9,7 +9,8 @@ holding ``X.csv``, ``F.csv`` and a ``header.txt`` of ``key = value``
 lines: ``ambient_dim``, then one line per field of :class:`ToleranceConfig`.
 The reader skips keys it does not know, so headers of earlier versions
 load, and takes a missing tolerance at its default.  Reading a missing or
-malformed stored system raises :class:`ArgumentError` naming the file.
+malformed stored system or partition, or one its constructor refuses,
+raises :class:`ArgumentError` naming the file.
 """
 
 from __future__ import annotations
@@ -167,7 +168,10 @@ def load_partition(path: str) -> BlockPartition:
                 eps.append(float(eps_s))
             except ValueError as exc:
                 raise ArgumentError(f"{path}:{ln}: malformed partition line ({exc})")
-    return BlockPartition(tuple(blocks), tuple(anchors), tuple(eps))
+    try:
+        return BlockPartition(tuple(blocks), tuple(anchors), tuple(eps))
+    except ArgumentError as exc:
+        raise ArgumentError(f"{path}: {exc}") from exc
 
 
 def save_indices(r: RepresentingIndices, path: str):

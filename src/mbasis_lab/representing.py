@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorth import BiorthSystem
+from .biorth import BiorthSystem, biorthogonality_defect
 from .errors import ArgumentError
 from .perturbations import (BlockPartition, _require_budget, _require_comparable,
                             _require_cover)
@@ -437,7 +437,10 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     package's one left-inverse certificate, clears rank_tol, the kernel
     keeps all d rows, R22 is empty, and the residual is 0.0, exactly what
     the QR would return.  That costs one k x k product in place of a QR of
-    every selected row.  The QR
+    every selected row, and none where every row of the system is
+    selected: the certificate then reads the system's stored
+    :func:`~mbasis_lab.biorth.biorthogonality_defect`, the same product's
+    value bit for bit.  The QR
     (:func:`~mbasis_lab.subspace.distance_to_span`) still runs for k < d
     and wherever the certificate cannot decide.
     """
@@ -479,8 +482,11 @@ def strongness_diagnostic(x, zsys: BiorthSystem, xsys: BiorthSystem,
     for N in prefixes:
         rows = np.flatnonzero(selected[:N])
         take = slice(N) if rows.size == N else rows  # views when every row is selected
+        # all d rows of the system: its stored defect is this product's value
+        full = rows.size == zsys.size == zsys.ambient_dim
+        defect = biorthogonality_defect(zsys) if full else None
         complete = (rows.size == zsys.ambient_dim
-                    and _left_inverse_bound(zsys.fs[take], zsys.xs[take])[1] > tol)
+                    and _left_inverse_bound(zsys.fs[take], zsys.xs[take], defect)[1] > tol)
         if not rows.size:
             residuals[N] = 1.0
         elif complete:

@@ -427,22 +427,26 @@ def directed_span_gap(S_sub, S_sup, rank_tol: float = ToleranceConfig.rank_tol) 
     return 1.0 if rank < Q.shape[0] else gap
 
 
-def _gamma(n: float) -> float:
+def _gamma(n):
     """Higham's gamma_n = n u / (1 - n u) for the unit roundoff u = 2^-53,
-    +inf once n u reaches 1."""
+    +inf once n u reaches 1; elementwise for an array n, in float
+    arithmetic for a number."""
     nu = n * 2.0 ** -53
+    if isinstance(nu, np.ndarray):
+        return np.where(nu < 1, nu / np.maximum(1 - nu, 2.0 ** -53), np.inf)
     return nu / (1 - nu) if nu < 1 else np.inf
 
 
-def _raised(norm: float, size: int) -> float:
+def _raised(norm, size):
     """A computed Frobenius norm of ``size`` entries raised to a bound on the
     exact one: by the factor 1 + gamma_{size+2} for the rounding of its sum
     of squares and root, and by sqrt(size) 2^-537 for its squares'
-    underflow."""
-    return (1 + _gamma(size + 2)) * float(norm) + size ** 0.5 * 2.0 ** -537
+    underflow.  Elementwise for arrays, in float arithmetic for numbers."""
+    norm = norm if isinstance(norm, np.ndarray) else float(norm)
+    return (1 + _gamma(size + 2)) * norm + size ** 0.5 * 2.0 ** -537
 
 
-def _left_inverse_bound(F: np.ndarray, Z: np.ndarray):
+def _left_inverse_bound(F: np.ndarray, Z: np.ndarray, defect: float | None = None):
     """The package's one certificate of independence: from F Z^T = I up to
     its defect, a lower bound on every Gram-Schmidt residual of the
     normalized rows of ``Z``.
@@ -452,12 +456,15 @@ def _left_inverse_bound(F: np.ndarray, Z: np.ndarray):
     delta >= ||F Z^T - I||_2.  bound and cut are NaN when a row's sum of
     squares is not a normal float with a factor 2 to spare.  A cut above
     rank_tol certifies that the kernel's rank test keeps all k rows.  F and
-    Z are k x d, k <= d, and sigma_min is the k-th singular value.  Two
+    Z are k x d, k <= d, and sigma_min is the k-th singular value.  Three
     callers read it: :func:`dual_solve`, with Z its vectors V and F its
     computed functionals, for its defect test, its rank test and, through
-    :func:`_ratio_bound`, its cross-Gram test; and
+    :func:`_ratio_bound`, its cross-Gram test;
     ``representing.strongness_diagnostic``, with a system's selected rows
-    at k = d, where all rows kept means they span the space.
+    at k = d, where all rows kept means they span the space; and
+    ``biorth.classify_perturbation``, through :func:`_sigma_bound` once per
+    row prefix of a system, to certify each prefix's rank and bound its
+    gap.
 
     With u the unit roundoff, gamma_n as in :func:`_gamma`, Higham's
     gamma~_n taken as gamma_{16 n} (*Accuracy and Stability of Numerical
@@ -468,7 +475,9 @@ def _left_inverse_bound(F: np.ndarray, Z: np.ndarray):
       d 2^-1074 of the exact one, the diagonal's subtraction of 1 rounds
       by a relative u, and every other entry is exact, so
       ||F Z^T - I||_2 <= delta = k defect (1 + gamma_1)
-      + gamma_{d+1} ||F|| ||Z|| + k d 2^-1074.
+      + gamma_{d+1} ||F|| ||Z|| + k d 2^-1074.  Any bound e on the 2-norm
+      of the computed F Z^T - I may stand in for k defect, which bounds
+      its Frobenius norm; the classifier's is that Frobenius norm, raised.
     - If delta < 1, F Z^T is invertible with sigma_min(F Z^T) >= 1 - delta,
       and sigma_min(F Z^T) <= ||F||_2 sigma_min(Z), so sigma_min(Z) >=
       (1 - delta) / ||F||.  Scaling the rows to unit norm divides sigma_min
@@ -504,22 +513,36 @@ def _left_inverse_bound(F: np.ndarray, Z: np.ndarray):
     u / ||A|| <= a few u ||G|| on s_lo and a few u on the bound, inside e
     and the rank floor, which are at least 64 u ||G|| and 32 u.  The one
     k x k temporary is F Z^T, made F Z^T - I and its absolute value in
-    place; neither the squares of Z nor an identity is formed.
+    place; neither the squares of Z nor an identity is formed.  A caller
+    that holds max|F Z^T - I| from the same product passes it as
+    ``defect``, and the product is not formed again.
     """
     k, d = Z.shape
     info = np.finfo(float)
     with np.errstate(all="ignore"):  # a value past the float range certifies nothing
-        P = F @ Z.T
-        P.ravel()[:: k + 1] -= 1.0
-        defect = float(np.abs(P, out=P).max())
+        if defect is None:
+            P = F @ Z.T
+            P.ravel()[:: k + 1] -= 1.0
+            defect = float(np.abs(P, out=P).max())
         sq = np.einsum("ij,ij->i", Z, Z)
         normal = sq.min() >= 2 * info.tiny and sq.max() <= info.max / 2
         nF, nZ = _raised(np.linalg.norm(F), F.size), _raised(np.sqrt(sq.sum()), Z.size)
         zmax = _raised(np.sqrt(sq.max()), Z.size) if normal else np.nan
-        delta = k * defect * (1 + _gamma(1)) + _gamma(d + 1) * nF * nZ + k * d * 2.0 ** -1074
-        bound = (1 - delta) / (nF * zmax)
+        bound, cut, delta = _sigma_bound(k * defect, nF, nZ, zmax, k, d)
+    return bound, cut, defect, delta
+
+
+def _sigma_bound(e, nF, nZ, zmax, k, d):
+    """``(bound, cut, delta)`` of :func:`_left_inverse_bound` from a bound
+    e >= ||F Z^T - I||_2 on the computed defect matrix, the raised norms
+    ||F|| and ||Z|| and the raised largest row norm of Z, for k x d rows;
+    elementwise over arrays, one entry per row prefix.  Derived there.
+    Callers run it under ``errstate``: a value past the float range
+    certifies nothing."""
+    delta = e * (1 + _gamma(1)) + _gamma(d + 1) * nF * nZ + k * d * 2.0 ** -1074
+    bound = (1 - delta) / (nF * zmax)
     floor = np.sqrt(k) * (_gamma(16 * d) + _gamma(16 * d * k) * (1 + _gamma(16 * d)))
-    return bound, bound - floor, defect, delta
+    return bound, bound - floor, delta
 
 
 def _ratio_bound(G: np.ndarray, A: np.ndarray, W: np.ndarray, V: np.ndarray, delta: float):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mbasis_lab import biorth
+from mbasis_lab import biorth, representing, subspace
 from mbasis_lab.biorth import (
     BiorthSystem,
     IntervalFamily,
@@ -278,8 +278,24 @@ class TestClassify:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(biorth, name, spy)
         classify_perturbation(BiorthSystem.canonical(3), x)
-        assert sorted(seen) == ["prefix_bases", "prefix_coordinates", "span_equal"]
+        assert sorted(seen) == ["prefix_coordinates", "span_equal"]
         assert {tol for calls in seen.values() for tol in calls} == {0.75}
+        # the certificate's cut reads it too: as zsys, X's pairing bounds
+        # sigma_min of its unit rows by 0.58 at k = 1 and 0.29 at k = 3, so
+        # at 0.75 no prefix is certified, where at the default all three are
+        certify, cuts = biorth._certified_prefixes, []
+
+        def spy_cut(Z, G, rank_tol, S=None):
+            out = certify(Z, G, rank_tol, S)
+            cuts.append((rank_tol, out[0][1]))
+            return out
+
+        monkeypatch.setattr(biorth, "_certified_prefixes", spy_cut)
+        for rank_tol, certified in ((0.75, 0), (ToleranceConfig.rank_tol, 3)):
+            cuts.clear()
+            classify_perturbation(BiorthSystem(X, x.fs),
+                                  BiorthSystem.canonical(3, tol=ToleranceConfig(rank_tol=rank_tol)))
+            assert cuts[0] == (rank_tol, certified)
 
     def test_no_window_opens_past_the_last_interval(self, monkeypatch):
         # the last interval closes at n; an agreement scan from n + 1 would
@@ -306,6 +322,30 @@ class TestClassify:
         partition = strong_partition(build_representing_indices(x, 8), 2).partition
         z = construct_flattened(x, partition, seed=seed)
         assert classify_checked(z, x).intervals.intervals == ((1, 2), (3, 128))
+
+
+def test_stored_defect_is_the_certificates_own(monkeypatch):
+    # validate() forms the defect once; the left-inverse certificate of all
+    # rows forms the same product, so its value is the stored one bit for
+    # bit, and strongness_diagnostic hands it over instead of forming it
+    x = staged_coupling_system()
+    trace = strong_partition(build_representing_indices(x, 8), 2)
+    z = construct_flattened(x, trace.partition, seed=0)
+    assert "_defect" in vars(z)
+    stored = biorthogonality_defect(z)
+    formed = subspace._left_inverse_bound(z.fs, z.xs)
+    assert formed[2] == stored
+    assert subspace._left_inverse_bound(z.fs, z.xs, stored) == formed
+    passed, certify = [], representing._left_inverse_bound
+
+    def spy(F, Z, defect=None):
+        passed.append(defect)
+        return certify(F, Z, defect)
+
+    monkeypatch.setattr(representing, "_left_inverse_bound", spy)
+    v = np.random.default_rng(2).standard_normal(z.ambient_dim)
+    report = representing.strongness_diagnostic(v, z, x, trace, trace.partition.epsilons)
+    assert report.residuals == {z.size: 0.0} and passed == [stored]
 
 
 class TestBlockDuality:

@@ -19,6 +19,8 @@ from mbasis_lab import biorth
 from mbasis_lab.biorth import BiorthSystem, classify_perturbation
 from mbasis_lab.subspace import ToleranceConfig, span_gap
 from test_prefix_kernel import CASES, flattened_staged, near_tolerance_case, outcome
+from mbasis_lab import subspace
+from mbasis_lab.subspace import dual_solve, prefix_bases, prefix_coordinates
 
 TOL = ToleranceConfig().span_tol
 
@@ -180,3 +182,107 @@ def test_near_tolerance_falls_back_to_the_window_search(monkeypatch):
     assert cls.intervals.intervals == ((1, 1), (2, 2), (3, 3))
     assert cls.pile_prefixes == (1,)
     assert len(starts) > 1 and starts[0] == 1
+
+
+# The start-1 bracket: for each prefix k <= K the unit rows' distances to
+# span X_k bound the gap from below, and their 2-norm over sigma_k, the
+# left-inverse certificate of the first k pairs, from above.
+
+
+def assert_start_bracket(z, x):
+    """low - phi <= max(vector gap, functional gap) <= high + slack for
+    every start-1 prefix k <= K, each gap as span_gap computes it and
+    (phi, slack) the prefix's floors; returns K."""
+    _, low, high = biorth._agreements(z, x, 1, x.tol.span_tol, width=z.size)
+    certs = biorth._pairing_tables(z, x)[3]
+    phi, slack = biorth._floors(z.ambient_dim, *(sigma[:low.size] for sigma, _ in certs))
+    for k in range(1, low.size + 1):
+        gap = max(span_gap(z.xs[:k], x.xs[:k], x.tol.rank_tol),
+                  span_gap(z.fs[:k], x.fs[:k], x.tol.rank_tol))
+        assert low[k - 1] - phi[k - 1] <= gap <= high[k - 1] + slack[k - 1], \
+            (k, low[k - 1], gap, high[k - 1])
+    return low.size
+
+
+def tilted_pair(eps, scale=10.0, s=0.6):
+    """Two rows z_1 = scale e_1 and z_2 = scale (e_1 + eps e_2), and their
+    functionals, against a base system whose vector span is span(e_1,
+    c e_2 + s e_4) and functional span span(c e_1 + s e_3, e_2), c^2 + s^2 = 1.
+    Both gaps at k = 2 are s, but every unit row of either side lies within
+    eps s of the other side's span: only the 1 / sigma_k of high, with
+    sigma_k about eps / sqrt(2), sees the gap.  ``scale`` keeps both
+    sigma_k's max-row-norm factors far from 1."""
+    c = np.sqrt(1 - s * s)
+    Z = scale * np.array([[1.0, 0.0, 0.0, 0.0], [1.0, eps, 0.0, 0.0]])
+    G = np.array([[1.0, -1 / eps, 0.0, 0.0], [0.0, 1 / eps, 0.0, 0.0]]) / scale
+    X = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, c, 0.0, s]])
+    F = dual_solve(X, np.array([[c, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+    return BiorthSystem.from_pairs(Z, G), BiorthSystem.from_pairs(X, F)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_start_bracket_holds_on_every_certified_prefix(case):
+    K = assert_start_bracket(*CASES[case]())
+    if case.startswith(("staged", "flattened")):
+        assert K
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_start_bracket_holds_on_drawn_systems(systems):
+    assert_start_bracket(*systems)
+
+
+def test_start_bracket_reads_the_unit_rows_conditioning():
+    # eps = 1e-3: the rows' distances read 6e-4 against the gap 0.6, and
+    # high reaches it only through 1 / sigma_k
+    z, x = tilted_pair(1e-3)
+    assert assert_start_bracket(z, x) == 2
+    _, low, high = biorth._agreements(z, x, 1, x.tol.span_tol, width=2)
+    assert low[1] < 1e-3 < 0.5 < high[1]
+    # eps = 1e-11: the second row is within rank_tol of the first, so the
+    # kernel drops it, span_gap reads 1, and no certificate covers k = 2
+    z, x = tilted_pair(1e-11, scale=1.0)
+    assert assert_start_bracket(z, x) < 2
+    assert span_gap(z.xs, x.xs) == 1.0
+
+
+@pytest.mark.parametrize("eps,deferred", [(1e-7, [1, 2]), (1e-6, [])])
+def test_start_bracket_defers_within_its_floor(eps, deferred, monkeypatch):
+    # both unit rows lie exactly in span X, so high reads 0; at eps = 1e-7
+    # sigma_k is near 1e-7, high's rounding floor s_k = phi_k / sigma_k
+    # exceeds span_tol, and span_equal decides each prefix instead
+    Z = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, eps, 0.0, 0.0]])
+    G = np.array([[1.0, -1 / eps, 0.0, 0.0], [0.0, 1 / eps, 0.0, 0.0]])
+    tol = ToleranceConfig()
+    (sigma, K), _ = biorth._certified_prefixes(Z, G, tol.rank_tol)
+    calls, span_equal = [], biorth.span_equal
+    monkeypatch.setattr(biorth, "span_equal",
+                        lambda A, *args: calls.append(len(A)) or span_equal(A, *args))
+    equal, _, high = biorth._prefix_agreement(Z, np.eye(4)[:2], sigma, K, tol.span_tol,
+                                              tol.rank_tol)
+    assert K == 2 and equal.all() and not high.any() and calls == deferred
+
+
+@pytest.mark.parametrize("n", [128, 192])
+@pytest.mark.parametrize("seed", range(3))
+def test_staged_classifier_forms_no_q(n, seed, monkeypatch):
+    # no prefix_bases under either name, and one R-only QR per side, of
+    # all n rows, at start 1
+    z, x = flattened_staged(n, seed=seed)
+    bases, coords = [], []
+
+    def no_bases(*args, **kwargs):
+        bases.append(args)
+        return prefix_bases(*args, **kwargs)
+
+    def count_coords(M, *args, **kwargs):
+        coords.append(len(M))
+        return prefix_coordinates(M, *args, **kwargs)
+
+    for module in (biorth, subspace):
+        monkeypatch.setattr(module, "prefix_bases", no_bases)
+    monkeypatch.setattr(biorth, "prefix_coordinates", count_coords)
+    starts = spy_starts(monkeypatch)
+    assert classify_perturbation(z, x).intervals.intervals == ((1, 2), (3, n))
+    assert not bases and coords == [n, n] and starts == [1]

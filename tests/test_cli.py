@@ -265,6 +265,24 @@ class TestPipelines:
         record = json.load(open(tmp_path / "out" / "failure.json"))
         assert f"cannot read {tmp_path / 'none.txt'}" in record["invariant"]
 
+    @pytest.mark.parametrize("text,match", [
+        ("A 1: 1 | 1 2 | 0.5\nA 2: 3 | 2 3 4 | 0.5\n", "block 2 overlaps earlier blocks at [2]"),
+        ("A 1: 1 | 1 1 2 | 0.5\nA 2: 3 | 3 4 | 0.5\n", "block 1 repeats index [1]"),
+        ("A 1: 1 |  | 0.5\n", "block 1 is empty"),
+        ("A 1: 3 | 1 2 | 0.5\nA 2: 3 | 3 4 | 0.5\n", "anchor 3 is not a member of block 1"),
+        ("A 1: 1 | 1 2 | nan\nA 2: 3 | 3 4 | 0.5\n", "eps_1 must be positive and finite"),
+    ], ids=["overlap", "repeat", "empty", "anchor", "budget"])
+    def test_refused_partition_names_its_file(self, tmp_path, text, match):
+        # a refusal of BlockPartition names the partition file, as a
+        # malformed line does
+        path = tmp_path / "partition.txt"
+        path.write_text(text)
+        cfg = ExperimentConfig(command="perturb", partition=str(path), truncation=4,
+                               out=str(tmp_path / "out"))
+        assert run(cfg) == 1
+        invariant = json.load(open(tmp_path / "out" / "failure.json"))["invariant"]
+        assert invariant.startswith(f"{path}: ") and match in invariant, invariant
+
     def test_build_system(self, tmp_path):
         cfg = ExperimentConfig(command="build-system", truncation=6,
                                out=str(tmp_path))
